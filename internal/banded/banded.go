@@ -1,12 +1,14 @@
 // Package banded implements symmetric banded matrices and a banded Cholesky
 // factorization.
 //
-// The power-delivery mesh in voltsense is a regular 2-D grid, so the system
-// matrix (G + C/h) of the backward-Euler transient solve is symmetric
-// positive definite with bandwidth equal to the grid width. Factoring it once
-// in banded form and reusing the factor for every time step is the fast path
-// of the transient engine; the iterative solver in package sparse is kept as
-// an independent cross-check.
+// The power-delivery mesh in voltsense is a regular 2-D grid. Numbered
+// along its shorter axis, the system matrix (G + C/h) of the backward-Euler
+// transient solve is symmetric positive definite with half-bandwidth equal
+// to the mesh's shorter side. Factoring it once in banded form and reusing
+// the factor for every time step is the transient engine's path for meshes
+// whose band stays narrow; the preconditioned conjugate gradient in package
+// sparse takes the wider ones, where the factor's O(n·bw²) time and O(n·bw)
+// memory stop scaling.
 package banded
 
 import (
@@ -115,45 +117,57 @@ func (s *SymBanded) MulVec(x []float64) []float64 {
 	return y
 }
 
-// CholFactor is the banded Cholesky factor L (same band structure) of a
-// symmetric positive definite banded matrix: A = L Lᵀ.
+// CholFactor is the banded Cholesky factor L of a symmetric positive
+// definite banded matrix: A = L Lᵀ, with L lower triangular and of the same
+// half-bandwidth bw.
+//
+// Row i stores its bw sub-diagonal entries L[i][i-bw .. i-1] contiguously in
+// ascending column order at data[i*bw : (i+1)*bw]; the slots of the first
+// bw rows that would lie left of column 0 are zero. The diagonal is kept
+// only as its reciprocal. Both triangular sweeps then walk one row at a
+// time over unit-stride memory: the forward sweep as a dot product, the
+// backward sweep as an axpy.
 type CholFactor struct {
 	n, bw int
-	data  []float64 // same layout as SymBanded
+	data  []float64 // n rows of bw sub-diagonal entries
+	rdiag []float64 // 1 / L[i][i]
 }
 
 // Factor computes the banded Cholesky factorization of s. s is not modified.
+// It runs row by row (the Cholesky–Crout order): every entry of row i is a
+// dot product of row i's finished prefix with the matching stretch of an
+// earlier row, so the inner loop is the same unit-stride kernel the forward
+// sweep uses.
 func Factor(s *SymBanded) (*CholFactor, error) {
 	n, bw := s.n, s.bw
-	w := bw + 1
-	l := make([]float64, len(s.data))
-	copy(l, s.data)
-	for j := 0; j < n; j++ {
-		d := l[j*w]
+	c := &CholFactor{n: n, bw: bw, data: make([]float64, n*bw), rdiag: make([]float64, n)}
+	for i := 0; i < n; i++ {
+		row := c.data[i*bw : (i+1)*bw]
+		lo := max(i-bw, 0)
+		for j := lo; j < i; j++ {
+			// L[i][j] sits at row[k]. The columns rows i and j share left of
+			// j, lo .. j-1, end row i just before k and end row j.
+			k, m := j-i+bw, j-lo
+			row[k] = (s.data[i*(bw+1)+(i-j)] - dot(row[k-m:k], c.data[(j+1)*bw-m:(j+1)*bw])) * c.rdiag[j]
+		}
+		d := s.data[i*(bw+1)] - dot(row[lo-i+bw:], row[lo-i+bw:])
 		if d <= 0 || math.IsNaN(d) {
 			return nil, ErrNotPositiveDefinite
 		}
-		d = math.Sqrt(d)
-		l[j*w] = d
-		hi := j + bw
-		if hi >= n {
-			hi = n - 1
-		}
-		for i := j + 1; i <= hi; i++ {
-			l[i*w+(i-j)] /= d
-		}
-		// Rank-1 update of the trailing band: A[i][k] -= L[i][j]*L[k][j].
-		for k := j + 1; k <= hi; k++ {
-			lkj := l[k*w+(k-j)]
-			if lkj == 0 {
-				continue
-			}
-			for i := k; i <= hi; i++ {
-				l[i*w+(i-k)] -= l[i*w+(i-j)] * lkj
-			}
-		}
+		c.rdiag[i] = 1 / math.Sqrt(d)
 	}
-	return &CholFactor{n: n, bw: bw, data: l}, nil
+	return c, nil
+}
+
+// at returns L[i][j] (zero outside the band and above the diagonal).
+func (c *CholFactor) at(i, j int) float64 {
+	switch {
+	case j > i || i-j > c.bw:
+		return 0
+	case i == j:
+		return 1 / c.rdiag[i]
+	}
+	return c.data[i*c.bw+(j-i+c.bw)]
 }
 
 // Solve returns x with A x = b, overwriting nothing; b is not modified.
@@ -184,29 +198,52 @@ func (c *CholFactor) SolveInto(dst, b []float64) {
 // nothing, which matters in the per-time-step inner loop of the transient
 // engine.
 func (c *CholFactor) SolveInPlace(b []float64) {
-	n, bw, w := c.n, c.bw, c.bw+1
-	// Forward: L y = b.
-	for i := 0; i < n; i++ {
-		s := b[i]
-		lo := i - bw
-		if lo < 0 {
-			lo = 0
-		}
-		for j := lo; j < i; j++ {
-			s -= c.data[i*w+(i-j)] * b[j]
-		}
-		b[i] = s / c.data[i*w]
+	n, bw := c.n, c.bw
+	if len(b) != n {
+		panic(fmt.Sprintf("banded: SolveInPlace length %d, want %d", len(b), n))
 	}
-	// Backward: Lᵀ x = y.
+	// Forward, L y = b: y[i] depends on y[i-bw .. i-1] through one dot
+	// product of row i.
+	for i := 0; i < n; i++ {
+		m := min(i, bw)
+		b[i] = (b[i] - dot(c.data[(i+1)*bw-m:(i+1)*bw], b[i-m:i])) * c.rdiag[i]
+	}
+	// Backward, Lᵀ x = y: once x[i] is known, row i of L holds its
+	// coefficients in the equations of x[i-bw .. i-1], so subtracting its
+	// contribution is an axpy over the same row.
 	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		hi := i + bw
-		if hi >= n {
-			hi = n - 1
-		}
-		for k := i + 1; k <= hi; k++ {
-			s -= c.data[k*w+(k-i)] * b[k]
-		}
-		b[i] = s / c.data[i*w]
+		xi := b[i] * c.rdiag[i]
+		b[i] = xi
+		m := min(i, bw)
+		axpyNeg(xi, c.data[(i+1)*bw-m:(i+1)*bw], b[i-m:i])
+	}
+}
+
+// dot returns Σ a[k]·b[k] over len(a) terms with four independent
+// accumulators, so consecutive multiply-adds do not wait on each other.
+// b must be at least as long as a.
+func dot(a, b []float64) float64 {
+	b = b[:len(a)]
+	var s0, s1, s2, s3 float64
+	// Testing both lengths lets the compiler drop every bounds check.
+	for len(a) >= 4 && len(b) >= 4 {
+		s0 += a[0] * b[0]
+		s1 += a[1] * b[1]
+		s2 += a[2] * b[2]
+		s3 += a[3] * b[3]
+		a, b = a[4:], b[4:]
+	}
+	for k := 0; k < len(a) && k < len(b); k++ {
+		s0 += a[k] * b[k]
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
+// axpyNeg computes y[k] -= alpha·x[k] over len(x) terms. y must be at least
+// as long as x.
+func axpyNeg(alpha float64, x, y []float64) {
+	y = y[:len(x)]
+	for k, v := range x {
+		y[k] -= alpha * v
 	}
 }

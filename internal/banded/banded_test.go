@@ -154,10 +154,7 @@ func TestFactorMatchesDenseCholesky(t *testing.T) {
 	}
 	for i := 0; i < 12; i++ {
 		for j := 0; j <= i; j++ {
-			var got float64
-			if i-j <= c.bw {
-				got = c.data[i*(c.bw+1)+(i-j)]
-			}
+			got := c.at(i, j)
 			want := dense.L().At(i, j)
 			if math.Abs(got-want) > 1e-9 {
 				t.Fatalf("L(%d,%d) = %v, dense says %v", i, j, got, want)

@@ -6,8 +6,9 @@
 // The grid is the electrical substrate whose transient behaviour (package
 // pdn) produces the voltage maps that both the group-lasso placement and the
 // Eagle-Eye baseline consume. Node indexing is row-major (id = iy*NX + ix),
-// which makes the conductance matrix banded with half-bandwidth NX — the
-// property the banded Cholesky fast path exploits.
+// which makes the conductance matrix banded with half-bandwidth NX; package
+// pdn renumbers the nodes along the shorter axis for its banded Cholesky,
+// which narrows the band to min(NX, NY).
 package grid
 
 import (

@@ -1,6 +1,7 @@
 package pdn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,8 +13,17 @@ import (
 // TestSparseMatchesBandedTransient is the golden equivalence test: on a
 // bandwidth-friendly mesh where both backends run, the sparse IC-PCG path
 // must track the banded Cholesky within 1e-9 at every node of every step.
+// The wide mesh runs the banded factor in transposed (column-major) node
+// order, the tall one in row-major order.
 func TestSparseMatchesBandedTransient(t *testing.T) {
-	g := smallGrid()
+	for _, g := range []*grid.Grid{smallGrid(), scaledGrid(12, 26)} {
+		t.Run(fmt.Sprintf("%dx%d", g.Cfg.NX, g.Cfg.NY), func(t *testing.T) {
+			sparseMatchesBandedTransient(t, g)
+		})
+	}
+}
+
+func sparseMatchesBandedTransient(t *testing.T, g *grid.Grid) {
 	sb, err := NewSimulatorBackend(g, testDT, Banded)
 	if err != nil {
 		t.Fatal(err)
@@ -111,6 +121,65 @@ func TestSparseSettlesOntoStaticSolve(t *testing.T) {
 	}
 	if worst > 1e-6 {
 		t.Fatalf("sparse transient settled %g away from DC solution", worst)
+	}
+}
+
+// TestBandedSolverOrdersAlongShortAxis pins the banded numbering: a
+// permutation of the nodes whose mesh edges span at most the mesh's
+// shorter side.
+func TestBandedSolverOrdersAlongShortAxis(t *testing.T) {
+	for _, tc := range []struct{ nx, ny, bw int }{{52, 23, 23}, {78, 34, 34}, {12, 26, 12}} {
+		g := scaledGrid(tc.nx, tc.ny)
+		b, err := newBandedSolver(g, dcDiag(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make([]bool, len(b.pos))
+		for _, p := range b.pos {
+			if seen[p] {
+				t.Fatalf("%dx%d: row %d assigned twice", tc.nx, tc.ny, p)
+			}
+			seen[p] = true
+		}
+		bw := 0
+		for _, e := range g.Edges {
+			bw = max(bw, b.pos[e.A]-b.pos[e.B], b.pos[e.B]-b.pos[e.A])
+		}
+		if bw != tc.bw {
+			t.Fatalf("%dx%d: half-bandwidth %d, want %d", tc.nx, tc.ny, bw, tc.bw)
+		}
+	}
+}
+
+// TestBandedSettleMatchesStaticSolve: the banded backend's factored DC
+// settle lands on the independent conjugate-gradient DC solution, in both
+// node orderings of the banded factor.
+func TestBandedSettleMatchesStaticSolve(t *testing.T) {
+	for _, g := range []*grid.Grid{smallGrid(), scaledGrid(12, 26)} {
+		s, err := NewSimulatorBackend(g, testDT, Banded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loads := make([]float64, g.NumNodes())
+		for b, nodes := range g.BlockNodes {
+			for _, nd := range nodes {
+				loads[nd] = 0.05 * float64(b%7+1) / float64(len(nodes))
+			}
+		}
+		want, err := StaticSolve(g, loads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Settle(loads); err != nil {
+			t.Fatal(err)
+		}
+		worst := 0.0
+		for i := range want {
+			worst = math.Max(worst, math.Abs(s.v[i]-want[i]))
+		}
+		if worst > 1e-9 {
+			t.Fatalf("%dx%d: banded settle %g away from StaticSolve", g.Cfg.NX, g.Cfg.NY, worst)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package pdn
 import (
 	"fmt"
 
-	"voltsense/internal/banded"
 	"voltsense/internal/grid"
 	"voltsense/internal/sparse"
 )
@@ -40,8 +39,8 @@ type BatchSimulator struct {
 	perm   []int
 	xI, bI []float64
 
-	// banded path
-	chol *banded.CholFactor
+	// banded path: the step factor and the factored DC system
+	chol, dc *bandedSolver
 }
 
 // NewBatchSimulator assembles one shared backward-Euler system for nrhs
@@ -82,29 +81,16 @@ func NewBatchSimulator(g *grid.Grid, dt float64, nrhs int, opts SimOptions) (*Ba
 		backend = chooseBackend(g)
 	}
 	s.backend = backend
-	diag := make([]float64, n)
-	copy(diag, s.cOverH)
-	for _, e := range g.Edges {
-		diag[e.A] += e.G
-		diag[e.B] += e.G
-	}
-	for p, pad := range g.Pads {
-		diag[pad.Node] += s.padGeff[p]
-	}
+	diag := stepDiag(g, s.cOverH, s.padGeff)
 	switch backend {
 	case Banded:
-		a := banded.NewSymBanded(n, g.Cfg.NX)
-		for i, d := range diag {
-			a.Add(i, i, d)
+		var err error
+		if s.chol, err = newBandedSolver(g, diag); err != nil {
+			return nil, err
 		}
-		for _, e := range g.Edges {
-			a.Add(e.A, e.B, -e.G)
+		if s.dc, err = newBandedSolver(g, dcDiag(g)); err != nil {
+			return nil, err
 		}
-		chol, err := banded.Factor(a)
-		if err != nil {
-			return nil, fmt.Errorf("pdn: system matrix not SPD: %w", err)
-		}
-		s.chol = chol
 	case Sparse:
 		sys, err := newSparseSystem(g, diag, opts.Precond)
 		if err != nil {
@@ -155,15 +141,7 @@ func (s *BatchSimulator) Reset() {
 // SettleColumn initializes column c at the DC operating point of the given
 // node loads, exactly like Simulator.Settle.
 func (s *BatchSimulator) SettleColumn(c int, loads []float64) error {
-	v, err := StaticSolve(s.g, loads)
-	if err != nil {
-		return err
-	}
-	copy(s.vCols[c], v)
-	for p, pad := range s.g.Pads {
-		s.padCurCols[c][p] = (s.g.Cfg.VDD - v[pad.Node]) / pad.R
-	}
-	return nil
+	return settleInto(s.g, s.dc, loads, s.vCols[c], s.padCurCols[c], s.rhsCols[c])
 }
 
 // Step advances every column one time step; loads[c] holds the node loads
@@ -189,7 +167,7 @@ func (s *BatchSimulator) Step(loads [][]float64) [][]float64 {
 	}
 	if s.chol != nil {
 		for c := 0; c < s.m; c++ {
-			s.chol.SolveInto(s.vCols[c], s.rhsCols[c])
+			s.chol.solveInto(s.vCols[c], s.rhsCols[c])
 		}
 	} else {
 		m := s.m

@@ -68,7 +68,7 @@ func TestBatchMatchesLoopedSimulators(t *testing.T) {
 }
 
 // TestBatchSettleMatchesSimulator: SettleColumn reproduces Simulator.Settle
-// bitwise.
+// bitwise on both backends.
 func TestBatchSettleMatchesSimulator(t *testing.T) {
 	g := smallGrid()
 	n := g.NumNodes()
@@ -76,28 +76,30 @@ func TestBatchSettleMatchesSimulator(t *testing.T) {
 	for i := 0; i < n; i += 5 {
 		loads[i] = 0.01
 	}
-	bs, err := NewBatchSimulator(g, testDT, 2, SimOptions{Backend: Sparse})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bs.SettleColumn(1, loads); err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSimulatorBackend(g, testDT, Sparse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Settle(loads); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if bs.vCols[1][i] != s.v[i] {
-			t.Fatalf("node %d: batch settle %v, simulator %v", i, bs.vCols[1][i], s.v[i])
+	for _, backend := range []Backend{Banded, Sparse} {
+		bs, err := NewBatchSimulator(g, testDT, 2, SimOptions{Backend: backend})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for p := range g.Pads {
-		if bs.padCurCols[1][p] != s.padCur[p] {
-			t.Fatalf("pad %d: batch current %v, simulator %v", p, bs.padCurCols[1][p], s.padCur[p])
+		if err := bs.SettleColumn(1, loads); err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSimulatorBackend(g, testDT, backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Settle(loads); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if bs.vCols[1][i] != s.v[i] {
+				t.Fatalf("%v node %d: batch settle %v, simulator %v", backend, i, bs.vCols[1][i], s.v[i])
+			}
+		}
+		for p := range g.Pads {
+			if bs.padCurCols[1][p] != s.padCur[p] {
+				t.Fatalf("%v pad %d: batch current %v, simulator %v", backend, p, bs.padCurCols[1][p], s.padCur[p])
+			}
 		}
 	}
 }

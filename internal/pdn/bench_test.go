@@ -131,7 +131,8 @@ func benchStepBackend(b *testing.B, g *grid.Grid, backend Backend) {
 }
 
 // BenchmarkStepBanded256 vs BenchmarkStepSparse256: the same 256×128 mesh
-// (bandwidth 256, the crossover point of the Auto rule) stepped by both
+// (NX = 256, the crossover point of the Auto rule; the banded factor,
+// numbered along the shorter axis, has half-bandwidth 128) stepped by both
 // backends. In-band the banded triangular sweeps win per step — this pair
 // documents why Auto keeps Banded below the bandwidth limit.
 func BenchmarkStepBanded256(b *testing.B) { benchStepBackend(b, scaledGrid(256, 128), Banded) }
@@ -149,10 +150,11 @@ func benchCtorBackend(b *testing.B, g *grid.Grid, backend Backend) {
 }
 
 // BenchmarkNewSimulator512Banded vs BenchmarkNewSimulator512Sparse: the
-// banded-vs-sparse speedup pair in BENCH_PR7.json. At 512×256 the banded
-// factor costs O(n·bw²) ≈ 1.7e10 flops and 538 MB; sparse assembly plus the
-// MIC factor is O(nnz) — three orders of magnitude cheaper, which is what
-// makes per-worker simulators at this scale viable at all.
+// banded-vs-sparse speedup pair in BENCH_PR7.json. At 512×256 (half-
+// bandwidth 256, the shorter side) each banded factor — the step system and
+// the DC system — costs O(n·bw²) ≈ 4.3e9 flops and 269 MB; sparse assembly
+// plus the MIC factor is O(nnz) — orders of magnitude cheaper, which is
+// what makes per-worker simulators at this scale viable at all.
 func BenchmarkNewSimulator512Banded(b *testing.B) {
 	benchCtorBackend(b, scaledGrid(512, 256), Banded)
 }

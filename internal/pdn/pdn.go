@@ -9,9 +9,11 @@
 //	(G + C/h + G_pad) v[t+1] = (C/h) v[t] + pad history + VDD injection − i_load[t+1]
 //
 // The system matrix is constant, symmetric positive definite and banded
-// (half-bandwidth = mesh NX). Two interchangeable step backends solve it:
-// the banded Cholesky (factored once, every step a pair of triangular
-// solves — the fast path for narrow meshes) and a preconditioned
+// (half-bandwidth min(NX, NY) with the nodes numbered along the mesh's
+// shorter axis). Two interchangeable step backends solve it: the banded
+// Cholesky (factored once, every step a pair of triangular solves — the
+// fast path for narrow meshes; it factors the DC system once too, so
+// Settle is another pair of sweeps) and a preconditioned
 // conjugate-gradient path over the RCM-reordered CSR matrix, warm-started
 // from the previous step's voltages, which scales to 1024×1024+ meshes
 // where the banded factor's O(n·bw²) time and O(n·bw) memory are
@@ -98,9 +100,57 @@ type stepSolver interface {
 	solveInto(dst, rhs []float64)
 }
 
-type bandedSolver struct{ chol *banded.CholFactor }
+// bandedSolver is the banded Cholesky factor of a mesh system whose nodes
+// are numbered along the mesh's shorter axis, so the half-bandwidth is
+// min(NX, NY) rather than NX. The renumbering is transparent: callers stay
+// in row-major node order and solveInto maps through pos at the boundary.
+type bandedSolver struct {
+	chol *banded.CholFactor
+	pos  []int     // pos[node] = row of node in the banded system
+	buf  []float64 // right-hand side in banded order, solved in place
+}
 
-func (b bandedSolver) solveInto(dst, rhs []float64) { b.chol.SolveInto(dst, rhs) }
+// newBandedSolver assembles and factors the symmetric mesh system with the
+// given fully accumulated diagonal and −G between the ends of every mesh
+// edge: the backward-Euler step system, or the DC system when diag holds
+// the conductance degrees plus each pad's 1/R.
+func newBandedSolver(g *grid.Grid, diag []float64) (*bandedSolver, error) {
+	nx, ny := g.Cfg.NX, g.Cfg.NY
+	pos := make([]int, g.NumNodes())
+	for node := range pos {
+		pos[node] = node
+		if ny < nx {
+			pos[node] = (node%nx)*ny + node/nx
+		}
+	}
+	bw := 0
+	for _, e := range g.Edges {
+		d := pos[e.A] - pos[e.B]
+		bw = max(bw, d, -d)
+	}
+	a := banded.NewSymBanded(len(pos), bw)
+	for node, d := range diag {
+		a.Set(pos[node], pos[node], d)
+	}
+	for _, e := range g.Edges {
+		a.Add(pos[e.A], pos[e.B], -e.G)
+	}
+	chol, err := banded.Factor(a)
+	if err != nil {
+		return nil, fmt.Errorf("pdn: system matrix not SPD: %w", err)
+	}
+	return &bandedSolver{chol: chol, pos: pos, buf: make([]float64, len(pos))}, nil
+}
+
+func (b *bandedSolver) solveInto(dst, rhs []float64) {
+	for node, p := range b.pos {
+		b.buf[p] = rhs[node]
+	}
+	b.chol.SolveInPlace(b.buf)
+	for node, p := range b.pos {
+		dst[node] = b.buf[p]
+	}
+}
 
 // sparseSystem is the RCM-permuted CSR step system shared by the single and
 // batch sparse solvers: the matrix P·A·Pᵀ, the permutation that built it,
@@ -216,6 +266,10 @@ const (
 	sparseStorageLimit   = 256 << 20 // bytes of banded factor
 )
 
+// chooseBackend judges by NX, the half-bandwidth of row-major numbering.
+// The banded solver numbers along the shorter axis, so its actual band,
+// min(NX, NY), can be narrower: on short, wide meshes the rule leans to
+// sparse.
 func chooseBackend(g *grid.Grid) Backend {
 	bw := g.Cfg.NX
 	n := g.NumNodes()
@@ -243,6 +297,7 @@ type Simulator struct {
 
 	solver  stepSolver
 	backend Backend
+	dc      *bandedSolver // factored DC system; nil on the sparse backend
 
 	cOverH  []float64 // C/h per node
 	padGeff []float64 // effective pad conductance 1/(R + L/h)
@@ -295,27 +350,19 @@ func NewSimulatorOpts(g *grid.Grid, dt float64, opts SimOptions) (*Simulator, er
 		backend = chooseBackend(g)
 	}
 	s.backend = backend
+	diag := stepDiag(g, s.cOverH, s.padGeff)
 	switch backend {
 	case Banded:
-		a := banded.NewSymBanded(n, g.Cfg.NX)
-		for i := range s.cOverH {
-			a.Add(i, i, s.cOverH[i])
-		}
-		for _, e := range g.Edges {
-			a.Add(e.A, e.A, e.G)
-			a.Add(e.B, e.B, e.G)
-			a.Add(e.A, e.B, -e.G)
-		}
-		for p, pad := range g.Pads {
-			a.Add(pad.Node, pad.Node, s.padGeff[p])
-		}
-		chol, err := banded.Factor(a)
+		solver, err := newBandedSolver(g, diag)
 		if err != nil {
-			return nil, fmt.Errorf("pdn: system matrix not SPD: %w", err)
+			return nil, err
 		}
-		s.solver = bandedSolver{chol: chol}
+		if s.dc, err = newBandedSolver(g, dcDiag(g)); err != nil {
+			return nil, err
+		}
+		s.solver = solver
 	case Sparse:
-		sys, err := newSparseSystem(g, s.stepDiag(), opts.Precond)
+		sys, err := newSparseSystem(g, diag, opts.Precond)
 		if err != nil {
 			return nil, err
 		}
@@ -337,17 +384,67 @@ func (s *Simulator) Backend() Backend { return s.backend }
 
 // stepDiag accumulates the fully summed diagonal of the backward-Euler
 // system matrix: C/h + mesh conductance degree + effective pad conductance.
-func (s *Simulator) stepDiag() []float64 {
-	diag := make([]float64, len(s.cOverH))
-	copy(diag, s.cOverH)
-	for _, e := range s.g.Edges {
+func stepDiag(g *grid.Grid, cOverH, padGeff []float64) []float64 {
+	diag := make([]float64, len(cOverH))
+	copy(diag, cOverH)
+	for _, e := range g.Edges {
 		diag[e.A] += e.G
 		diag[e.B] += e.G
 	}
-	for p, pad := range s.g.Pads {
-		diag[pad.Node] += s.padGeff[p]
+	for p, pad := range g.Pads {
+		diag[pad.Node] += padGeff[p]
 	}
 	return diag
+}
+
+// dcDiag accumulates the diagonal of the DC system (inductors shorted,
+// capacitors open): mesh conductance degree + each pad's 1/R.
+func dcDiag(g *grid.Grid) []float64 {
+	diag := make([]float64, g.NumNodes())
+	for _, e := range g.Edges {
+		diag[e.A] += e.G
+		diag[e.B] += e.G
+	}
+	for _, pad := range g.Pads {
+		diag[pad.Node] += 1 / pad.R
+	}
+	return diag
+}
+
+// dcRHS writes the DC system's right-hand side for the given node loads
+// into b: each load drawn out of its node, each pad injecting VDD/R.
+func dcRHS(g *grid.Grid, loads, b []float64) {
+	if len(loads) != len(b) {
+		panic(fmt.Sprintf("pdn: loads length %d, want %d", len(loads), len(b)))
+	}
+	for i, ld := range loads {
+		b[i] = -ld
+	}
+	for _, pad := range g.Pads {
+		gdc := 1 / pad.R // the inductor is a short at DC
+		b[pad.Node] += gdc * g.Cfg.VDD
+	}
+}
+
+// settleInto writes the DC operating point for loads into v and each pad's
+// steady-state current into padCur. The banded backend solves its factored
+// DC system dc, using rhs as scratch; the sparse backend (dc == nil) runs
+// StaticSolve.
+func settleInto(g *grid.Grid, dc *bandedSolver, loads, v, padCur, rhs []float64) error {
+	if dc != nil {
+		dcRHS(g, loads, rhs)
+		dc.solveInto(v, rhs)
+	} else {
+		x, err := StaticSolve(g, loads)
+		if err != nil {
+			return err
+		}
+		copy(v, x)
+	}
+	for p, pad := range g.Pads {
+		padCur[p] = (g.Cfg.VDD - v[pad.Node]) / pad.R
+	}
+	return nil
 }
 
 // assembleSystemCSR builds the symmetric system matrix directly in CSR
@@ -477,17 +574,14 @@ func (l *BlockLoader) Loads(blockCurrents []float64) []float64 {
 
 // Settle initializes the simulator state to the DC operating point for the
 // given node loads: node voltages from the resistive solve (inductors
-// shorted) and pad currents carrying their steady-state share. Starting a
-// transient from Settle avoids the unphysical inrush collapse of switching
-// a fully loaded chip onto an unenergized package.
+// shorted) and pad currents carrying their steady-state share. The banded
+// backend solves the DC system it factored at construction; the sparse
+// backend runs StaticSolve. Starting a transient from Settle avoids the
+// unphysical inrush collapse of switching a fully loaded chip onto an
+// unenergized package.
 func (s *Simulator) Settle(loads []float64) error {
-	v, err := StaticSolve(s.g, loads)
-	if err != nil {
+	if err := settleInto(s.g, s.dc, loads, s.v, s.padCur, s.rhs); err != nil {
 		return err
-	}
-	copy(s.v, v)
-	for p, pad := range s.g.Pads {
-		s.padCur[p] = (s.g.Cfg.VDD - v[pad.Node]) / pad.R
 	}
 	s.t = 0
 	return nil
@@ -516,28 +610,13 @@ func (s *Simulator) Run(steps int, currentAt func(t int) []float64, onStep func(
 
 // StaticSolve computes the DC operating point for constant node loads
 // (inductors shorted, capacitors open) using the independent conjugate-
-// gradient path. It is the cross-check oracle for the transient engine: a
-// constant-load transient must settle onto this solution.
+// gradient path. It is the sparse backend's Settle and the cross-check
+// oracle for the transient engine: a constant-load transient, and the
+// banded backend's factored DC settle, must land on this solution.
 func StaticSolve(g *grid.Grid, loads []float64) ([]float64, error) {
-	n := g.NumNodes()
-	if len(loads) != n {
-		panic(fmt.Sprintf("pdn: loads length %d, want %d", len(loads), n))
-	}
-	diag := make([]float64, n)
-	for _, e := range g.Edges {
-		diag[e.A] += e.G
-		diag[e.B] += e.G
-	}
-	b := make([]float64, n)
-	for i, ld := range loads {
-		b[i] = -ld
-	}
-	for _, pad := range g.Pads {
-		gdc := 1 / pad.R // inductor is a short at DC
-		diag[pad.Node] += gdc
-		b[pad.Node] += gdc * g.Cfg.VDD
-	}
-	a := assembleSystemCSR(g, diag)
+	b := make([]float64, g.NumNodes())
+	dcRHS(g, loads, b)
+	a := assembleSystemCSR(g, dcDiag(g))
 	opt := sparse.CGOptions{Tol: 1e-12}
 	if ic, err := sparse.NewIC(a); err == nil {
 		opt.Precond = ic // IC(0) always exists for this M-matrix; Jacobi fallback just in case

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -149,21 +150,21 @@ func TestFleetFaultIsolation(t *testing.T) {
 		"chipB":   faultArtifact,
 	})
 	// Warm chipB so it is resident before chipA's storm.
-	if code, _, b := predictAs(t, ts, "chipB", healthyBatch()); code != http.StatusOK {
+	if code, _, b := predictAs(t, ts, "chipB", jitteredBatch(0)); code != http.StatusOK {
 		t.Fatalf("chipB warmup: %d %s", code, b)
 	}
 
 	degradeTenant(t, ts, "chipA")
 
 	// chipA is down hard: predict and new streams both refuse.
-	code, _, b := predictAs(t, ts, "chipA", healthyBatch())
+	code, _, b := predictAs(t, ts, "chipA", jitteredBatch(0))
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("degraded chipA predict: code %d body %s", code, b)
 	}
 
 	// Its neighbors never notice.
 	for _, tenant := range []string{"", "chipB"} {
-		code, _, b := predictAs(t, ts, tenant, healthyBatch())
+		code, _, b := predictAs(t, ts, tenant, jitteredBatch(0))
 		if code != http.StatusOK {
 			t.Fatalf("tenant %q degraded by chipA's faults: code %d body %s", tenant, code, b)
 		}
@@ -200,8 +201,14 @@ func TestFleetFaultIsolation(t *testing.T) {
 	_ = s
 }
 
-func healthyBatch() string {
-	return `{"readings":[[0.95,0.95,0.95]]}`
+// jitteredBatch returns a one-row predict body for faultArtifact's three
+// sensors: readings within 5 mV of the 0.95 V training mean that change
+// with i. A guarded tenant's flatline detector rightly marks every sensor
+// stuck once a full window (32 cycles) of identical readings arrives, so
+// tests that loop must not send a constant row.
+func jitteredBatch(i int) string {
+	r := func(k int) float64 { return 0.95 + 0.005*math.Sin(float64(3*i+k)) }
+	return fmt.Sprintf(`{"readings":[[%.6f,%.6f,%.6f]]}`, r(0), r(1), r(2))
 }
 
 // TestFleetReloadUnderTrafficPreservesUntouchedTenants rewrites one
@@ -219,7 +226,7 @@ func TestFleetReloadUnderTrafficPreservesUntouchedTenants(t *testing.T) {
 		"b":       faultArtifact,
 	})
 	// Warm both and feed b's adapter some state worth preserving.
-	if code, _, b := predictAs(t, ts, "a", healthyBatch()); code != http.StatusOK {
+	if code, _, b := predictAs(t, ts, "a", jitteredBatch(0)); code != http.StatusOK {
 		t.Fatalf("warm a: %d %s", code, b)
 	}
 	fb := `{"tenant":"b","samples":[{"readings":[0.95,0.95,0.95],"voltages":[0.95]}]}`
@@ -244,8 +251,8 @@ func TestFleetReloadUnderTrafficPreservesUntouchedTenants(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !stop.Load() {
-				code, _, body := predictAs(t, ts, tenant, healthyBatch())
+			for i := 0; !stop.Load(); i++ {
+				code, _, body := predictAs(t, ts, tenant, jitteredBatch(i))
 				if code != http.StatusOK {
 					t.Errorf("tenant %s mid-reload: code %d body %s", tenant, code, body)
 					return

@@ -123,7 +123,7 @@ type ops struct {
 	t    team
 	sums []float64 // dot reduction blocks
 
-	a          *CSR    // staged matrix (SpMV)
+	a          *CSR // staged matrix (SpMV)
 	x, y, z, w []float64
 	s1         float64
 
