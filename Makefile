@@ -1,7 +1,7 @@
 GO ?= go
 BENCHTIME ?= 100ms
 
-.PHONY: build test race vet lint bench bench-quick bench-compare bench-trajectory fleet-smoke fleet-compare fault-ablation adapt-ablation transfer-ablation docs-check clean
+.PHONY: build test race stress vet lint bench bench-quick bench-compare bench-trajectory fleet-smoke fleet-compare fault-ablation adapt-ablation transfer-ablation docs-check clean
 
 build:
 	$(GO) build ./...
@@ -11,6 +11,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# stress reruns the solver packages under the race detector at one and two
+# procs, three times each, so the parallel kernels and the mat worker pool
+# are exercised at GOMAXPROCS 2 as well as serially.
+stress:
+	$(GO) test -race -cpu 1,2 -count 3 ./internal/mat ./internal/sparse ./internal/pdn
 
 vet:
 	$(GO) vet ./...

@@ -7,11 +7,14 @@ import (
 )
 
 // The kernels in this package split work across a small persistent pool of
-// goroutines. The pool is sized to GOMAXPROCS-1 (the caller always executes
-// one share itself) and started lazily on first use; work is handed off over
-// an unbuffered channel with an inline fallback, so a saturated pool — or a
-// nested parallel section — degrades to serial execution instead of queueing
-// or deadlocking.
+// goroutines. The pool is started lazily on first use and sized to
+// max(GOMAXPROCS, NumCPU)-1 (the caller always executes one share itself),
+// so a process that raises GOMAXPROCS after first use — `go test -cpu 1,2`
+// does — still finds workers; how many shares a kernel splits into follows
+// Parallelism at each call. Work is handed off over an unbuffered channel
+// with an inline fallback, so a saturated pool — or a nested parallel
+// section — degrades to serial execution instead of queueing or
+// deadlocking.
 //
 // Determinism: work is partitioned by index range and every output element is
 // written by exactly one goroutine, with the same per-element operation order
@@ -23,11 +26,11 @@ var parDegree atomic.Int64
 
 var (
 	poolOnce sync.Once
-	poolJobs chan func() // nil when GOMAXPROCS == 1 at pool start
+	poolJobs chan func() // nil on a single-CPU machine run at GOMAXPROCS 1
 )
 
 func startPool() {
-	n := runtime.GOMAXPROCS(0) - 1
+	n := max(runtime.GOMAXPROCS(0), runtime.NumCPU()) - 1
 	if n < 1 {
 		return // single-proc: poolJobs stays nil, everything runs inline
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestSubmitRunsOrReportsFalse: every accepted job runs exactly once, and a
@@ -30,8 +31,9 @@ func TestSubmitRunsOrReportsFalse(t *testing.T) {
 	}
 }
 
-// TestSubmitSingleProc: with GOMAXPROCS=1 the pool is absent or saturated
-// almost always; Submit must never block, whatever it returns.
+// TestSubmitSingleProc: with GOMAXPROCS=1 the pool may still hold
+// workers (one fewer than NumCPU); Submit must never block, whatever it
+// returns.
 func TestSubmitSingleProc(t *testing.T) {
 	if runtime.GOMAXPROCS(0) > 1 {
 		t.Skip("pool has workers; covered by TestSubmitRunsOrReportsFalse")
@@ -43,6 +45,30 @@ func TestSubmitSingleProc(t *testing.T) {
 				t.Fatal("job ran despite false return")
 			}
 		}
+	}
+}
+
+// TestSubmitAcceptedAtTwoProcs: at GOMAXPROCS >= 2 the pool has a worker
+// and Submit hands it work, even when an earlier GOMAXPROCS 1 pass (as
+// under go test -cpu 1,2) started the pool. Otherwise every "invariant
+// under parallelism" check would compare serial code with serial code.
+func TestSubmitAcceptedAtTwoProcs(t *testing.T) {
+	if runtime.NumCPU() < 2 || runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs GOMAXPROCS >= 2")
+	}
+	// An idle worker may still be returning from an earlier job, so retry
+	// until one is receiving; a pool without workers never accepts.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		done := make(chan struct{})
+		if Submit(func() { close(done) }) {
+			<-done
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Submit refused every job for 10s at GOMAXPROCS >= 2: the pool has no workers")
+		}
+		runtime.Gosched()
 	}
 }
 

@@ -151,14 +151,27 @@ func TestBandedSolverOrdersAlongShortAxis(t *testing.T) {
 	}
 }
 
-// TestBandedSettleMatchesStaticSolve: the banded backend's factored DC
-// settle lands on the independent conjugate-gradient DC solution, in both
-// node orderings of the banded factor.
-func TestBandedSettleMatchesStaticSolve(t *testing.T) {
-	for _, g := range []*grid.Grid{smallGrid(), scaledGrid(12, 26)} {
-		s, err := NewSimulatorBackend(g, testDT, Banded)
+// TestSettleMatchesStaticSolve: each backend's DC settle lands on the
+// independent conjugate-gradient DC solution — the banded factor in both
+// node orderings, the sparse solver on the same meshes, and the 288×24 scan
+// mesh, which Auto resolves to sparse.
+func TestSettleMatchesStaticSolve(t *testing.T) {
+	cases := []struct {
+		g       *grid.Grid
+		backend Backend
+	}{
+		{smallGrid(), Banded}, {scaledGrid(12, 26), Banded},
+		{smallGrid(), Sparse}, {scaledGrid(12, 26), Sparse},
+		{scaledGrid(288, 24), Auto},
+	}
+	for _, tc := range cases {
+		g := tc.g
+		s, err := NewSimulatorBackend(g, testDT, tc.backend)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tc.backend == Auto && s.Backend() != Sparse {
+			t.Fatalf("%dx%d resolved to %v, want sparse", g.Cfg.NX, g.Cfg.NY, s.Backend())
 		}
 		loads := make([]float64, g.NumNodes())
 		for b, nodes := range g.BlockNodes {
@@ -178,8 +191,9 @@ func TestBandedSettleMatchesStaticSolve(t *testing.T) {
 			worst = math.Max(worst, math.Abs(s.v[i]-want[i]))
 		}
 		if worst > 1e-9 {
-			t.Fatalf("%dx%d: banded settle %g away from StaticSolve", g.Cfg.NX, g.Cfg.NY, worst)
+			t.Fatalf("%dx%d %v: settle %g away from StaticSolve", g.Cfg.NX, g.Cfg.NY, s.Backend(), worst)
 		}
+		t.Logf("%dx%d %v: max |Δv| = %g", g.Cfg.NX, g.Cfg.NY, s.Backend(), worst)
 	}
 }
 

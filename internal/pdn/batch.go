@@ -39,8 +39,10 @@ type BatchSimulator struct {
 	perm   []int
 	xI, bI []float64
 
-	// banded path: the step factor and the factored DC system
-	chol, dc *bandedSolver
+	// banded path: the step factor
+	chol *bandedSolver
+
+	dc dcSolver // one DC system for every column's settle
 }
 
 // NewBatchSimulator assembles one shared backward-Euler system for nrhs
@@ -81,14 +83,12 @@ func NewBatchSimulator(g *grid.Grid, dt float64, nrhs int, opts SimOptions) (*Ba
 		backend = chooseBackend(g)
 	}
 	s.backend = backend
+	s.dc = dcSolver{g: g, backend: backend, workers: opts.Workers}
 	diag := stepDiag(g, s.cOverH, s.padGeff)
 	switch backend {
 	case Banded:
 		var err error
 		if s.chol, err = newBandedSolver(g, diag); err != nil {
-			return nil, err
-		}
-		if s.dc, err = newBandedSolver(g, dcDiag(g)); err != nil {
 			return nil, err
 		}
 	case Sparse:
@@ -139,9 +139,10 @@ func (s *BatchSimulator) Reset() {
 }
 
 // SettleColumn initializes column c at the DC operating point of the given
-// node loads, exactly like Simulator.Settle.
+// node loads, exactly like Simulator.Settle: the columns share one DC
+// system, built on the first settle.
 func (s *BatchSimulator) SettleColumn(c int, loads []float64) error {
-	return settleInto(s.g, s.dc, loads, s.vCols[c], s.padCurCols[c], s.rhsCols[c])
+	return s.dc.settleInto(loads, s.vCols[c], s.padCurCols[c], s.rhsCols[c])
 }
 
 // Step advances every column one time step; loads[c] holds the node loads
@@ -167,7 +168,7 @@ func (s *BatchSimulator) Step(loads [][]float64) [][]float64 {
 	}
 	if s.chol != nil {
 		for c := 0; c < s.m; c++ {
-			s.chol.solveInto(s.vCols[c], s.rhsCols[c])
+			_ = s.chol.solveInto(s.vCols[c], s.rhsCols[c]) // a banded solve cannot fail
 		}
 	} else {
 		m := s.m

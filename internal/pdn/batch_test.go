@@ -1,6 +1,7 @@
 package pdn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -68,7 +69,8 @@ func TestBatchMatchesLoopedSimulators(t *testing.T) {
 }
 
 // TestBatchSettleMatchesSimulator: SettleColumn reproduces Simulator.Settle
-// bitwise on both backends.
+// bitwise on both backends, and a settle after stepping reproduces a fresh
+// simulator's settle bitwise: the DC solve never starts from the history.
 func TestBatchSettleMatchesSimulator(t *testing.T) {
 	g := smallGrid()
 	n := g.NumNodes()
@@ -76,36 +78,69 @@ func TestBatchSettleMatchesSimulator(t *testing.T) {
 	for i := 0; i < n; i += 5 {
 		loads[i] = 0.01
 	}
+	const m, steps = 2, 12
+	history := benchLoads(n, m, steps, 3)
 	for _, backend := range []Backend{Banded, Sparse} {
-		bs, err := NewBatchSimulator(g, testDT, 2, SimOptions{Backend: backend})
+		opts := SimOptions{Backend: backend}
+		fresh, err := NewSimulatorOpts(g, testDT, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.Settle(loads); err != nil {
+			t.Fatal(err)
+		}
+		bs, err := NewBatchSimulator(g, testDT, m, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := bs.SettleColumn(1, loads); err != nil {
 			t.Fatal(err)
 		}
-		s, err := NewSimulatorBackend(g, testDT, backend)
+		sameSettle(t, fmt.Sprintf("%v batch column", backend), fresh, bs.vCols[1], bs.padCurCols[1])
+
+		s, err := NewSimulatorOpts(g, testDT, opts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if err := s.Settle(history[0][0]); err != nil {
+			t.Fatal(err)
+		}
+		cols := make([][]float64, m)
+		for step := 0; step < steps; step++ {
+			s.Step(history[0][step])
+			for c := range cols {
+				cols[c] = history[c][step]
+			}
+			bs.Step(cols)
 		}
 		if err := s.Settle(loads); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < n; i++ {
-			if bs.vCols[1][i] != s.v[i] {
-				t.Fatalf("%v node %d: batch settle %v, simulator %v", backend, i, bs.vCols[1][i], s.v[i])
-			}
+		if err := bs.SettleColumn(0, loads); err != nil {
+			t.Fatal(err)
 		}
-		for p := range g.Pads {
-			if bs.padCurCols[1][p] != s.padCur[p] {
-				t.Fatalf("%v pad %d: batch current %v, simulator %v", backend, p, bs.padCurCols[1][p], s.padCur[p])
-			}
+		sameSettle(t, fmt.Sprintf("%v simulator after %d steps", backend, steps), fresh, s.v, s.padCur)
+		sameSettle(t, fmt.Sprintf("%v batch column after %d steps", backend, steps), fresh, bs.vCols[0], bs.padCurCols[0])
+	}
+}
+
+// sameSettle requires v and padCur to equal want's settled state bitwise.
+func sameSettle(t *testing.T, what string, want *Simulator, v, padCur []float64) {
+	t.Helper()
+	for i := range want.v {
+		if v[i] != want.v[i] {
+			t.Fatalf("%s node %d: %v, fresh settle %v", what, i, v[i], want.v[i])
+		}
+	}
+	for p := range want.padCur {
+		if padCur[p] != want.padCur[p] {
+			t.Fatalf("%s pad %d: current %v, fresh settle %v", what, p, padCur[p], want.padCur[p])
 		}
 	}
 }
 
-// TestStepInvariantUnderSparseWorkers: transient voltages from the sparse
-// backend are bitwise identical across worker bounds.
+// TestStepInvariantUnderSparseWorkers: settled and transient voltages from
+// the sparse backend are bitwise identical across worker bounds.
 func TestStepInvariantUnderSparseWorkers(t *testing.T) {
 	g := smallGrid()
 	n := g.NumNodes()
@@ -117,9 +152,12 @@ func TestStepInvariantUnderSparseWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := make([][]float64, steps)
+		if err := s.Settle(loads[0]); err != nil {
+			t.Fatal(err)
+		}
+		got := [][]float64{append([]float64(nil), s.v...)}
 		for step := 0; step < steps; step++ {
-			got[step] = append([]float64(nil), s.Step(loads[step])...)
+			got = append(got, append([]float64(nil), s.Step(loads[step])...))
 		}
 		if ref == nil {
 			ref = got
@@ -128,7 +166,7 @@ func TestStepInvariantUnderSparseWorkers(t *testing.T) {
 		for step := range ref {
 			for i := range ref[step] {
 				if got[step][i] != ref[step][i] {
-					t.Fatalf("workers=%d step %d node %d: %v, want %v (not bitwise identical)",
+					t.Fatalf("workers=%d snapshot %d (0 = settle) node %d: %v, want %v (not bitwise identical)",
 						w, step, i, got[step][i], ref[step][i])
 				}
 			}

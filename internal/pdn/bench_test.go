@@ -101,6 +101,40 @@ func TestStepZeroAllocsSparse(t *testing.T) {
 	}
 }
 
+// TestSettleZeroAllocs: after the first call builds the DC system, Settle
+// and SettleColumn reuse it — no allocation on either backend.
+func TestSettleZeroAllocs(t *testing.T) {
+	g := fullGrid()
+	loads := make([]float64, g.NumNodes())
+	for _, nodes := range g.BlockNodes {
+		for _, nd := range nodes {
+			loads[nd] = 0.2 / float64(len(nodes))
+		}
+	}
+	for _, backend := range []Backend{Banded, Sparse} {
+		s, err := NewSimulatorBackend(g, 5e-10, backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs, err := NewBatchSimulator(g, 5e-10, 2, SimOptions{Backend: backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Settle(loads); err != nil {
+			t.Fatal(err)
+		}
+		if err := bs.SettleColumn(0, loads); err != nil {
+			t.Fatal(err)
+		}
+		if a := testing.AllocsPerRun(10, func() { _ = s.Settle(loads) }); a != 0 {
+			t.Fatalf("%v Settle allocates %v times per run, want 0", backend, a)
+		}
+		if a := testing.AllocsPerRun(10, func() { _ = bs.SettleColumn(1, loads) }); a != 0 {
+			t.Fatalf("%v SettleColumn allocates %v times per run, want 0", backend, a)
+		}
+	}
+}
+
 // scaledGrid builds the default chip meshed at nx×ny.
 func scaledGrid(nx, ny int) *grid.Grid {
 	chip := floorplan.New(floorplan.DefaultConfig())
@@ -151,10 +185,11 @@ func benchCtorBackend(b *testing.B, g *grid.Grid, backend Backend) {
 
 // BenchmarkNewSimulator512Banded vs BenchmarkNewSimulator512Sparse: the
 // banded-vs-sparse speedup pair in BENCH_PR7.json. At 512×256 (half-
-// bandwidth 256, the shorter side) each banded factor — the step system and
-// the DC system — costs O(n·bw²) ≈ 4.3e9 flops and 269 MB; sparse assembly
-// plus the MIC factor is O(nnz) — orders of magnitude cheaper, which is
-// what makes per-worker simulators at this scale viable at all.
+// bandwidth 256, the shorter side) the banded step factor costs O(n·bw²) ≈
+// 4.3e9 flops and 269 MB (the DC factor, built on the first Settle, as
+// much again); sparse assembly plus the MIC factor is O(nnz) — orders of
+// magnitude cheaper, which is what makes per-worker simulators at this
+// scale viable at all. Neither constructor builds the DC system.
 func BenchmarkNewSimulator512Banded(b *testing.B) {
 	benchCtorBackend(b, scaledGrid(512, 256), Banded)
 }

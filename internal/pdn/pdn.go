@@ -12,19 +12,21 @@
 // (half-bandwidth min(NX, NY) with the nodes numbered along the mesh's
 // shorter axis). Two interchangeable step backends solve it: the banded
 // Cholesky (factored once, every step a pair of triangular solves — the
-// fast path for narrow meshes; it factors the DC system once too, so
-// Settle is another pair of sweeps) and a preconditioned
-// conjugate-gradient path over the RCM-reordered CSR matrix, warm-started
-// from the previous step's voltages, which scales to 1024×1024+ meshes
-// where the banded factor's O(n·bw²) time and O(n·bw) memory are
-// prohibitive. The sparse path runs its kernels in parallel on the mat
-// worker pool with bitwise-deterministic results at any worker count;
-// SimOptions selects the preconditioner family (modified IC(0) with
-// level-scheduled sweeps by default, Chebyshev or Jacobi for fully parallel
-// applications) and bounds the workers. BatchSimulator steps many
-// independent transients on the same grid through one matrix traversal per
-// step. NewSimulator picks the backend automatically by bandwidth and
-// storage; use NewSimulatorBackend or NewSimulatorOpts to force a choice.
+// fast path for narrow meshes) and a preconditioned conjugate-gradient path
+// over the RCM-reordered CSR matrix, warm-started from the previous step's
+// voltages, which scales to 1024×1024+ meshes where the banded factor's
+// O(n·bw²) time and O(n·bw) memory are prohibitive. Each backend settles
+// the same way it steps: on the first Settle a simulator builds the DC
+// system once — a second banded factor, or an RCM-ordered modified-IC(0)
+// PCG solver — and every later Settle is one solve from a fixed start. The
+// sparse path runs its kernels in parallel on the mat worker pool with
+// bitwise-deterministic results at any worker count; SimOptions selects the
+// step preconditioner family (modified IC(0) with level-scheduled sweeps by
+// default, Chebyshev or Jacobi for fully parallel applications) and bounds
+// the workers. BatchSimulator steps many independent transients on the same
+// grid through one matrix traversal per step. NewSimulator picks the
+// backend automatically by bandwidth and storage; use NewSimulatorBackend
+// or NewSimulatorOpts to force a choice.
 // Pad inductors use the standard
 // backward-Euler companion model: an effective conductance 1/(R + L/h)
 // plus a history current source tracking the previous branch current.
@@ -84,20 +86,22 @@ func ParseBackend(s string) (Backend, error) {
 type SimOptions struct {
 	// Backend forces a solver path; Auto resolves by bandwidth and storage.
 	Backend Backend
-	// Precond selects the sparse backend's preconditioner family
+	// Precond selects the sparse backend's step preconditioner family
 	// (sparse.ParsePrecond names). Auto uses modified IC(0) with a plain
-	// IC(0) fallback — the strongest option. Ignored by the banded backend.
+	// IC(0) fallback — the strongest option. The DC settle always uses
+	// Auto. Ignored by the banded backend.
 	Precond sparse.Precond
 	// Workers bounds the sparse backend's parallel kernel shares; 0 tracks
 	// the mat pool default. Results are bitwise identical for any setting.
 	Workers int
 }
 
-// stepSolver solves the constant backward-Euler system A·dst = rhs. dst
-// holds the previous step's voltages on entry, which iterative backends use
-// as the warm start. Implementations must not allocate.
-type stepSolver interface {
-	solveInto(dst, rhs []float64)
+// meshSolver solves a constant SPD mesh system A·dst = rhs: the
+// backward-Euler step system or the DC system. dst holds the starting guess
+// on entry, which iterative backends use as the warm start; a direct
+// backend ignores it and never fails. Implementations must not allocate.
+type meshSolver interface {
+	solveInto(dst, rhs []float64) error
 }
 
 // bandedSolver is the banded Cholesky factor of a mesh system whose nodes
@@ -142,7 +146,7 @@ func newBandedSolver(g *grid.Grid, diag []float64) (*bandedSolver, error) {
 	return &bandedSolver{chol: chol, pos: pos, buf: make([]float64, len(pos))}, nil
 }
 
-func (b *bandedSolver) solveInto(dst, rhs []float64) {
+func (b *bandedSolver) solveInto(dst, rhs []float64) error {
 	for node, p := range b.pos {
 		b.buf[p] = rhs[node]
 	}
@@ -150,9 +154,10 @@ func (b *bandedSolver) solveInto(dst, rhs []float64) {
 	for node, p := range b.pos {
 		dst[node] = b.buf[p]
 	}
+	return nil
 }
 
-// sparseSystem is the RCM-permuted CSR step system shared by the single and
+// sparseSystem is the RCM-permuted CSR mesh system shared by the single and
 // batch sparse solvers: the matrix P·A·Pᵀ, the permutation that built it,
 // and the preconditioner factored for the permuted matrix. Reordering is
 // transparent — callers stay in original node order and the solvers map
@@ -163,7 +168,8 @@ type sparseSystem struct {
 	pre  sparse.Preconditioner
 }
 
-// newSparseSystem assembles the step matrix, applies reverse Cuthill–McKee
+// newSparseSystem assembles the mesh matrix with the given fully
+// accumulated diagonal (step or DC system), applies reverse Cuthill–McKee
 // (tight bands mean cache-local SpMV gathers and short IC level schedules,
 // whatever order the mesh was numbered in), and builds the preconditioner.
 func newSparseSystem(g *grid.Grid, diag []float64, precond sparse.Precond) (*sparseSystem, error) {
@@ -178,7 +184,7 @@ func newSparseSystem(g *grid.Grid, diag []float64, precond sparse.Precond) (*spa
 }
 
 // buildPrecond constructs the selected preconditioner family for the
-// (already permuted) SPD step matrix.
+// (already permuted) SPD mesh matrix.
 func buildPrecond(a *sparse.CSR, p sparse.Precond) (sparse.Preconditioner, error) {
 	switch p {
 	case sparse.PrecondAuto, sparse.PrecondIC:
@@ -216,9 +222,11 @@ type sparseSolver struct {
 	xp, bp []float64
 }
 
-func newSparseSolver(sys *sparseSystem, opts SimOptions) (*sparseSolver, error) {
+// newSparseSolver prepares PCG on sys to the relative residual tol, with
+// the system's preconditioner and the given worker bound.
+func newSparseSolver(sys *sparseSystem, tol float64, workers int) (*sparseSolver, error) {
 	cg, err := sparse.NewCGSolver(sys.a, sparse.CGOptions{
-		Tol: stepCGTol, Precond: sys.pre, Workers: opts.Workers,
+		Tol: tol, Precond: sys.pre, Workers: workers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("pdn: sparse solver: %w", err)
@@ -230,21 +238,18 @@ func newSparseSolver(sys *sparseSystem, opts SimOptions) (*sparseSolver, error) 
 	}, nil
 }
 
-func (s *sparseSolver) solveInto(dst, rhs []float64) {
+func (s *sparseSolver) solveInto(dst, rhs []float64) error {
 	for newI, oldI := range s.perm {
 		s.xp[newI] = dst[oldI]
 		s.bp[newI] = rhs[oldI]
 	}
 	if _, err := s.cg.Solve(s.xp, s.bp); err != nil {
-		// The system matrix is constant and SPD with a preconditioner built
-		// for it; failure here means the simulator was mis-assembled, which
-		// is a programming error like the shape panics elsewhere in this
-		// package.
-		panic(fmt.Sprintf("pdn: sparse step solve failed: %v", err))
+		return err
 	}
 	for newI, oldI := range s.perm {
 		dst[oldI] = s.xp[newI]
 	}
+	return nil
 }
 
 // stepCGTol is the relative residual target of the sparse step solver,
@@ -252,9 +257,13 @@ func (s *sparseSolver) solveInto(dst, rhs []float64) {
 // budget against the banded factor even after thousands of steps.
 const stepCGTol = 1e-13
 
-// micOmega is the relaxation of the modified-IC preconditioner: 1 would
-// preserve row sums exactly but risks breakdown, 0.95 is the standard
-// safe margin.
+// dcCGTol is the relative residual target of the sparse DC settle, the
+// same target StaticSolve converges to.
+const dcCGTol = 1e-12
+
+// micOmega is the relaxation of the modified-IC preconditioner, on the
+// step system and the DC system alike. ω = 1 keeps every row sum exact;
+// should a pivot break down, buildPrecond falls back to plain IC(0).
 const micOmega = 1.0
 
 // sparseBandwidthLimit and sparseStorageLimit are the Auto thresholds:
@@ -295,9 +304,9 @@ type Simulator struct {
 	g  *grid.Grid
 	dt float64
 
-	solver  stepSolver
+	solver  meshSolver
 	backend Backend
-	dc      *bandedSolver // factored DC system; nil on the sparse backend
+	dc      dcSolver
 
 	cOverH  []float64 // C/h per node
 	padGeff []float64 // effective pad conductance 1/(R + L/h)
@@ -350,14 +359,12 @@ func NewSimulatorOpts(g *grid.Grid, dt float64, opts SimOptions) (*Simulator, er
 		backend = chooseBackend(g)
 	}
 	s.backend = backend
+	s.dc = dcSolver{g: g, backend: backend, workers: opts.Workers}
 	diag := stepDiag(g, s.cOverH, s.padGeff)
 	switch backend {
 	case Banded:
 		solver, err := newBandedSolver(g, diag)
 		if err != nil {
-			return nil, err
-		}
-		if s.dc, err = newBandedSolver(g, dcDiag(g)); err != nil {
 			return nil, err
 		}
 		s.solver = solver
@@ -366,7 +373,7 @@ func NewSimulatorOpts(g *grid.Grid, dt float64, opts SimOptions) (*Simulator, er
 		if err != nil {
 			return nil, err
 		}
-		solver, err := newSparseSolver(sys, opts)
+		solver, err := newSparseSolver(sys, stepCGTol, opts.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -426,25 +433,63 @@ func dcRHS(g *grid.Grid, loads, b []float64) {
 	}
 }
 
+// dcSolver settles a simulator at the DC operating point (inductors
+// shorted, capacitors open). It builds the DC system on the first settle,
+// so step-only simulators never pay for it, and keeps it: the banded
+// backend factors it, the sparse backend builds the RCM-ordered system with
+// the auto preconditioner family (whatever SimOptions.Precond says) and
+// reuses one PCG solver at dcCGTol. Every solve starts from VDD on every
+// node, never from the simulator's state, so a settle does not depend on
+// what the simulator ran before.
+type dcSolver struct {
+	g       *grid.Grid
+	backend Backend
+	workers int
+	solver  meshSolver // nil until the first settle
+}
+
 // settleInto writes the DC operating point for loads into v and each pad's
-// steady-state current into padCur. The banded backend solves its factored
-// DC system dc, using rhs as scratch; the sparse backend (dc == nil) runs
-// StaticSolve.
-func settleInto(g *grid.Grid, dc *bandedSolver, loads, v, padCur, rhs []float64) error {
-	if dc != nil {
-		dcRHS(g, loads, rhs)
-		dc.solveInto(v, rhs)
-	} else {
-		x, err := StaticSolve(g, loads)
-		if err != nil {
+// steady-state current into padCur, using rhs as scratch. After the first
+// call it allocates nothing.
+func (d *dcSolver) settleInto(loads, v, padCur, rhs []float64) error {
+	if d.solver == nil {
+		var err error
+		if d.solver, err = newDCSolver(d.g, d.backend, d.workers); err != nil {
 			return err
 		}
-		copy(v, x)
 	}
-	for p, pad := range g.Pads {
-		padCur[p] = (g.Cfg.VDD - v[pad.Node]) / pad.R
+	vdd := d.g.Cfg.VDD
+	dcRHS(d.g, loads, rhs)
+	for i := range v {
+		v[i] = vdd
+	}
+	if err := d.solver.solveInto(v, rhs); err != nil {
+		return fmt.Errorf("pdn: DC settle: %w", err)
+	}
+	for p, pad := range d.g.Pads {
+		padCur[p] = (vdd - v[pad.Node]) / pad.R
 	}
 	return nil
+}
+
+// newDCSolver builds the DC system solver for the given backend.
+func newDCSolver(g *grid.Grid, backend Backend, workers int) (meshSolver, error) {
+	if backend == Banded {
+		b, err := newBandedSolver(g, dcDiag(g))
+		if err != nil {
+			return nil, err
+		}
+		return b, nil
+	}
+	sys, err := newSparseSystem(g, dcDiag(g), sparse.PrecondAuto)
+	if err != nil {
+		return nil, err
+	}
+	s, err := newSparseSolver(sys, dcCGTol, workers)
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // assembleSystemCSR builds the symmetric system matrix directly in CSR
@@ -533,7 +578,13 @@ func (s *Simulator) Step(loads []float64) []float64 {
 	for p, pad := range s.g.Pads {
 		s.rhs[pad.Node] += s.padGeff[p] * (vdd + s.padLh[p]*s.padCur[p])
 	}
-	s.solver.solveInto(s.v, s.rhs)
+	if err := s.solver.solveInto(s.v, s.rhs); err != nil {
+		// The system matrix is constant and SPD with a preconditioner built
+		// for it; failure here means the simulator was mis-assembled, which
+		// is a programming error like the shape panics elsewhere in this
+		// package.
+		panic(fmt.Sprintf("pdn: step solve failed: %v", err))
+	}
 	for p, pad := range s.g.Pads {
 		s.padCur[p] = s.padGeff[p] * (vdd - s.v[pad.Node] + s.padLh[p]*s.padCur[p])
 	}
@@ -574,13 +625,14 @@ func (l *BlockLoader) Loads(blockCurrents []float64) []float64 {
 
 // Settle initializes the simulator state to the DC operating point for the
 // given node loads: node voltages from the resistive solve (inductors
-// shorted) and pad currents carrying their steady-state share. The banded
-// backend solves the DC system it factored at construction; the sparse
-// backend runs StaticSolve. Starting a transient from Settle avoids the
-// unphysical inrush collapse of switching a fully loaded chip onto an
-// unenergized package.
+// shorted) and pad currents carrying their steady-state share. The first
+// call builds the DC system on the simulator's backend; every call then
+// solves it from the same fixed start, so the result depends only on loads
+// and allocates nothing after the first call. Starting a transient from
+// Settle avoids the unphysical inrush collapse of switching a fully loaded
+// chip onto an unenergized package.
 func (s *Simulator) Settle(loads []float64) error {
-	if err := settleInto(s.g, s.dc, loads, s.v, s.padCur, s.rhs); err != nil {
+	if err := s.dc.settleInto(loads, s.v, s.padCur, s.rhs); err != nil {
 		return err
 	}
 	s.t = 0
@@ -609,10 +661,10 @@ func (s *Simulator) Run(steps int, currentAt func(t int) []float64, onStep func(
 }
 
 // StaticSolve computes the DC operating point for constant node loads
-// (inductors shorted, capacitors open) using the independent conjugate-
-// gradient path. It is the sparse backend's Settle and the cross-check
-// oracle for the transient engine: a constant-load transient, and the
-// banded backend's factored DC settle, must land on this solution.
+// (inductors shorted, capacitors open) with an independent one-shot
+// conjugate-gradient solve: natural node order, plain IC(0), cold start.
+// It is the cross-check oracle for the transient engine: a constant-load
+// transient, and either backend's Settle, must land on this solution.
 func StaticSolve(g *grid.Grid, loads []float64) ([]float64, error) {
 	b := make([]float64, g.NumNodes())
 	dcRHS(g, loads, b)

@@ -110,19 +110,24 @@ func (s *BatchCGSolver) NRHS() int { return s.m }
 // buildStages prebuilds the interleaved parallel kernels. Partitioning is
 // by row (SpMV, elementwise) or by reduction block (dots): one writer per
 // output element, per-column operation order fixed — bitwise identical
-// across worker counts, like the single-RHS kernels in parallel.go.
+// across worker counts, like the single-RHS kernels in parallel.go. Each
+// share loads the staged operands into locals once and slices a row before
+// its inner loop, so the stores cannot force the operands to be reloaded.
 func (s *BatchCGSolver) buildStages() {
-	m := s.m
+	m, n := s.m, s.n
+	rowPtr, colIdx, val := s.a.rowPtr, s.a.colIdx, s.a.val
 	s.fnSpMV = func(lo, hi int) {
-		a := s.a
+		x, y := s.sx, s.sy
 		for i := lo; i < hi; i++ {
-			yi := s.sy[i*m : i*m+m]
+			yi := y[i*m : i*m+m]
 			for c := range yi {
 				yi[c] = 0
 			}
-			for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-				v := a.val[k]
-				xj := s.sx[a.colIdx[k]*m : a.colIdx[k]*m+m]
+			start, end := rowPtr[i], rowPtr[i+1]
+			vals := val[start:end]
+			for k, j := range colIdx[start:end] {
+				v := vals[k]
+				xj := x[j*m:][:len(yi)]
 				for c, xv := range xj {
 					yi[c] += v * xv
 				}
@@ -130,19 +135,17 @@ func (s *BatchCGSolver) buildStages() {
 		}
 	}
 	s.fnDot = func(lo, hi int) {
+		x, y, all := s.sx, s.sy, s.sums
 		for b := lo; b < hi; b++ {
 			start := b * dotBlock
-			end := start + dotBlock
-			if end > s.n {
-				end = s.n
-			}
-			sums := s.sums[b*m : b*m+m]
+			end := min(start+dotBlock, n)
+			sums := all[b*m : b*m+m]
 			for c := range sums {
 				sums[c] = 0
 			}
 			for i := start; i < end; i++ {
-				xi := s.sx[i*m : i*m+m]
-				yi := s.sy[i*m : i*m+m]
+				xi := x[i*m:][:len(sums)]
+				yi := y[i*m:][:len(sums)]
 				for c, xv := range xi {
 					sums[c] += xv * yi[c]
 				}
@@ -150,32 +153,42 @@ func (s *BatchCGSolver) buildStages() {
 		}
 	}
 	s.fnAxpy2 = func(lo, hi int) {
+		x, y, z, w := s.sx, s.sy, s.sz, s.sw
+		active := s.active
+		sc := s.sc[:len(active)]
 		for i := lo; i < hi; i++ {
 			base := i * m
-			for c := 0; c < m; c++ {
-				if !s.active[c] {
+			xi, yi := x[base:][:len(active)], y[base:][:len(active)]
+			zi, wi := z[base:][:len(active)], w[base:][:len(active)]
+			for c, on := range active {
+				if !on {
 					continue
 				}
-				a := s.sc[c]
-				s.sx[base+c] += a * s.sz[base+c]
-				s.sy[base+c] -= a * s.sw[base+c]
+				a := sc[c]
+				xi[c] += a * zi[c]
+				yi[c] -= a * wi[c]
 			}
 		}
 	}
 	s.fnXpBY = func(lo, hi int) {
+		x, y := s.sx, s.sy
+		active := s.active
+		sc := s.sc[:len(active)]
 		for i := lo; i < hi; i++ {
 			base := i * m
-			for c := 0; c < m; c++ {
-				if !s.active[c] {
+			xi, yi := x[base:][:len(active)], y[base:][:len(active)]
+			for c, on := range active {
+				if !on {
 					continue
 				}
-				s.sx[base+c] = s.sy[base+c] + s.sc[c]*s.sx[base+c]
+				xi[c] = yi[c] + sc[c]*xi[c]
 			}
 		}
 	}
 	s.fnSub = func(lo, hi int) {
-		for i := lo * m; i < hi*m; i++ {
-			s.sx[i] = s.sy[i] - s.sx[i]
+		x, y := s.sx[lo*m:hi*m], s.sy[lo*m:hi*m]
+		for i, yv := range y {
+			x[i] = yv - x[i]
 		}
 	}
 }
@@ -382,46 +395,47 @@ func (s *BatchCGSolver) bindPreconditioner() {
 // substitution runs for all columns while the factor row is hot. Per
 // column the operation order matches IC.Apply exactly.
 func (s *BatchCGSolver) bindIC(p *IC) {
-	m := s.m
-	l, lt := p.l, p.lt
+	m, n := s.m, s.n
+	lRowPtr, lColIdx, lVal := p.l.rowPtr, p.l.colIdx, p.l.val
+	ltRowPtr, ltColIdx, ltVal := p.lt.rowPtr, p.lt.colIdx, p.lt.val
 	var rowsCur []int
 	fwdStage := func(lo, hi int) {
 		z, r := s.sx, s.sy
-		for idx := lo; idx < hi; idx++ {
-			i := rowsCur[idx]
+		for _, i := range rowsCur[lo:hi] {
 			base := i * m
 			zi := z[base : base+m]
 			copy(zi, r[base:base+m])
-			end := l.rowPtr[i+1] - 1 // diagonal is last
-			for k := l.rowPtr[i]; k < end; k++ {
-				v := l.val[k]
-				zj := z[l.colIdx[k]*m : l.colIdx[k]*m+m]
+			start, end := lRowPtr[i], lRowPtr[i+1]-1 // diagonal is last
+			vals := lVal[start:end]
+			for k, j := range lColIdx[start:end] {
+				v := vals[k]
+				zj := z[j*m:][:len(zi)]
 				for c, zv := range zj {
 					zi[c] -= v * zv
 				}
 			}
-			d := l.val[end]
+			d := lVal[end]
 			for c := range zi {
 				zi[c] /= d
 			}
 		}
 	}
-	n := s.n
 	bwdStage := func(lo, hi int) {
 		z := s.sx
-		for idx := lo; idx < hi; idx++ {
-			i := n - 1 - rowsCur[idx]
+		for _, ri := range rowsCur[lo:hi] {
+			i := n - 1 - ri
 			base := i * m
 			zi := z[base : base+m]
-			start := lt.rowPtr[i] // diagonal is first
-			for k := start + 1; k < lt.rowPtr[i+1]; k++ {
-				v := lt.val[k]
-				zj := z[lt.colIdx[k]*m : lt.colIdx[k]*m+m]
+			start, end := ltRowPtr[i], ltRowPtr[i+1] // diagonal is first
+			vals := ltVal[start+1 : end]
+			for k, j := range ltColIdx[start+1 : end] {
+				v := vals[k]
+				zj := z[j*m:][:len(zi)]
 				for c, zv := range zj {
 					zi[c] -= v * zv
 				}
 			}
-			d := lt.val[start]
+			d := ltVal[start]
 			for c := range zi {
 				zi[c] /= d
 			}

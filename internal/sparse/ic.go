@@ -41,7 +41,9 @@ func NewIC(a *CSR) (*IC, error) { return newIC(a, 0) }
 // NewICModified factors a into a relaxed modified incomplete Cholesky
 // preconditioner: dropped fill is subtracted from the diagonals scaled by
 // omega ∈ [0, 1]. omega = 0 is plain IC(0); omega = 1 preserves row sums
-// exactly but can break down, so ~0.95 is the usual production choice.
+// exactly. A breakdown (non-positive pivot) is returned as an error; pdn
+// builds both its step and its DC system at omega = 1 and falls back to
+// plain IC(0) when that happens.
 func NewICModified(a *CSR, omega float64) (*IC, error) {
 	if omega < 0 || omega > 1 {
 		return nil, fmt.Errorf("sparse: NewICModified omega %g outside [0, 1]", omega)

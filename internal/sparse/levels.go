@@ -91,28 +91,33 @@ func (m *IC) buildSchedules() {
 		}
 		return revDeps
 	})
+	// The stages load the factor arrays and operands into locals once per
+	// share, so the store to z cannot force them to be reloaded.
+	lRowPtr, lColIdx, lVal := l.rowPtr, l.colIdx, l.val
+	ltRowPtr, ltColIdx, ltVal := lt.rowPtr, lt.colIdx, lt.val
 	m.fwdStage = func(lo, hi int) {
 		z, r := m.z, m.r
-		for idx := lo; idx < hi; idx++ {
-			i := m.rowsCur[idx]
+		for _, i := range m.rowsCur[lo:hi] {
+			start, end := lRowPtr[i], lRowPtr[i+1]-1 // diagonal is last
+			vals := lVal[start:end]
 			s := r[i]
-			end := l.rowPtr[i+1] - 1 // diagonal is last
-			for k := l.rowPtr[i]; k < end; k++ {
-				s -= l.val[k] * z[l.colIdx[k]]
+			for k, j := range lColIdx[start:end] {
+				s -= vals[k] * z[j]
 			}
-			z[i] = s / l.val[end]
+			z[i] = s / lVal[end]
 		}
 	}
 	m.bwdStage = func(lo, hi int) {
 		z := m.z
-		for idx := lo; idx < hi; idx++ {
-			i := n - 1 - m.rowsCur[idx]
+		for _, ri := range m.rowsCur[lo:hi] {
+			i := n - 1 - ri
+			start, end := ltRowPtr[i], ltRowPtr[i+1] // diagonal is first
+			vals := ltVal[start+1 : end]
 			s := z[i]
-			start := lt.rowPtr[i] // diagonal is first
-			for k := start + 1; k < lt.rowPtr[i+1]; k++ {
-				s -= lt.val[k] * z[lt.colIdx[k]]
+			for k, j := range ltColIdx[start+1 : end] {
+				s -= vals[k] * z[j]
 			}
-			z[i] = s / lt.val[start]
+			z[i] = s / ltVal[start]
 		}
 	}
 }

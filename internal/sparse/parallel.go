@@ -75,8 +75,13 @@ func (t *team) init(workers int) {
 }
 
 // shares returns the effective share count for n items at minChunk
-// granularity.
+// granularity. Work too small to split returns 1 before the pool default is
+// read: that read takes a runtime lock, and the IC sweeps ask once per level.
 func (t *team) shares(n, minChunk int) int {
+	m := n / minChunk
+	if m <= 1 {
+		return 1
+	}
 	p := t.workers
 	if p <= 0 {
 		p = mat.Parallelism()
@@ -84,7 +89,7 @@ func (t *team) shares(n, minChunk int) int {
 	if p > len(t.jobs) {
 		p = len(t.jobs)
 	}
-	if m := n / minChunk; p > m {
+	if p > m {
 		p = m
 	}
 	if p < 1 {
@@ -131,47 +136,51 @@ type ops struct {
 }
 
 // newOps prepares kernels for vectors of length n with the given worker
-// bound (<= 0: pool default).
+// bound (<= 0: pool default). Each stage loads its staged operands into
+// locals once per share, so its stores cannot force them to be reloaded.
 func newOps(n, workers int) *ops {
 	o := &ops{sums: make([]float64, numDotBlocks(n))}
 	o.t.init(workers)
 	o.fnSpMV = func(lo, hi int) { o.a.mulVecRange(o.y, o.x, lo, hi) }
 	o.fnDot = func(lo, hi int) {
+		x, y, sums := o.x, o.y, o.sums
 		for b := lo; b < hi; b++ {
 			start := b * dotBlock
-			end := start + dotBlock
-			if end > len(o.x) {
-				end = len(o.x)
-			}
+			end := min(start+dotBlock, len(x))
+			yb := y[start:end]
 			s := 0.0
-			for i := start; i < end; i++ {
-				s += o.x[i] * o.y[i]
+			for i, xv := range x[start:end] {
+				s += xv * yb[i]
 			}
-			o.sums[b] = s
+			sums[b] = s
 		}
 	}
 	o.fnAxpy2 = func(lo, hi int) {
 		a := o.s1
-		for i := lo; i < hi; i++ {
-			o.x[i] += a * o.z[i]
-			o.y[i] -= a * o.w[i]
+		x, z, y, w := o.x[lo:hi], o.z[lo:hi], o.y[lo:hi], o.w[lo:hi]
+		for i := range x {
+			x[i] += a * z[i]
+			y[i] -= a * w[i]
 		}
 	}
 	o.fnXpBY = func(lo, hi int) {
 		b := o.s1
-		for i := lo; i < hi; i++ {
-			o.x[i] = o.y[i] + b*o.x[i]
+		x, y := o.x[lo:hi], o.y[lo:hi]
+		for i, yv := range y {
+			x[i] = yv + b*x[i]
 		}
 	}
 	o.fnSub = func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			o.x[i] = o.y[i] - o.x[i]
+		x, y := o.x[lo:hi], o.y[lo:hi]
+		for i, yv := range y {
+			x[i] = yv - x[i]
 		}
 	}
 	o.fnScale = func(lo, hi int) {
 		s := o.s1
-		for i := lo; i < hi; i++ {
-			o.x[i] = s * o.y[i]
+		x, y := o.x[lo:hi], o.y[lo:hi]
+		for i, yv := range y {
+			x[i] = s * yv
 		}
 	}
 	return o
@@ -180,10 +189,13 @@ func newOps(n, workers int) *ops {
 // mulVecRange computes y[lo:hi] of y = c·x — the per-share body of the
 // parallel SpMV.
 func (c *CSR) mulVecRange(y, x []float64, lo, hi int) {
+	rowPtr, colIdx, val := c.rowPtr, c.colIdx, c.val
 	for i := lo; i < hi; i++ {
+		start, end := rowPtr[i], rowPtr[i+1]
+		vals := val[start:end]
 		s := 0.0
-		for k := c.rowPtr[i]; k < c.rowPtr[i+1]; k++ {
-			s += c.val[k] * x[c.colIdx[k]]
+		for k, j := range colIdx[start:end] {
+			s += vals[k] * x[j]
 		}
 		y[i] = s
 	}
