@@ -1,6 +1,15 @@
 GO ?= go
 BENCHTIME ?= 100ms
 
+# BENCH_REPORT is the kernel benchmark report and FLEET_REPORT the fleet
+# report: every target that writes, diffs or cleans one names it through
+# these variables, and the compare targets write the fresh run beside it as
+# <name>.new.json. BENCH_TOLERANCE is bench-compare's warn-only drift
+# tolerance (CI passes 0.5).
+BENCH_REPORT ?= BENCH_PR10.json
+FLEET_REPORT ?= BENCH_PR9.json
+BENCH_TOLERANCE ?= 0.25
+
 .PHONY: build test race stress vet lint bench bench-quick bench-compare bench-trajectory fleet-smoke fleet-compare fault-ablation adapt-ablation transfer-ablation docs-check clean
 
 build:
@@ -28,21 +37,22 @@ lint:
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; else echo "govulncheck not installed; skipping"; fi
 
 # bench runs the kernel/solver/pipeline/engine/server/online benchmark suite
-# and writes BENCH_PR10.json with ns/op, allocs/op, and the speedup of each
+# and writes $(BENCH_REPORT) with ns/op, allocs/op, and the speedup of each
 # parallel, warm-started, sparse, batched, or reduced-basis implementation
 # over its serial/cold/banded/looped/dense baseline.
 bench:
-	$(GO) run ./cmd/benchreport -out BENCH_PR10.json -benchtime $(BENCHTIME)
+	$(GO) run ./cmd/benchreport -out $(BENCH_REPORT) -benchtime $(BENCHTIME)
 
-# bench-quick runs every benchmark exactly once — the CI smoke configuration.
+# bench-quick runs every benchmark exactly once and rewrites $(BENCH_REPORT).
 bench-quick:
-	$(GO) run ./cmd/benchreport -out BENCH_PR10.json -benchtime 1x
+	$(GO) run ./cmd/benchreport -out $(BENCH_REPORT) -benchtime 1x
 
-# bench-compare regenerates a quick report and diffs it against the
-# committed BENCH_PR10.json baseline; warn-only (see cmd/benchreport).
+# bench-compare runs every benchmark once into $(BENCH_REPORT:.json=.new.json)
+# and diffs it against the committed $(BENCH_REPORT); warn-only (see
+# cmd/benchreport). This is the CI smoke configuration.
 bench-compare:
-	$(GO) run ./cmd/benchreport -out BENCH_PR10.new.json -benchtime 1x
-	$(GO) run ./cmd/benchreport -compare BENCH_PR10.json -tolerance 0.25 BENCH_PR10.new.json
+	$(GO) run ./cmd/benchreport -out $(BENCH_REPORT:.json=.new.json) -benchtime 1x
+	$(GO) run ./cmd/benchreport -compare $(BENCH_REPORT) -tolerance $(BENCH_TOLERANCE) $(BENCH_REPORT:.json=.new.json)
 
 # bench-trajectory prints the cross-PR performance history from every
 # committed BENCH_*.json baseline.
@@ -53,15 +63,16 @@ bench-trajectory:
 # workload — 8 tenants, 1000 concurrent NDJSON streams, mixed
 # predict/feedback/calibrate traffic (every 50th unary request is a few-shot
 # /v1/calibrate alignment against the golden prior) — in-process, and writes
-# BENCH_PR9.json.
+# $(FLEET_REPORT).
 fleet-smoke:
-	$(GO) run ./cmd/voltbench -tenants 8 -streams 1000 -cycles 3 -requests 2000 -calibrate-every 50 -out BENCH_PR9.json
+	$(GO) run ./cmd/voltbench -tenants 8 -streams 1000 -cycles 3 -requests 2000 -calibrate-every 50 -out $(FLEET_REPORT)
 
-# fleet-compare regenerates a fleet report and diffs it against the
-# committed BENCH_PR9.json baseline; warn-only (see cmd/benchreport).
+# fleet-compare runs the same fleet workload into
+# $(FLEET_REPORT:.json=.new.json) and diffs it against the committed
+# $(FLEET_REPORT); warn-only (see cmd/benchreport).
 fleet-compare:
-	$(GO) run ./cmd/voltbench -tenants 8 -streams 1000 -cycles 3 -requests 2000 -calibrate-every 50 -out BENCH_PR9.new.json
-	$(GO) run ./cmd/benchreport -compare BENCH_PR9.json -tolerance 0.5 BENCH_PR9.new.json
+	$(GO) run ./cmd/voltbench -tenants 8 -streams 1000 -cycles 3 -requests 2000 -calibrate-every 50 -out $(FLEET_REPORT:.json=.new.json)
+	$(GO) run ./cmd/benchreport -compare $(FLEET_REPORT) -tolerance 0.5 $(FLEET_REPORT:.json=.new.json)
 
 # fault-ablation regenerates the sensor-failure table (naive vs leave-k-out
 # fallback) that CI uploads as an artifact.
@@ -88,4 +99,4 @@ docs-check:
 	$(GO) test -run Example ./...
 
 clean:
-	rm -f BENCH_PR5.new.json BENCH_PR6.new.json BENCH_PR8.new.json BENCH_PR9.new.json BENCH_PR10.new.json FAULT_ABLATION.txt FAULT_ABLATION.csv ADAPT_ABLATION.txt ADAPT_ABLATION.csv TRANSFER_ABLATION.txt TRANSFER_ABLATION.csv
+	rm -f $(BENCH_REPORT:.json=.new.json) $(FLEET_REPORT:.json=.new.json) FAULT_ABLATION.txt FAULT_ABLATION.csv ADAPT_ABLATION.txt ADAPT_ABLATION.csv TRANSFER_ABLATION.txt TRANSFER_ABLATION.csv

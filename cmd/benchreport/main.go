@@ -65,7 +65,6 @@ var speedupPairs = []struct{ Kernel, Baseline string }{
 	{"BenchmarkCollectParallel", "BenchmarkCollectSerial"},
 	{"BenchmarkNewSimulator512Sparse", "BenchmarkNewSimulator512Banded"},
 	{"BenchmarkSpMVParallel", "BenchmarkSpMVSerial"},
-	{"BenchmarkICApplyParallel", "BenchmarkICApplySerial"},
 	{"BenchmarkSolveBatch", "BenchmarkSolveLooped"},
 	{"BenchmarkStepSparse1024Parallel", "BenchmarkStepSparse1024Serial"},
 	{"BenchmarkStepBatch512", "BenchmarkStepLooped512"},

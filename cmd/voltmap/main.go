@@ -49,7 +49,6 @@ import (
 	"voltsense/internal/pdn"
 	"voltsense/internal/place"
 	"voltsense/internal/profiling"
-	"voltsense/internal/sparse"
 	"voltsense/internal/transfer"
 	"voltsense/internal/vmap"
 )
@@ -75,7 +74,6 @@ func run(args []string) error {
 	useThermal := fs.Bool("thermal", false, "couple average power to temperature and scale leakage (hotter blocks leak more)")
 	budget := fs.Int("budget", 2, "fallback budget (max simultaneous failed sensors) for faults")
 	backend := fs.String("backend", "", "transient solver backend: auto (default), banded, or sparse")
-	precond := fs.String("precond", "", "sparse-backend preconditioner: auto (default), ic, jacobi, or cheby")
 	sparseWorkers := fs.Int("sparse-workers", 0, "worker shares per sparse solve (0 = pool default, 1 = serial); results are bitwise identical either way")
 	batch := fs.String("batch", "auto", "multi-RHS trace collection: auto (batch when sparse), on, or off")
 	rankLambda := fs.Float64("ranklambda", 12, "chip-joint λ for the rank experiment")
@@ -124,11 +122,6 @@ func run(args []string) error {
 		return err
 	}
 	cfg.Backend = be
-	pc, err := sparse.ParsePrecond(*precond)
-	if err != nil {
-		return err
-	}
-	cfg.Precond = pc
 	if *sparseWorkers < 0 {
 		return fmt.Errorf("-sparse-workers must be >= 0, got %d", *sparseWorkers)
 	}

@@ -100,8 +100,8 @@ type Config struct {
 	// narrow meshes and IC-preconditioned CG for wide ones; see
 	// pdn.NewSimulatorBackend). Leave zero for Auto.
 	Backend pdn.Backend
-	// Precond selects the sparse-backend preconditioner (auto/ic/jacobi/
-	// cheby). Ignored by the banded backend. Leave zero for Auto (MIC(0)).
+	// Precond is ignored: the sparse backend has one preconditioner,
+	// modified IC(0) with a plain IC(0) fallback.
 	Precond sparse.Precond
 	// SparseWorkers bounds the worker shares each sparse solver's
 	// row-partitioned kernels use (0 = the mat pool default, 1 = serial).

@@ -192,7 +192,6 @@ func (p *Pipeline) workers() int {
 func (p *Pipeline) simOpts() pdn.SimOptions {
 	return pdn.SimOptions{
 		Backend: p.Cfg.Backend,
-		Precond: p.Cfg.Precond,
 		Workers: p.Cfg.SparseWorkers,
 	}
 }

@@ -197,6 +197,68 @@ func TestSettleMatchesStaticSolve(t *testing.T) {
 	}
 }
 
+// TestSettlePadCurrentsCarryLoad checks two physical invariants of the DC
+// operating point. Capacitors are open at DC, so the pad branches carry
+// the whole load: |Σ padCur − Σ loads| ≤ 1e-9·Σ loads. And a resistive
+// mesh fed only from the VDD rail cannot rise above it: no node sits above
+// VDD + 1e-9 V. Both Simulator.Settle and BatchSimulator.SettleColumn are
+// checked, on both backends, on the small mesh and the 288×24 scan mesh.
+func TestSettlePadCurrentsCarryLoad(t *testing.T) {
+	for _, g := range []*grid.Grid{smallGrid(), scaledGrid(288, 24)} {
+		rng := rand.New(rand.NewSource(int64(g.Cfg.NX)))
+		currents := make([]float64, len(g.BlockNodes))
+		for b := range currents {
+			currents[b] = 0.05 * rng.Float64()
+		}
+		loads := NewBlockLoader(g).Loads(currents)
+		total := 0.0
+		for _, ld := range loads {
+			total += ld
+		}
+		vdd := g.Cfg.VDD
+		for _, backend := range []Backend{Banded, Sparse} {
+			what := fmt.Sprintf("%dx%d %v", g.Cfg.NX, g.Cfg.NY, backend)
+			s, err := NewSimulatorBackend(g, testDT, backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bs, err := NewBatchSimulator(g, testDT, 2, SimOptions{Backend: backend})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Settle(loads); err != nil {
+				t.Fatal(err)
+			}
+			if err := bs.SettleColumn(1, loads); err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range []struct {
+				name      string
+				v, padCur []float64
+			}{
+				{"Settle", s.v, s.padCur},
+				{"SettleColumn", bs.vCols[1], bs.padCurCols[1]},
+			} {
+				pads, vmax := 0.0, math.Inf(-1)
+				for _, c := range st.padCur {
+					pads += c
+				}
+				for _, v := range st.v {
+					vmax = math.Max(vmax, v)
+				}
+				rel := math.Abs(pads-total) / total
+				if rel > 1e-9 {
+					t.Fatalf("%s %s: pads carry %.12g A, loads draw %.12g A (relative mismatch %g)", what, st.name, pads, total, rel)
+				}
+				if vmax > vdd+1e-9 {
+					t.Fatalf("%s %s: a node sits at %.12g V, above VDD %g", what, st.name, vmax, vdd)
+				}
+				t.Logf("%s %s: relative current mismatch %.2g, highest node %.1f mV below VDD", what, st.name, rel, 1e3*(vdd-vmax))
+			}
+		}
+	}
+}
+
 func TestParseBackend(t *testing.T) {
 	for _, tc := range []struct {
 		in   string

@@ -2,12 +2,9 @@ package pdn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"testing"
-
-	"voltsense/internal/sparse"
 )
 
 // benchLoads synthesizes m distinct load sequences over steps time steps
@@ -140,74 +137,44 @@ func sameSettle(t *testing.T, what string, want *Simulator, v, padCur []float64)
 }
 
 // TestStepInvariantUnderSparseWorkers: settled and transient voltages from
-// the sparse backend are bitwise identical across worker bounds.
+// the sparse backend are bitwise identical across worker bounds, at
+// GOMAXPROCS 1 and 2. The 180×160 mesh has 28,800 nodes, enough that the
+// SpMV, dot and vector kernels split into two shares at Workers: 2.
 func TestStepInvariantUnderSparseWorkers(t *testing.T) {
-	g := smallGrid()
+	g := scaledGrid(180, 160)
 	n := g.NumNodes()
-	const steps = 30
+	const steps = 2
 	loads := benchLoads(n, 1, steps, 13)[0]
 	var ref [][]float64
-	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		s, err := NewSimulatorOpts(g, testDT, SimOptions{Backend: Sparse, Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Settle(loads[0]); err != nil {
-			t.Fatal(err)
-		}
-		got := [][]float64{append([]float64(nil), s.v...)}
-		for step := 0; step < steps; step++ {
-			got = append(got, append([]float64(nil), s.Step(loads[step])...))
-		}
-		if ref == nil {
-			ref = got
-			continue
-		}
-		for step := range ref {
-			for i := range ref[step] {
-				if got[step][i] != ref[step][i] {
-					t.Fatalf("workers=%d snapshot %d (0 = settle) node %d: %v, want %v (not bitwise identical)",
-						w, step, i, got[step][i], ref[step][i])
+	old := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(old)
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, w := range []int{1, 2} {
+			s, err := NewSimulatorOpts(g, testDT, SimOptions{Backend: Sparse, Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Settle(loads[0]); err != nil {
+				t.Fatal(err)
+			}
+			got := [][]float64{append([]float64(nil), s.v...)}
+			for step := 0; step < steps; step++ {
+				got = append(got, append([]float64(nil), s.Step(loads[step])...))
+			}
+			if ref == nil {
+				ref = got
+				continue
+			}
+			for step := range ref {
+				for i := range ref[step] {
+					if got[step][i] != ref[step][i] {
+						t.Fatalf("procs=%d workers=%d snapshot %d (0 = settle) node %d: %v, want %v (not bitwise identical)",
+							procs, w, step, i, got[step][i], ref[step][i])
+					}
 				}
 			}
 		}
-	}
-}
-
-// TestPrecondsMatchBandedTransient: every sparse preconditioner family
-// tracks the banded oracle within the 1e-9 golden budget on a transient
-// with a load shift.
-func TestPrecondsMatchBandedTransient(t *testing.T) {
-	g := smallGrid()
-	n := g.NumNodes()
-	const steps = 120
-	loads := benchLoads(n, 1, steps, 29)[0]
-	ref := make([][]float64, steps)
-	sb, err := NewSimulatorBackend(g, testDT, Banded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for step := 0; step < steps; step++ {
-		ref[step] = append([]float64(nil), sb.Step(loads[step])...)
-	}
-	for _, pc := range []sparse.Precond{sparse.PrecondIC, sparse.PrecondJacobi, sparse.PrecondCheby} {
-		s, err := NewSimulatorOpts(g, testDT, SimOptions{Backend: Sparse, Precond: pc})
-		if err != nil {
-			t.Fatalf("%v: %v", pc, err)
-		}
-		worst := 0.0
-		for step := 0; step < steps; step++ {
-			v := s.Step(loads[step])
-			for i := range v {
-				if d := math.Abs(v[i] - ref[step][i]); d > worst {
-					worst = d
-				}
-			}
-		}
-		if worst > 1e-9 {
-			t.Fatalf("%v: diverges from banded by %g > 1e-9", pc, worst)
-		}
-		t.Logf("%v: max |Δv| = %g", pc, worst)
 	}
 }
 

@@ -19,11 +19,11 @@
 // the same way it steps: on the first Settle a simulator builds the DC
 // system once — a second banded factor, or an RCM-ordered modified-IC(0)
 // PCG solver — and every later Settle is one solve from a fixed start. The
-// sparse path runs its kernels in parallel on the mat worker pool with
-// bitwise-deterministic results at any worker count; SimOptions selects the
-// step preconditioner family (modified IC(0) with level-scheduled sweeps by
-// default, Chebyshev or Jacobi for fully parallel applications) and bounds
-// the workers. BatchSimulator steps many independent transients on the same
+// sparse path preconditions its step and DC systems alike with modified
+// IC(0), falling back to plain IC(0) should a pivot break down, and runs
+// its SpMV and vector kernels in parallel on the mat worker pool with
+// bitwise-deterministic results at any worker count; SimOptions bounds the
+// workers. BatchSimulator steps many independent transients on the same
 // grid through one matrix traversal per step. NewSimulator picks the
 // backend automatically by bandwidth and storage; use NewSimulatorBackend
 // or NewSimulatorOpts to force a choice.
@@ -86,10 +86,8 @@ func ParseBackend(s string) (Backend, error) {
 type SimOptions struct {
 	// Backend forces a solver path; Auto resolves by bandwidth and storage.
 	Backend Backend
-	// Precond selects the sparse backend's step preconditioner family
-	// (sparse.ParsePrecond names). Auto uses modified IC(0) with a plain
-	// IC(0) fallback — the strongest option. The DC settle always uses
-	// Auto. Ignored by the banded backend.
+	// Precond is ignored: the sparse backend has one preconditioner,
+	// modified IC(0) with a plain IC(0) fallback.
 	Precond sparse.Precond
 	// Workers bounds the sparse backend's parallel kernel shares; 0 tracks
 	// the mat pool default. Results are bitwise identical for any setting.
@@ -165,52 +163,26 @@ func (b *bandedSolver) solveInto(dst, rhs []float64) error {
 type sparseSystem struct {
 	a    *sparse.CSR
 	perm []int // perm[newI] = oldI
-	pre  sparse.Preconditioner
+	pre  *sparse.IC
 }
 
 // newSparseSystem assembles the mesh matrix with the given fully
 // accumulated diagonal (step or DC system), applies reverse Cuthill–McKee
-// (tight bands mean cache-local SpMV gathers and short IC level schedules,
-// whatever order the mesh was numbered in), and builds the preconditioner.
-func newSparseSystem(g *grid.Grid, diag []float64, precond sparse.Precond) (*sparseSystem, error) {
+// (tight bands mean cache-local SpMV and IC sweep gathers, whatever order
+// the mesh was numbered in), and factors the preconditioner: modified
+// IC(0), which keeps the preconditioned condition number O(h⁻¹) on refined
+// meshes, or plain IC(0) on the rare breakdown.
+func newSparseSystem(g *grid.Grid, diag []float64) (*sparseSystem, error) {
 	a := assembleSystemCSR(g, diag)
 	perm := sparse.RCM(a)
 	pa := sparse.PermuteSym(a, perm)
-	pre, err := buildPrecond(pa, precond)
+	ic, err := sparse.NewICModified(pa, micOmega)
 	if err != nil {
-		return nil, err
-	}
-	return &sparseSystem{a: pa, perm: perm, pre: pre}, nil
-}
-
-// buildPrecond constructs the selected preconditioner family for the
-// (already permuted) SPD mesh matrix.
-func buildPrecond(a *sparse.CSR, p sparse.Precond) (sparse.Preconditioner, error) {
-	switch p {
-	case sparse.PrecondAuto, sparse.PrecondIC:
-		// Modified IC keeps the preconditioned condition number O(h⁻¹) on
-		// refined meshes; fall back to plain IC(0) on the rare breakdown.
-		ic, err := sparse.NewICModified(a, micOmega)
-		if err != nil {
-			if ic, err = sparse.NewIC(a); err != nil {
-				return nil, fmt.Errorf("pdn: system matrix not SPD: %w", err)
-			}
-		}
-		return ic, nil
-	case sparse.PrecondJacobi:
-		j, err := sparse.NewJacobi(a)
-		if err != nil {
+		if ic, err = sparse.NewIC(pa); err != nil {
 			return nil, fmt.Errorf("pdn: system matrix not SPD: %w", err)
 		}
-		return j, nil
-	case sparse.PrecondCheby:
-		c, err := sparse.NewCheby(a, 0)
-		if err != nil {
-			return nil, fmt.Errorf("pdn: system matrix not SPD: %w", err)
-		}
-		return c, nil
 	}
-	return nil, fmt.Errorf("pdn: unknown preconditioner %v", p)
+	return &sparseSystem{a: pa, perm: perm, pre: ic}, nil
 }
 
 // sparseSolver runs warm-started PCG on the RCM-permuted system: the warm
@@ -263,7 +235,7 @@ const dcCGTol = 1e-12
 
 // micOmega is the relaxation of the modified-IC preconditioner, on the
 // step system and the DC system alike. ω = 1 keeps every row sum exact;
-// should a pivot break down, buildPrecond falls back to plain IC(0).
+// should a pivot break down, newSparseSystem falls back to plain IC(0).
 const micOmega = 1.0
 
 // sparseBandwidthLimit and sparseStorageLimit are the Auto thresholds:
@@ -329,8 +301,7 @@ func NewSimulatorBackend(g *grid.Grid, dt float64, backend Backend) (*Simulator,
 	return NewSimulatorOpts(g, dt, SimOptions{Backend: backend})
 }
 
-// NewSimulatorOpts is NewSimulator with full backend, preconditioner and
-// worker control.
+// NewSimulatorOpts is NewSimulator with full backend and worker control.
 func NewSimulatorOpts(g *grid.Grid, dt float64, opts SimOptions) (*Simulator, error) {
 	backend := opts.Backend
 	if dt <= 0 {
@@ -369,7 +340,7 @@ func NewSimulatorOpts(g *grid.Grid, dt float64, opts SimOptions) (*Simulator, er
 		}
 		s.solver = solver
 	case Sparse:
-		sys, err := newSparseSystem(g, diag, opts.Precond)
+		sys, err := newSparseSystem(g, diag)
 		if err != nil {
 			return nil, err
 		}
@@ -437,10 +408,9 @@ func dcRHS(g *grid.Grid, loads, b []float64) {
 // shorted, capacitors open). It builds the DC system on the first settle,
 // so step-only simulators never pay for it, and keeps it: the banded
 // backend factors it, the sparse backend builds the RCM-ordered system with
-// the auto preconditioner family (whatever SimOptions.Precond says) and
-// reuses one PCG solver at dcCGTol. Every solve starts from VDD on every
-// node, never from the simulator's state, so a settle does not depend on
-// what the simulator ran before.
+// its IC preconditioner and reuses one PCG solver at dcCGTol. Every solve
+// starts from VDD on every node, never from the simulator's state, so a
+// settle does not depend on what the simulator ran before.
 type dcSolver struct {
 	g       *grid.Grid
 	backend Backend
@@ -481,7 +451,7 @@ func newDCSolver(g *grid.Grid, backend Backend, workers int) (meshSolver, error)
 		}
 		return b, nil
 	}
-	sys, err := newSparseSystem(g, dcDiag(g), sparse.PrecondAuto)
+	sys, err := newSparseSystem(g, dcDiag(g))
 	if err != nil {
 		return nil, err
 	}
@@ -669,11 +639,7 @@ func StaticSolve(g *grid.Grid, loads []float64) ([]float64, error) {
 	b := make([]float64, g.NumNodes())
 	dcRHS(g, loads, b)
 	a := assembleSystemCSR(g, dcDiag(g))
-	opt := sparse.CGOptions{Tol: 1e-12}
-	if ic, err := sparse.NewIC(a); err == nil {
-		opt.Precond = ic // IC(0) always exists for this M-matrix; Jacobi fallback just in case
-	}
-	x, _, err := sparse.SolveCG(a, b, nil, opt)
+	x, _, err := sparse.SolveCG(a, b, nil, sparse.CGOptions{Tol: 1e-12})
 	if err != nil {
 		return nil, fmt.Errorf("pdn: static solve: %w", err)
 	}

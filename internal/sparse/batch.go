@@ -29,7 +29,7 @@ import (
 // Not safe for concurrent use.
 type BatchCGSolver struct {
 	a       *CSR
-	pre     Preconditioner
+	ic      *IC
 	tol     float64
 	maxIter int
 	n, m    int
@@ -49,20 +49,12 @@ type BatchCGSolver struct {
 	sx, sy, sz, sw []float64
 
 	fnSpMV, fnDot, fnAxpy2, fnXpBY, fnSub func(lo, hi int)
-
-	// preconditioner application, chosen at construction
-	applyPreBatch func(z, r []float64)
-	// fallback per-column scratch (generic Preconditioner)
-	colZ, colR []float64
-	// Chebyshev batch workspace
-	chRes, chW, chD []float64
 }
 
 // NewBatchCGSolver prepares a solver for nrhs simultaneous systems on the
-// SPD matrix a. Options mirror NewCGSolver: nil Precond builds Jacobi; IC,
-// Jacobi and Cheby preconditioners get dedicated batch applications (factor
-// traversed once for all columns), anything else is applied column by
-// column.
+// SPD matrix a. Options mirror NewCGSolver, except that the preconditioner
+// must be an *IC (nil builds plain IC(0)): its sweeps traverse the factor
+// once for all columns.
 func NewBatchCGSolver(a *CSR, nrhs int, opt CGOptions) (*BatchCGSolver, error) {
 	n := a.rows
 	if a.cols != n {
@@ -71,13 +63,17 @@ func NewBatchCGSolver(a *CSR, nrhs int, opt CGOptions) (*BatchCGSolver, error) {
 	if nrhs < 1 {
 		panic(fmt.Sprintf("sparse: batch CG needs nrhs >= 1, got %d", nrhs))
 	}
-	pre := opt.Precond
-	if pre == nil {
-		j, err := NewJacobi(a)
-		if err != nil {
+	var ic *IC
+	switch p := opt.Precond.(type) {
+	case nil:
+		var err error
+		if ic, err = NewIC(a); err != nil {
 			return nil, err
 		}
-		pre = j
+	case *IC:
+		ic = p
+	default:
+		return nil, fmt.Errorf("sparse: batch CG needs an *IC preconditioner, got %T", p)
 	}
 	tol := opt.Tol
 	if tol <= 0 {
@@ -89,7 +85,7 @@ func NewBatchCGSolver(a *CSR, nrhs int, opt CGOptions) (*BatchCGSolver, error) {
 	}
 	m := nrhs
 	s := &BatchCGSolver{
-		a: a, pre: pre, tol: tol, maxIter: maxIter, n: n, m: m,
+		a: a, ic: ic, tol: tol, maxIter: maxIter, n: n, m: m,
 		sums: make([]float64, numDotBlocks(n)*m),
 		r:    make([]float64, n*m), z: make([]float64, n*m),
 		p: make([]float64, n*m), ap: make([]float64, n*m),
@@ -100,7 +96,6 @@ func NewBatchCGSolver(a *CSR, nrhs int, opt CGOptions) (*BatchCGSolver, error) {
 	}
 	s.t.init(opt.Workers)
 	s.buildStages()
-	s.bindPreconditioner()
 	return s, nil
 }
 
@@ -289,7 +284,7 @@ func (s *BatchCGSolver) SolveBatch(x, b []float64) ([]int, error) {
 	if remaining == 0 {
 		return s.iters, nil
 	}
-	s.applyPreBatch(s.z, s.r)
+	s.ic.applyBatch(s.z, s.r, s.m)
 	copy(s.p, s.z)
 	s.bDot(s.r, s.z, s.rz)
 	for it := 1; it <= s.maxIter; it++ {
@@ -327,7 +322,7 @@ func (s *BatchCGSolver) SolveBatch(x, b []float64) ([]int, error) {
 		if remaining == 0 {
 			return s.iters, firstErr
 		}
-		s.applyPreBatch(s.z, s.r)
+		s.ic.applyBatch(s.z, s.r, s.m)
 		s.bDot(s.r, s.z, s.rn2) // rn2 reused as rzNew
 		for c := 0; c < m; c++ {
 			if !s.active[c] {
@@ -349,180 +344,6 @@ func (s *BatchCGSolver) SolveBatch(x, b []float64) ([]int, error) {
 		firstErr = ErrNoConvergence
 	}
 	return s.iters, firstErr
-}
-
-// bindPreconditioner selects the batch application for the concrete
-// preconditioner type. IC traverses the factor once for all columns with
-// level-scheduled parallel sweeps; Jacobi and Chebyshev are row-partitioned
-// interleaved kernels; anything else falls back to column-by-column Apply.
-func (s *BatchCGSolver) bindPreconditioner() {
-	switch p := s.pre.(type) {
-	case *Jacobi:
-		stage := func(lo, hi int) {
-			m := s.m
-			for i := lo; i < hi; i++ {
-				d := p.invD[i]
-				base := i * m
-				for c := 0; c < m; c++ {
-					s.sx[base+c] = d * s.sy[base+c]
-				}
-			}
-		}
-		s.applyPreBatch = func(z, r []float64) {
-			s.sx, s.sy = z, r
-			s.t.run(s.n, s.batchRowChunk(), stage)
-		}
-	case *IC:
-		s.bindIC(p)
-	case *Cheby:
-		s.bindCheby(p)
-	default:
-		s.colZ = make([]float64, s.n)
-		s.colR = make([]float64, s.n)
-		s.applyPreBatch = func(z, r []float64) {
-			m := s.m
-			for c := 0; c < m; c++ {
-				UnpackColumn(s.colR, r, c, m)
-				s.pre.Apply(s.colZ, s.colR)
-				PackColumn(z, s.colZ, c, m)
-			}
-		}
-	}
-}
-
-// bindIC prebuilds the multi-RHS level-scheduled triangular sweeps: within
-// each level the rows are independent, and each row's forward/backward
-// substitution runs for all columns while the factor row is hot. Per
-// column the operation order matches IC.Apply exactly.
-func (s *BatchCGSolver) bindIC(p *IC) {
-	m, n := s.m, s.n
-	lRowPtr, lColIdx, lVal := p.l.rowPtr, p.l.colIdx, p.l.val
-	ltRowPtr, ltColIdx, ltVal := p.lt.rowPtr, p.lt.colIdx, p.lt.val
-	var rowsCur []int
-	fwdStage := func(lo, hi int) {
-		z, r := s.sx, s.sy
-		for _, i := range rowsCur[lo:hi] {
-			base := i * m
-			zi := z[base : base+m]
-			copy(zi, r[base:base+m])
-			start, end := lRowPtr[i], lRowPtr[i+1]-1 // diagonal is last
-			vals := lVal[start:end]
-			for k, j := range lColIdx[start:end] {
-				v := vals[k]
-				zj := z[j*m:][:len(zi)]
-				for c, zv := range zj {
-					zi[c] -= v * zv
-				}
-			}
-			d := lVal[end]
-			for c := range zi {
-				zi[c] /= d
-			}
-		}
-	}
-	bwdStage := func(lo, hi int) {
-		z := s.sx
-		for _, ri := range rowsCur[lo:hi] {
-			i := n - 1 - ri
-			base := i * m
-			zi := z[base : base+m]
-			start, end := ltRowPtr[i], ltRowPtr[i+1] // diagonal is first
-			vals := ltVal[start+1 : end]
-			for k, j := range ltColIdx[start+1 : end] {
-				v := vals[k]
-				zj := z[j*m:][:len(zi)]
-				for c, zv := range zj {
-					zi[c] -= v * zv
-				}
-			}
-			d := ltVal[start]
-			for c := range zi {
-				zi[c] /= d
-			}
-		}
-	}
-	levelChunk := levelRowChunk / m
-	if levelChunk < 1 {
-		levelChunk = 1
-	}
-	s.applyPreBatch = func(z, r []float64) {
-		s.sx, s.sy = z, r
-		for lv := 0; lv < p.fwd.numLevels(); lv++ {
-			rowsCur = p.fwd.rows[p.fwd.ptr[lv]:p.fwd.ptr[lv+1]]
-			s.t.run(len(rowsCur), levelChunk, fwdStage)
-		}
-		for lv := 0; lv < p.bwd.numLevels(); lv++ {
-			rowsCur = p.bwd.rows[p.bwd.ptr[lv]:p.bwd.ptr[lv+1]]
-			s.t.run(len(rowsCur), levelChunk, bwdStage)
-		}
-		rowsCur = nil
-	}
-}
-
-// bindCheby prebuilds the multi-RHS Chebyshev semi-iteration: the
-// recurrence scalars are column-independent (they depend only on the
-// spectrum bounds), so the batch application is the single-RHS stage
-// sequence over interleaved vectors with batch SpMVs.
-func (s *BatchCGSolver) bindCheby(p *Cheby) {
-	m, n := s.m, s.n
-	s.chRes = make([]float64, n*m)
-	s.chW = make([]float64, n*m)
-	s.chD = make([]float64, n*m)
-	var s1, s2 float64
-	var z, r []float64
-	stFirst := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			f := s1 * p.invD[i]
-			base := i * m
-			for c := 0; c < m; c++ {
-				v := f * r[base+c]
-				z[base+c] = v
-				s.chD[base+c] = v
-			}
-		}
-	}
-	stResid := func(lo, hi int) {
-		for i := lo * m; i < hi*m; i++ {
-			s.chRes[i] = r[i] - s.chRes[i]
-		}
-	}
-	stScaleW := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			d := p.invD[i]
-			base := i * m
-			for c := 0; c < m; c++ {
-				s.chW[base+c] = d * s.chRes[base+c]
-			}
-		}
-	}
-	stUpdate := func(lo, hi int) {
-		a1, a2 := s1, s2
-		for i := lo * m; i < hi*m; i++ {
-			s.chD[i] = a1*s.chD[i] + a2*s.chW[i]
-			z[i] += s.chD[i]
-		}
-	}
-	rc := s.batchRowChunk()
-	s.applyPreBatch = func(zz, rr []float64) {
-		z, r = zz, rr
-		theta := (p.lmax + p.lmin) / 2
-		delta := (p.lmax - p.lmin) / 2
-		sigma := theta / delta
-		s1 = 1 / theta
-		s.t.run(n, rc, stFirst)
-		rho := 1 / sigma
-		for k := 1; k < p.degree; k++ {
-			s.bMulVec(s.chRes, z)
-			s.t.run(n, rc, stResid)
-			s.t.run(n, rc, stScaleW)
-			rhoNew := 1 / (2*sigma - rho)
-			s1 = rhoNew * rho
-			s2 = 2 * rhoNew / delta
-			s.t.run(n, rc, stUpdate)
-			rho = rhoNew
-		}
-		z, r = nil, nil
-	}
 }
 
 // PackColumn scatters the n-vector src into column c of the interleaved

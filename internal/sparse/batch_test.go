@@ -29,35 +29,28 @@ func batchFixture(nx, ny, nrhs int, seed int64) (a *CSR, xI, bI []float64, xCols
 	return
 }
 
-// mkPre builds the named preconditioner for a (nil = solver default).
+// mkPre builds the named preconditioner for a: "mic" is modified IC(0),
+// "default" is nil, which both solvers turn into plain IC(0).
 func mkPre(t *testing.T, a *CSR, name string) Preconditioner {
 	t.Helper()
-	var pre Preconditioner
-	var err error
-	switch name {
-	case "jacobi":
-		pre, err = NewJacobi(a)
-	case "ic":
-		pre, err = NewICModified(a, 1.0)
-	case "cheby":
-		pre, err = NewCheby(a, 0)
-	case "identity":
-		return Identity{} // exercises the generic per-column fallback
+	if name == "default" {
+		return nil
 	}
+	ic, err := NewICModified(a, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pre
+	return ic
 }
 
-// TestSolveBatchBitwiseMatchesLooped: the core equivalence contract — for
-// every preconditioner family, SolveBatch produces bit-for-bit the same
+// TestSolveBatchBitwiseMatchesLooped: the core equivalence contract — with
+// modified and plain IC(0), SolveBatch produces bit-for-bit the same
 // solutions and iteration counts as looping CGSolver.Solve column by
 // column. Not a tolerance comparison: the operation orders are engineered
 // to coincide.
 func TestSolveBatchBitwiseMatchesLooped(t *testing.T) {
 	const nrhs = 3
-	for _, name := range []string{"jacobi", "ic", "cheby", "identity"} {
+	for _, name := range []string{"mic", "default"} {
 		a, xI, bI, xCols, bCols := batchFixture(33, 27, nrhs, 12)
 		opt := CGOptions{Tol: 1e-11, Precond: mkPre(t, a, name)}
 		bs, err := NewBatchCGSolver(a, nrhs, opt)
@@ -92,39 +85,58 @@ func TestSolveBatchBitwiseMatchesLooped(t *testing.T) {
 	}
 }
 
+// TestNewBatchCGSolverRejectsNonIC: the batch sweeps need the IC factor,
+// so any other preconditioner is refused at construction.
+func TestNewBatchCGSolverRejectsNonIC(t *testing.T) {
+	a := gridLaplacianCSR(8, 8, 0.3)
+	if _, err := NewBatchCGSolver(a, 2, CGOptions{Precond: Identity{}}); err == nil {
+		t.Fatal("Identity preconditioner accepted")
+	}
+}
+
 // TestSolveBatchInvariantUnderParallelism: batch solves are bitwise
-// identical across worker counts too.
+// identical across worker counts too, at GOMAXPROCS 1 and 2.
 func TestSolveBatchInvariantUnderParallelism(t *testing.T) {
 	const nrhs = 4
+	a, x0, bI, _, _ := batchFixture(splitNX, splitNY, nrhs, 21)
+	n := a.Rows()
+	ic := mkPre(t, a, "mic")
 	var ref []float64
 	var refIt []int
-	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		a, xI, bI, _, _ := batchFixture(29, 31, nrhs, 21)
-		ic := mkPre(t, a, "ic")
-		bs, err := NewBatchCGSolver(a, nrhs, CGOptions{Tol: 1e-11, Precond: ic, Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		iters, err := bs.SolveBatch(xI, bI)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = append([]float64(nil), xI...)
-			refIt = append([]int(nil), iters...)
-			continue
-		}
-		for c := range refIt {
-			if iters[c] != refIt[c] {
-				t.Fatalf("workers=%d col %d: %d iterations, want %d", w, c, iters[c], refIt[c])
+	atProcs(func() {
+		procs := runtime.GOMAXPROCS(0)
+		for _, w := range workerCounts() {
+			bs, err := NewBatchCGSolver(a, nrhs, CGOptions{Tol: 1e-11, Precond: ic, Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w == 2 {
+				requireSplit(t, &bs.t, n, rowChunk/nrhs)
+				requireSplit(t, &bs.t, numDotBlocks(n), dotBlockChunk)
+				requireSplit(t, &bs.t, n, bs.batchRowChunk())
+			}
+			xI := append([]float64(nil), x0...)
+			iters, err := bs.SolveBatch(xI, bI)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = xI
+				refIt = append([]int(nil), iters...)
+				continue
+			}
+			for c := range refIt {
+				if iters[c] != refIt[c] {
+					t.Fatalf("procs=%d workers=%d col %d: %d iterations, want %d", procs, w, c, iters[c], refIt[c])
+				}
+			}
+			for i := range ref {
+				if xI[i] != ref[i] {
+					t.Fatalf("procs=%d workers=%d: x[%d] = %v, want %v (not bitwise identical)", procs, w, i, xI[i], ref[i])
+				}
 			}
 		}
-		for i := range ref {
-			if xI[i] != ref[i] {
-				t.Fatalf("workers=%d: x[%d] = %v, want %v (not bitwise identical)", w, i, xI[i], ref[i])
-			}
-		}
-	}
+	})
 }
 
 // TestSolveBatchMixedConvergence: columns converging at different
@@ -140,8 +152,8 @@ func TestSolveBatchMixedConvergence(t *testing.T) {
 		bCols[0][i] = 0
 	}
 	// Column 1: warm start = exact solution of its system.
-	opt := CGOptions{Tol: 1e-11, Precond: mkPre(t, a, "ic")}
-	exact, _, err := SolveCG(a, bCols[1], nil, CGOptions{Tol: 1e-14, Precond: mkPre(t, a, "ic")})
+	opt := CGOptions{Tol: 1e-11, Precond: mkPre(t, a, "mic")}
+	exact, _, err := SolveCG(a, bCols[1], nil, CGOptions{Tol: 1e-14, Precond: mkPre(t, a, "mic")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +200,11 @@ func TestSolveBatchMixedConvergence(t *testing.T) {
 	}
 }
 
-// TestSolveBatchZeroAlloc: the batch solve hot path allocates nothing, for
-// every dedicated batch preconditioner.
+// TestSolveBatchZeroAlloc: the batch solve hot path allocates nothing,
+// with modified and plain IC(0).
 func TestSolveBatchZeroAlloc(t *testing.T) {
 	const nrhs = 4
-	for _, name := range []string{"jacobi", "ic", "cheby"} {
+	for _, name := range []string{"mic", "default"} {
 		a, xI, bI, _, _ := batchFixture(32, 32, nrhs, 40)
 		bs, err := NewBatchCGSolver(a, nrhs, CGOptions{Tol: 1e-10, Precond: mkPre(t, a, name), Workers: 2})
 		if err != nil {

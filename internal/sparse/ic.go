@@ -10,8 +10,8 @@ import (
 // restricted to the sparsity pattern of A's lower triangle. For M-matrices
 // — the power-grid conductance systems this package targets — the
 // factorization is guaranteed to exist (Meijerink–van der Vorst), and it
-// cuts PCG iteration counts well below Jacobi because it captures the
-// neighbor coupling, not just the diagonal.
+// cuts PCG iteration counts well below diagonal scaling because it
+// captures the neighbor coupling, not just the diagonal.
 //
 // NewICModified builds the modified variant (MIC): fill that IC(0) would
 // discard is instead subtracted from the two affected diagonals, which
@@ -22,14 +22,6 @@ type IC struct {
 	n  int
 	l  *CSR // lower triangle including diagonal; diagonal last in each row
 	lt *CSR // Lᵀ; diagonal first in each row
-
-	// Level schedules and prebuilt sweep stages for the parallel applyTeam
-	// path (see levels.go). rowsCur stages the active level's row list; z
-	// and r stage the operands so the sweeps allocate nothing.
-	fwd, bwd           levelSchedule
-	rowsCur            []int
-	z, r               []float64
-	fwdStage, bwdStage func(lo, hi int)
 }
 
 // NewIC factors the symmetric matrix a into a plain IC(0) preconditioner.
@@ -137,9 +129,7 @@ func newIC(a *CSR, omega float64) (*IC, error) {
 			}
 		}
 	}
-	m := &IC{n: n, l: l, lt: transposeCSR(l)}
-	m.buildSchedules()
-	return m, nil
+	return &IC{n: n, l: l, lt: transposeCSR(l)}, nil
 }
 
 // locate returns the index of (i, j) inside l's storage, or -1.
@@ -179,32 +169,93 @@ func transposeCSR(m *CSR) *CSR {
 	return t
 }
 
-// Apply solves L·Lᵀ·z = r by one forward and one backward triangular
-// sweep, using z as the only workspace. It allocates nothing.
+// Apply solves L·Lᵀ·z = r by one forward sweep over rows 0…n−1 and one
+// backward sweep over rows n−1…0, using z as the only workspace. It
+// allocates nothing.
+//
+// The sweeps are sequential. A level schedule could solve independent
+// rows concurrently, but under the RCM ordering pdn uses every level is a
+// contiguous row range, so it visits rows in this same order, and at two
+// cores it measured slower than these plain sweeps (DESIGN.md §15).
 func (m *IC) Apply(z, r []float64) {
 	if len(z) != m.n || len(r) != m.n {
 		panic(fmt.Sprintf("sparse: IC.Apply lengths z=%d r=%d, want %d", len(z), len(r), m.n))
 	}
-	l := m.l
-	for i := 0; i < m.n; i++ {
+	// The factor arrays live in locals, so the store to z cannot force
+	// them to be reloaded.
+	rowPtr, colIdx, val := m.l.rowPtr, m.l.colIdx, m.l.val
+	for i := range z {
+		start, end := rowPtr[i], rowPtr[i+1]-1 // diagonal is last
+		vals := val[start:end]
 		s := r[i]
-		end := l.rowPtr[i+1] - 1 // diagonal is last
-		for k := l.rowPtr[i]; k < end; k++ {
-			s -= l.val[k] * z[l.colIdx[k]]
+		for k, j := range colIdx[start:end] {
+			s -= vals[k] * z[j]
 		}
-		z[i] = s / l.val[end]
+		z[i] = s / val[end]
 	}
-	lt := m.lt
-	for i := m.n - 1; i >= 0; i-- {
+	rowPtr, colIdx, val = m.lt.rowPtr, m.lt.colIdx, m.lt.val
+	for i := len(z) - 1; i >= 0; i-- {
+		start, end := rowPtr[i], rowPtr[i+1] // diagonal is first
+		vals := val[start+1 : end]
 		s := z[i]
-		start := lt.rowPtr[i] // diagonal is first
-		for k := start + 1; k < lt.rowPtr[i+1]; k++ {
-			s -= lt.val[k] * z[lt.colIdx[k]]
+		for k, j := range colIdx[start+1 : end] {
+			s -= vals[k] * z[j]
 		}
-		z[i] = s / lt.val[start]
+		z[i] = s / val[start]
+	}
+}
+
+// applyBatch is Apply for nrhs interleaved columns (element (i, c) at
+// z[i*nrhs+c]), the preconditioner step of BatchCGSolver: each row's
+// substitution runs for every column while the factor row is hot. Per
+// column the operations run in exactly Apply's order.
+func (m *IC) applyBatch(z, r []float64, nrhs int) {
+	rowPtr, colIdx, val := m.l.rowPtr, m.l.colIdx, m.l.val
+	for i := 0; i < m.n; i++ {
+		zi := z[i*nrhs : i*nrhs+nrhs]
+		copy(zi, r[i*nrhs:i*nrhs+nrhs])
+		start, end := rowPtr[i], rowPtr[i+1]-1 // diagonal is last
+		vals := val[start:end]
+		for k, j := range colIdx[start:end] {
+			v := vals[k]
+			zj := z[j*nrhs:][:len(zi)]
+			for c, zv := range zj {
+				zi[c] -= v * zv
+			}
+		}
+		d := val[end]
+		for c := range zi {
+			zi[c] /= d
+		}
+	}
+	rowPtr, colIdx, val = m.lt.rowPtr, m.lt.colIdx, m.lt.val
+	for i := m.n - 1; i >= 0; i-- {
+		zi := z[i*nrhs : i*nrhs+nrhs]
+		start, end := rowPtr[i], rowPtr[i+1] // diagonal is first
+		vals := val[start+1 : end]
+		for k, j := range colIdx[start+1 : end] {
+			v := vals[k]
+			zj := z[j*nrhs:][:len(zi)]
+			for c, zv := range zj {
+				zi[c] -= v * zv
+			}
+		}
+		d := val[start]
+		for c := range zi {
+			zi[c] /= d
+		}
 	}
 }
 
 // L returns the incomplete Cholesky factor (lower triangular, diagonal
 // included), mainly for tests and diagnostics.
 func (m *IC) L() *CSR { return m.l }
+
+// Precond is the type of the preconditioner fields that pdn.SimOptions and
+// experiments.Config still carry. The engine has one preconditioner — IC,
+// modified IC(0) with a plain IC(0) fallback — so PrecondAuto is the only
+// value and those fields are ignored.
+type Precond int
+
+// PrecondAuto is the zero Precond.
+const PrecondAuto Precond = 0

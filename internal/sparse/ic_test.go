@@ -49,6 +49,14 @@ func gridLaplacianCSR(nx, ny int, shift float64) *CSR {
 	return NewCSR(n, n, rowPtr, colIdx, val)
 }
 
+func norm2(x []float64) float64 {
+	s := 0.0
+	for _, v := range x {
+		s += v * v
+	}
+	return math.Sqrt(s)
+}
+
 func residualNorm(a *CSR, x, b []float64) float64 {
 	r := a.MulVec(x)
 	s := 0.0

@@ -24,8 +24,8 @@ import (
 //     stepping hot loop allocates nothing.
 
 const (
-	// rowChunk is the minimum rows per share for SpMV and triangular
-	// sweeps; below it dispatch overhead dominates the ~5 nnz/row work.
+	// rowChunk is the minimum rows per share for SpMV; below it dispatch
+	// overhead dominates the ~5 nnz/row work.
 	rowChunk = 2048
 	// vecChunk is the minimum elements per share for elementwise kernels.
 	vecChunk = 8192
@@ -76,7 +76,7 @@ func (t *team) init(workers int) {
 
 // shares returns the effective share count for n items at minChunk
 // granularity. Work too small to split returns 1 before the pool default is
-// read: that read takes a runtime lock, and the IC sweeps ask once per level.
+// read, since that read takes a runtime lock.
 func (t *team) shares(n, minChunk int) int {
 	m := n / minChunk
 	if m <= 1 {
@@ -132,7 +132,7 @@ type ops struct {
 	x, y, z, w []float64
 	s1         float64
 
-	fnSpMV, fnDot, fnAxpy2, fnXpBY, fnSub, fnScale func(lo, hi int)
+	fnSpMV, fnDot, fnAxpy2, fnXpBY, fnSub func(lo, hi int)
 }
 
 // newOps prepares kernels for vectors of length n with the given worker
@@ -174,13 +174,6 @@ func newOps(n, workers int) *ops {
 		x, y := o.x[lo:hi], o.y[lo:hi]
 		for i, yv := range y {
 			x[i] = yv - x[i]
-		}
-	}
-	o.fnScale = func(lo, hi int) {
-		s := o.s1
-		x, y := o.x[lo:hi], o.y[lo:hi]
-		for i, yv := range y {
-			x[i] = s * yv
 		}
 	}
 	return o
@@ -235,25 +228,4 @@ func (o *ops) xpby(p, z []float64, b float64) {
 func (o *ops) sub(r, b []float64) {
 	o.x, o.y = r, b
 	o.t.run(len(r), vecChunk, o.fnSub)
-}
-
-// scale performs x = s·y.
-func (o *ops) scale(x []float64, s float64, y []float64) {
-	o.s1, o.x, o.y = s, x, y
-	o.t.run(len(x), vecChunk, o.fnScale)
-}
-
-// teamPreconditioner is implemented by preconditioners that can apply
-// themselves on the solver's team (level-scheduled IC, Chebyshev, Jacobi);
-// others fall back to the serial Apply.
-type teamPreconditioner interface {
-	applyTeam(o *ops, z, r []float64)
-}
-
-// applyTeam parallelizes the diagonal scaling through the preconditioner's
-// prebuilt stage (see NewJacobi), so repeated applications allocate nothing.
-func (j *Jacobi) applyTeam(o *ops, z, r []float64) {
-	j.z, j.r = z, r
-	o.t.run(len(z), vecChunk, j.stage)
-	j.z, j.r = nil, nil
 }

@@ -8,10 +8,13 @@ import (
 )
 
 // workerCounts are the parallelism settings every invariance test sweeps:
-// serial, two shares, and the machine default. The engine's contract is
-// bitwise-identical results across all of them.
+// serial, two shares, and the machine default when it is larger. The
+// engine's contract is bitwise-identical results across all of them.
 func workerCounts() []int {
-	return []int{1, 2, runtime.GOMAXPROCS(0)}
+	if p := runtime.GOMAXPROCS(0); p > 2 {
+		return []int{1, 2, p}
+	}
+	return []int{1, 2}
 }
 
 // refToCSR is the original map+sort Triplet build, kept verbatim as the
@@ -103,10 +106,45 @@ func TestToCSREmptyAndAllZero(t *testing.T) {
 	}
 }
 
+// splitNX × splitNY sizes the worker-invariance fixtures: 28,891 rows,
+// past the 28,672 (seven dot blocks) above which the blocked reduction
+// splits into two shares, so SpMV, dot and the vector kernels all really
+// run in parallel at Workers: 2.
+const splitNX, splitNY = 173, 167
+
+// atProcs runs fn at GOMAXPROCS 1 and then 2, restoring the old value.
+func atProcs(fn func()) {
+	old := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(old)
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		fn()
+	}
+}
+
+// requireSplit fails unless tm runs items at minChunk granularity as at
+// least two shares.
+func requireSplit(t *testing.T, tm *team, items, minChunk int) {
+	t.Helper()
+	if p := tm.shares(items, minChunk); p < 2 {
+		t.Fatalf("%d items at chunk %d run as %d share(s); fixture too small to test parallelism", items, minChunk, p)
+	}
+}
+
+// requireOpsSplit fails unless SpMV, dot and the vector kernels of o split
+// n-vectors.
+func requireOpsSplit(t *testing.T, o *ops, n int) {
+	t.Helper()
+	requireSplit(t, &o.t, n, rowChunk)
+	requireSplit(t, &o.t, numDotBlocks(n), dotBlockChunk)
+	requireSplit(t, &o.t, n, vecChunk)
+}
+
 // TestSpMVDeterministicAcrossWorkerCounts: the parallel SpMV is bitwise
-// identical to the serial MulVecTo at every worker count.
+// identical to the serial MulVecTo at every worker count, at GOMAXPROCS 1
+// and 2.
 func TestSpMVDeterministicAcrossWorkerCounts(t *testing.T) {
-	a := gridLaplacianCSR(67, 53, 0.3)
+	a := gridLaplacianCSR(splitNX, splitNY, 0.3)
 	n := a.Rows()
 	rng := rand.New(rand.NewSource(7))
 	x := make([]float64, n)
@@ -115,16 +153,20 @@ func TestSpMVDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	want := make([]float64, n)
 	a.MulVecTo(want, x)
-	for _, w := range workerCounts() {
-		o := newOps(n, w)
-		got := make([]float64, n)
-		o.mulVec(a, got, x)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: y[%d] = %v, want %v (not bitwise identical)", w, i, got[i], want[i])
+	requireOpsSplit(t, newOps(n, 2), n)
+	atProcs(func() {
+		for _, w := range workerCounts() {
+			o := newOps(n, w)
+			got := make([]float64, n)
+			o.mulVec(a, got, x)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("procs=%d workers=%d: y[%d] = %v, want %v (not bitwise identical)",
+						runtime.GOMAXPROCS(0), w, i, got[i], want[i])
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestDotDeterministicAcrossWorkerCounts: the blocked reduction returns the
@@ -152,11 +194,11 @@ func TestDotDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestCGInvariantUnderParallelism: full PCG solves — every preconditioner
-// family — return bitwise-identical solutions and iteration counts for
-// Workers ∈ {1, 2, GOMAXPROCS}.
+// TestCGInvariantUnderParallelism: full PCG solves return bitwise-
+// identical solutions and iteration counts at every worker count, at
+// GOMAXPROCS 1 and 2.
 func TestCGInvariantUnderParallelism(t *testing.T) {
-	a := gridLaplacianCSR(48, 37, 0.2)
+	a := gridLaplacianCSR(splitNX, splitNY, 0.2)
 	n := a.Rows()
 	rng := rand.New(rand.NewSource(3))
 	b := make([]float64, n)
@@ -165,139 +207,72 @@ func TestCGInvariantUnderParallelism(t *testing.T) {
 		b[i] = rng.NormFloat64()
 		x0[i] = 0.1 * rng.NormFloat64() // nontrivial warm start
 	}
-	preconds := map[string]func() Preconditioner{
-		"jacobi": func() Preconditioner { p, _ := NewJacobi(a); return p },
-		"ic":     func() Preconditioner { p, _ := NewICModified(a, 1.0); return p },
-		"cheby":  func() Preconditioner { p, _ := NewCheby(a, 0); return p },
+	ic, err := NewICModified(a, 1.0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, mk := range preconds {
-		var refX []float64
-		refIt := -1
+	var refX []float64
+	refIt := -1
+	atProcs(func() {
+		procs := runtime.GOMAXPROCS(0)
 		for _, w := range workerCounts() {
-			s, err := NewCGSolver(a, CGOptions{Tol: 1e-11, Precond: mk(), Workers: w})
+			s, err := NewCGSolver(a, CGOptions{Tol: 1e-11, Precond: ic, Workers: w})
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, w, err)
+				t.Fatalf("procs=%d workers=%d: %v", procs, w, err)
+			}
+			if w == 2 {
+				requireOpsSplit(t, s.o, n)
 			}
 			x := append([]float64(nil), x0...)
 			it, err := s.Solve(x, b)
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, w, err)
+				t.Fatalf("procs=%d workers=%d: %v", procs, w, err)
 			}
 			if refX == nil {
 				refX, refIt = x, it
 				continue
 			}
 			if it != refIt {
-				t.Fatalf("%s workers=%d: %d iterations, want %d", name, w, it, refIt)
+				t.Fatalf("procs=%d workers=%d: %d iterations, want %d", procs, w, it, refIt)
 			}
 			for i := range x {
 				if x[i] != refX[i] {
-					t.Fatalf("%s workers=%d: x[%d] = %v, want %v (not bitwise identical)", name, w, i, x[i], refX[i])
+					t.Fatalf("procs=%d workers=%d: x[%d] = %v, want %v (not bitwise identical)", procs, w, i, x[i], refX[i])
 				}
 			}
 		}
-	}
+	})
 }
 
-// TestICApplyTeamMatchesSerial: the level-scheduled parallel triangular
-// sweeps are bitwise identical to the sequential Apply.
-func TestICApplyTeamMatchesSerial(t *testing.T) {
-	a := gridLaplacianCSR(41, 29, 0.4)
+// TestCGSolverZeroAllocParallel: the parallel solve path, with every
+// kernel split across two shares, allocates nothing in steady state.
+func TestCGSolverZeroAllocParallel(t *testing.T) {
+	a := gridLaplacianCSR(splitNX, splitNY, 0.3)
 	n := a.Rows()
 	ic, err := NewICModified(a, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(5))
-	r := make([]float64, n)
-	for i := range r {
-		r[i] = rng.NormFloat64()
-	}
-	want := make([]float64, n)
-	ic.Apply(want, r)
-	for _, w := range workerCounts() {
-		o := newOps(n, w)
-		got := make([]float64, n)
-		ic.applyTeam(o, got, r)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: z[%d] = %v, want %v (not bitwise identical)", w, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestICLevelsAreMeshWavefronts: on an nx×ny 5-point mesh in natural order
-// the forward (and backward) level sets are the anti-diagonal wavefronts:
-// exactly nx+ny-1 levels.
-func TestICLevelsAreMeshWavefronts(t *testing.T) {
-	nx, ny := 13, 9
-	a := gridLaplacianCSR(nx, ny, 0.5)
-	ic, err := NewIC(a)
+	s, err := NewCGSolver(a, CGOptions{Tol: 1e-10, Precond: ic, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fwd, bwd := ic.Levels()
-	if want := nx + ny - 1; fwd != want || bwd != want {
-		t.Fatalf("levels fwd=%d bwd=%d, want %d", fwd, bwd, want)
+	requireOpsSplit(t, s.o, n)
+	b := make([]float64, n)
+	x := make([]float64, n)
+	for i := range b {
+		b[i] = 1
 	}
-	// Every level's rows must be solvable given earlier levels only.
-	l := ic.L()
-	seen := make([]bool, a.Rows())
-	for lv := 0; lv < ic.fwd.numLevels(); lv++ {
-		rows := ic.fwd.rows[ic.fwd.ptr[lv]:ic.fwd.ptr[lv+1]]
-		for _, i := range rows {
-			for k := l.rowPtr[i]; k < l.rowPtr[i+1]-1; k++ {
-				if !seen[l.colIdx[k]] {
-					t.Fatalf("level %d row %d depends on unsolved row %d", lv, i, l.colIdx[k])
-				}
-			}
-		}
-		for _, i := range rows {
-			seen[i] = true
-		}
+	if _, err := s.Solve(x, b); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestCGSolverZeroAllocParallel: the parallel solve path allocates nothing
-// in steady state, for the team-applied preconditioners.
-func TestCGSolverZeroAllocParallel(t *testing.T) {
-	a := gridLaplacianCSR(32, 32, 0.3)
-	n := a.Rows()
-	for _, name := range []string{"jacobi", "ic", "cheby"} {
-		var pre Preconditioner
-		var err error
-		switch name {
-		case "jacobi":
-			pre, err = NewJacobi(a)
-		case "ic":
-			pre, err = NewICModified(a, 1.0)
-		case "cheby":
-			pre, err = NewCheby(a, 0)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := NewCGSolver(a, CGOptions{Tol: 1e-10, Precond: pre, Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := make([]float64, n)
-		x := make([]float64, n)
-		for i := range b {
-			b[i] = 1
-		}
+	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := s.Solve(x, b); err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(3, func() {
-			if _, err := s.Solve(x, b); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Fatalf("%s: Solve allocates %v per run, want 0", name, allocs)
-		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Solve allocates %v per run, want 0", allocs)
 	}
 }
 
@@ -321,18 +296,16 @@ func benchSpMV(b *testing.B, workers int) {
 	}
 }
 
-func BenchmarkICApplySerial(b *testing.B) { benchICApply(b, 1) }
-
-func BenchmarkICApplyParallel(b *testing.B) { benchICApply(b, 0) }
-
-func benchICApply(b *testing.B, workers int) {
+// BenchmarkICApplySerial times one forward and one backward IC sweep on a
+// 512×512 mesh. The name predates the removal of its parallel partner and
+// is kept so the cross-PR trajectory stays continuous.
+func BenchmarkICApplySerial(b *testing.B) {
 	a := gridLaplacianCSR(512, 512, 0.3)
 	n := a.Rows()
 	ic, err := NewICModified(a, 1.0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	o := newOps(n, workers)
 	r := make([]float64, n)
 	z := make([]float64, n)
 	for i := range r {
@@ -341,10 +314,6 @@ func benchICApply(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if workers == 1 {
-			ic.Apply(z, r)
-		} else {
-			ic.applyTeam(o, z, r)
-		}
+		ic.Apply(z, r)
 	}
 }

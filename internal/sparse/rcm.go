@@ -10,8 +10,7 @@ import "fmt"
 // pseudo-peripheral vertex, visiting neighbors in ascending degree, then
 // reverses the ordering — the classic envelope-minimizing heuristic. On the
 // regular grids the pdn assembler emits it recovers diagonal-band structure
-// regardless of how nodes were originally numbered, and it shortens the IC
-// level schedules (wavefronts) that bound the parallel sweep depth.
+// regardless of how nodes were originally numbered.
 
 // RCM returns a reverse Cuthill–McKee permutation for the symmetric matrix
 // a: perm[newIdx] = oldIdx. Disconnected components are each ordered from

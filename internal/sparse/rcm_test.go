@@ -49,25 +49,6 @@ func TestRCMRecoversGridBandwidth(t *testing.T) {
 	}
 }
 
-// TestRCMLevelsStayNearWavefrontCount: after RCM the IC level count (the
-// sequential depth of the parallel sweeps) lands near the mesh wavefront
-// count nx+ny-1, with each level a contiguous cache-friendly index range —
-// unlike scrambled orderings, whose shallow but scattered level sets
-// defeat the row-partitioned sweep's locality.
-func TestRCMLevelsStayNearWavefrontCount(t *testing.T) {
-	nx, ny := 24, 18
-	a := gridLaplacianCSR(nx, ny, 0.4)
-	scrambled, _ := shuffleSym(a, 23)
-	icRCM, err := NewIC(PermuteSym(scrambled, RCM(scrambled)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fwdRCM, bwdRCM := icRCM.Levels()
-	if limit := 2 * (nx + ny); fwdRCM > limit || bwdRCM > limit {
-		t.Fatalf("RCM levels fwd=%d bwd=%d, want <= %d (~mesh wavefront count)", fwdRCM, bwdRCM, limit)
-	}
-}
-
 // TestPermuteSymValues: entry (i, j) of the permuted matrix equals
 // a[perm[i], perm[j]], columns ascending.
 func TestPermuteSymValues(t *testing.T) {

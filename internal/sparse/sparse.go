@@ -10,14 +10,15 @@
 // irregular connectivity (extra via stitching, cut-outs) whose bandwidth
 // would blow up any banded factor.
 //
-// The engine is parallel end to end on the mat worker pool: row-partitioned
-// SpMV and fused vector kernels, level-scheduled IC(0) triangular sweeps, a
-// fully parallel Chebyshev/Jacobi polynomial preconditioner (ParsePrecond
-// selects between them), reverse Cuthill–McKee reordering (RCM/PermuteSym)
-// for cache locality and tighter level sets, and a blocked multi-RHS PCG
-// (BatchCGSolver) that steps many transients through one matrix traversal.
-// Everything preserves the house invariant: results are bitwise identical
-// across worker counts, and the solve hot loops allocate nothing.
+// The engine has one preconditioner, incomplete Cholesky (IC: modified
+// IC(0), or plain IC(0) where the modified factor breaks down), applied by
+// sequential forward and backward sweeps in row order. Everything else runs
+// on the mat worker pool: row-partitioned SpMV and fused vector kernels,
+// reverse Cuthill–McKee reordering (RCM/PermuteSym) for cache locality, and
+// a blocked multi-RHS PCG (BatchCGSolver) that steps many transients
+// through one matrix and factor traversal. Everything preserves the house
+// invariant: results are bitwise identical across worker counts, and the
+// solve hot loops allocate nothing.
 package sparse
 
 import (
@@ -207,19 +208,6 @@ func (c *CSR) MulVecTo(y, x []float64) {
 	}
 }
 
-// Diag returns a copy of the main diagonal.
-func (c *CSR) Diag() []float64 {
-	n := c.rows
-	if c.cols < n {
-		n = c.cols
-	}
-	d := make([]float64, n)
-	for i := 0; i < n; i++ {
-		d[i] = c.At(i, i)
-	}
-	return d
-}
-
 // Preconditioner approximates A⁻¹ for conjugate gradient: Apply writes
 // z = M⁻¹·r. Implementations must not alias z and r and must not allocate,
 // so solvers built on them stay allocation-free in steady state.
@@ -233,53 +221,18 @@ type Identity struct{}
 // Apply copies r into z.
 func (Identity) Apply(z, r []float64) { copy(z, r) }
 
-// Jacobi is the diagonal preconditioner M = diag(A).
-type Jacobi struct {
-	invD []float64
-
-	// staged operands + prebuilt stage for the parallel applyTeam path.
-	z, r  []float64
-	stage func(lo, hi int)
-}
-
-// NewJacobi builds a Jacobi preconditioner, rejecting non-positive
-// diagonals since those contradict the SPD contract.
-func NewJacobi(a *CSR) (*Jacobi, error) {
-	invD := a.Diag()
-	for i, d := range invD {
-		if d <= 0 {
-			return nil, fmt.Errorf("sparse: non-positive diagonal %g at %d; matrix not SPD", d, i)
-		}
-		invD[i] = 1 / d
-	}
-	j := &Jacobi{invD: invD}
-	j.stage = func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			j.z[i] = j.invD[i] * j.r[i]
-		}
-	}
-	return j, nil
-}
-
-// Apply computes z = diag(A)⁻¹ r.
-func (j *Jacobi) Apply(z, r []float64) {
-	for i, d := range j.invD {
-		z[i] = d * r[i]
-	}
-}
-
 // CGOptions configures SolveCG and NewCGSolver.
 type CGOptions struct {
 	Tol     float64 // relative residual target; default 1e-10
 	MaxIter int     // default 10 * n
-	// Precond overrides the default Jacobi preconditioner. Use Identity{}
-	// for unpreconditioned CG, NewIC(a) for incomplete Cholesky, or
-	// NewCheby(a, deg) for the fully parallel polynomial preconditioner.
+	// Precond overrides the default plain IC(0) preconditioner, NewIC(a);
+	// pass NewICModified(a, ω) for modified IC or Identity{} for
+	// unpreconditioned CG. NewBatchCGSolver accepts only an *IC.
 	Precond Preconditioner
-	// Workers bounds the parallel shares of every kernel in the solve
-	// (SpMV, reductions, preconditioner sweeps). 0 means the mat pool
-	// default (SetParallelism / GOMAXPROCS); 1 forces serial execution.
-	// Results are bitwise identical for every setting.
+	// Workers bounds the parallel shares of the SpMV, reduction and vector
+	// kernels in the solve; the preconditioner sweeps are sequential. 0
+	// means the mat pool default (SetParallelism / GOMAXPROCS); 1 forces
+	// serial execution. Results are bitwise identical for every setting.
 	Workers int
 }
 
@@ -290,7 +243,6 @@ type CGOptions struct {
 type CGSolver struct {
 	a       *CSR
 	pre     Preconditioner
-	preTeam teamPreconditioner // non-nil when pre supports team application
 	tol     float64
 	maxIter int
 	o       *ops
@@ -299,7 +251,8 @@ type CGSolver struct {
 }
 
 // NewCGSolver prepares a solver for the SPD matrix a. With opt.Precond nil
-// it builds a Jacobi preconditioner, which fails on non-positive diagonals.
+// it builds a plain IC(0) preconditioner, which fails on a non-positive
+// pivot.
 func NewCGSolver(a *CSR, opt CGOptions) (*CGSolver, error) {
 	n := a.rows
 	if a.cols != n {
@@ -307,11 +260,11 @@ func NewCGSolver(a *CSR, opt CGOptions) (*CGSolver, error) {
 	}
 	pre := opt.Precond
 	if pre == nil {
-		j, err := NewJacobi(a)
+		ic, err := NewIC(a)
 		if err != nil {
 			return nil, err
 		}
-		pre = j
+		pre = ic
 	}
 	tol := opt.Tol
 	if tol <= 0 {
@@ -327,23 +280,13 @@ func NewCGSolver(a *CSR, opt CGOptions) (*CGSolver, error) {
 		r: make([]float64, n), z: make([]float64, n),
 		p: make([]float64, n), ap: make([]float64, n),
 	}
-	s.preTeam, _ = pre.(teamPreconditioner)
 	return s, nil
-}
-
-// applyPre applies the preconditioner on the team when it supports it.
-func (s *CGSolver) applyPre(z, r []float64) {
-	if s.preTeam != nil {
-		s.preTeam.applyTeam(s.o, z, r)
-	} else {
-		s.pre.Apply(z, r)
-	}
 }
 
 // Solve solves A x = b in place: x holds the initial guess on entry (the
 // warm start) and the solution on return. It returns the iteration count
-// and allocates nothing. Every kernel runs on the worker team; the result
-// is bitwise identical for every worker count.
+// and allocates nothing. Every kernel but the preconditioner runs on the
+// worker team; the result is bitwise identical for every worker count.
 func (s *CGSolver) Solve(x, b []float64) (int, error) {
 	n := s.a.rows
 	if len(b) != n || len(x) != n {
@@ -361,7 +304,7 @@ func (s *CGSolver) Solve(x, b []float64) (int, error) {
 	if math.Sqrt(s.o.dot(s.r, s.r)) <= s.tol*bnorm {
 		return 0, nil // warm start already within tolerance
 	}
-	s.applyPre(s.z, s.r)
+	s.pre.Apply(s.z, s.r)
 	copy(s.p, s.z)
 	rz := s.o.dot(s.r, s.z)
 	for it := 1; it <= s.maxIter; it++ {
@@ -375,7 +318,7 @@ func (s *CGSolver) Solve(x, b []float64) (int, error) {
 		if math.Sqrt(s.o.dot(s.r, s.r)) <= s.tol*bnorm {
 			return it, nil
 		}
-		s.applyPre(s.z, s.r)
+		s.pre.Apply(s.z, s.r)
 		rzNew := s.o.dot(s.r, s.z)
 		beta := rzNew / rz
 		rz = rzNew
@@ -385,7 +328,7 @@ func (s *CGSolver) Solve(x, b []float64) (int, error) {
 }
 
 // SolveCG solves the symmetric positive definite system A x = b with
-// preconditioned conjugate gradient (Jacobi unless opt.Precond says
+// preconditioned conjugate gradient (plain IC(0) unless opt.Precond says
 // otherwise), starting from x0 (nil means zero). It returns the solution
 // and the iteration count. One-shot convenience over CGSolver.
 func SolveCG(a *CSR, b, x0 []float64, opt CGOptions) ([]float64, int, error) {
@@ -406,20 +349,4 @@ func SolveCG(a *CSR, b, x0 []float64, opt CGOptions) ([]float64, int, error) {
 		return nil, it, err
 	}
 	return x, it, nil
-}
-
-func dot(x, y []float64) float64 {
-	s := 0.0
-	for i, v := range x {
-		s += v * y[i]
-	}
-	return s
-}
-
-func norm2(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }

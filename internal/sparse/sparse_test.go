@@ -83,16 +83,6 @@ func TestCSRAtAndMulVec(t *testing.T) {
 	}
 }
 
-func TestDiag(t *testing.T) {
-	tr := NewTriplet(3, 3)
-	tr.Add(0, 0, 1)
-	tr.Add(2, 2, 5)
-	d := tr.ToCSR().Diag()
-	if d[0] != 1 || d[1] != 0 || d[2] != 5 {
-		t.Fatalf("Diag = %v", d)
-	}
-}
-
 // Property: CG solves random grid Laplacian systems to tight tolerance.
 func TestCGGridSystems(t *testing.T) {
 	f := func(seed int64) bool {
