@@ -165,8 +165,8 @@ func BenchmarkAblationGLDirect(b *testing.B) {
 }
 
 // BenchmarkAblationSolvers compares the two group-lasso solvers on the same
-// core-0 instance: the constrained FISTA production path and the penalized
-// BCD used for count targeting.
+// core-0 instance: the constrained FISTA production path (a fresh path
+// solver's cold solve) and the penalized BCD used for count targeting.
 func BenchmarkAblationSolvers(b *testing.B) {
 	p := benchPipeline(b)
 	ds, _ := p.CoreDataset(0, p.Train)
@@ -178,7 +178,7 @@ func BenchmarkAblationSolvers(b *testing.B) {
 	b.Run("ConstrainedFISTA", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := lasso.SolveConstrained(z, g, 4, opts); err != nil && !errors.Is(err, lasso.ErrDidNotConverge) {
+			if _, _, err := lasso.NewPathSolver(z, g, opts).SolveConstrained(4); err != nil && !errors.Is(err, lasso.ErrDidNotConverge) {
 				b.Fatal(err)
 			}
 		}

@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -313,18 +312,15 @@ func split(ds *core.Dataset, holdout float64) (train, test *core.Dataset) {
 	return ds.Subset(trainCols), ds.Subset(testCols)
 }
 
-// placeForCount bisects the penalized multiplier to land q sensors, trimming
-// to the strongest groups when the count cannot land exactly. The whole
-// search runs on one warm-started path solver: a single Gram build, each
-// midpoint solve starting from the previous solution with safe screening —
-// the same ≤40 solves as before at a fraction of the cost. With reduced
-// set, the targets are first projected onto a POD basis (bc picks the
-// rank), so every one of those solves costs O(r/K) of the dense version;
-// the fitted basis is returned for reporting (nil on the dense path).
+// placeForCount runs the path solver's count bisection
+// (lasso.PathSolver.SelectCount) for q sensors: one Gram build, each of at
+// most 40 midpoint solves warm-started from the last with safe screening,
+// trimming to the strongest groups when the count cannot land exactly. With
+// reduced set, the targets are first projected onto a POD basis (bc picks
+// the rank), so every one of those solves costs O(r/K) of the dense
+// version; the fitted basis is returned for reporting (nil on the dense
+// path).
 func placeForCount(ds *core.Dataset, q int, threshold float64, reduced bool, bc basis.Config) ([]int, float64, *basis.Basis, error) {
-	if q < 1 || q > ds.X.Rows() {
-		return nil, 0, nil, fmt.Errorf("count %d out of range 1..%d", q, ds.X.Rows())
-	}
 	z, _ := mat.Standardize(ds.X)
 	g, _ := mat.Standardize(ds.F)
 	var b *basis.Basis
@@ -339,38 +335,6 @@ func placeForCount(ds *core.Dataset, q int, threshold float64, reduced bool, bc 
 			return nil, 0, nil, err
 		}
 	}
-	ps := lasso.NewPathSolver(z, g, lasso.Options{MaxIter: 3000, Tol: 1e-7})
-	lo, hi := 0.0, ps.MuMax()
-	var best *lasso.Result
-	bestCount := -1
-	var bestMu float64
-	for it := 0; it < 40; it++ {
-		mu := (lo + hi) / 2
-		r, _, err := ps.SolvePenalized(mu)
-		if err != nil && !errors.Is(err, lasso.ErrDidNotConverge) {
-			return nil, mu, nil, err
-		}
-		n := len(r.Select(threshold))
-		if n >= q && (bestCount < 0 || n < bestCount) {
-			best, bestCount, bestMu = r, n, mu
-		}
-		if n == q {
-			break
-		}
-		if n > q {
-			lo = mu
-		} else {
-			hi = mu
-		}
-	}
-	if best == nil {
-		return nil, 0, nil, fmt.Errorf("could not reach %d sensors", q)
-	}
-	sel := best.Select(threshold)
-	if len(sel) > q {
-		sort.Slice(sel, func(a, b int) bool { return best.GroupNorms[sel[a]] > best.GroupNorms[sel[b]] })
-		sel = sel[:q]
-		sort.Ints(sel)
-	}
-	return sel, bestMu, b, nil
+	sel, _, mu, err := lasso.NewPathSolver(z, g, lasso.Options{MaxIter: 3000, Tol: 1e-7}).SelectCount(q, threshold)
+	return sel, mu, b, err
 }

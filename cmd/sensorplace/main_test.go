@@ -122,3 +122,36 @@ func TestRunFlagConflicts(t *testing.T) {
 		})
 	}
 }
+
+// TestRunCountTargeting drives the group-lasso count placement, dense and in
+// a rank-3 POD basis of the monitored nodes: both must land on the requested
+// count, and the reduced run must report its basis rank for the selection
+// and for the refit.
+func TestRunCountTargeting(t *testing.T) {
+	xPath, fPath := synthData(t)
+	cases := []struct {
+		name string
+		args []string
+		want []string
+	}{
+		{"dense", nil, []string{"count targeting reached 4 sensors (μ="}},
+		{"rank 3", []string{"-rank", "3"}, []string{
+			"count targeting reached 4 sensors (μ=", "POD rank 3,",
+			"refit in POD coefficient space (rank 3,",
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			args := append([]string{"-x", xPath, "-f", fPath, "-count", "4"}, tc.args...)
+			if err := run(args, &out); err != nil {
+				t.Fatalf("%v\n%s", err, out.String())
+			}
+			for _, w := range append(tc.want, "held-out relative prediction error") {
+				if !strings.Contains(out.String(), w) {
+					t.Errorf("missing %q in output:\n%s", w, out.String())
+				}
+			}
+		})
+	}
+}

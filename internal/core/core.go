@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 
+	"voltsense/internal/basis"
 	"voltsense/internal/lasso"
 	"voltsense/internal/mat"
 	"voltsense/internal/ols"
@@ -71,11 +72,20 @@ type Placement struct {
 // mean and unit variance (Step 3), solve the constrained problem Eq. 12
 // (Step 4), and threshold the group norms (Step 5).
 func PlaceSensors(ds *Dataset, cfg Config) (*Placement, error) {
+	pl, _, err := placeSensors(ds, cfg, nil)
+	return pl, err
+}
+
+// placeSensors is the body of PlaceSensors and PlaceSensorsReduced. With bc
+// set, the standardized targets are projected onto a POD basis fitted to
+// them before the solve, and the basis is returned. The solve is the first
+// SolveConstrained of a fresh path solver: FISTA from zero, no screening.
+func placeSensors(ds *Dataset, cfg Config, bc *basis.Config) (*Placement, *basis.Basis, error) {
 	if err := ds.Check(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if cfg.Lambda < 0 {
-		return nil, fmt.Errorf("core: negative lambda %v", cfg.Lambda)
+		return nil, nil, fmt.Errorf("core: negative lambda %v", cfg.Lambda)
 	}
 	thr := cfg.Threshold
 	if thr == 0 {
@@ -83,9 +93,19 @@ func PlaceSensors(ds *Dataset, cfg Config) (*Placement, error) {
 	}
 	z, xStd := mat.Standardize(ds.X)
 	g, fStd := mat.Standardize(ds.F)
-	res, err := lasso.SolveConstrained(z, g, cfg.Lambda, cfg.Solver)
+	var b *basis.Basis
+	if bc != nil {
+		var err error
+		if b, err = basis.Fit(g, *bc); err != nil {
+			return nil, nil, fmt.Errorf("core: target basis: %w", err)
+		}
+		if g, err = b.Project(g); err != nil {
+			return nil, nil, fmt.Errorf("core: target projection: %w", err)
+		}
+	}
+	res, _, err := lasso.NewPathSolver(z, g, cfg.Solver).SolveConstrained(cfg.Lambda)
 	if err != nil && !errors.Is(err, lasso.ErrDidNotConverge) {
-		return nil, fmt.Errorf("core: group lasso: %w", err)
+		return nil, nil, fmt.Errorf("core: group lasso: %w", err)
 	}
 	return &Placement{
 		Lambda:     cfg.Lambda,
@@ -95,47 +115,7 @@ func PlaceSensors(ds *Dataset, cfg Config) (*Placement, error) {
 		GL:         res,
 		XStd:       xStd,
 		FStd:       fStd,
-	}, nil
-}
-
-// PlaceSensorsPath runs the Step 2-5 selection at every budget in lambdas
-// with one shared Gram and warm starts carried between points (descending λ
-// internally; results in input order). Each returned Placement is equivalent
-// to an independent PlaceSensors call at that λ — the path layer's screening
-// is KKT-verified — at a fraction of the cost, which is what the Table 1 /
-// Figure 1 sweeps and the λ-grid CLI workflows want. cfg.Lambda is ignored.
-func PlaceSensorsPath(ds *Dataset, lambdas []float64, cfg Config) ([]*Placement, error) {
-	if err := ds.Check(); err != nil {
-		return nil, err
-	}
-	for _, l := range lambdas {
-		if l < 0 {
-			return nil, fmt.Errorf("core: negative lambda %v", l)
-		}
-	}
-	thr := cfg.Threshold
-	if thr == 0 {
-		thr = DefaultThreshold
-	}
-	z, xStd := mat.Standardize(ds.X)
-	g, fStd := mat.Standardize(ds.F)
-	points, err := lasso.SolvePath(z, g, lambdas, cfg.Solver)
-	if err != nil && !errors.Is(err, lasso.ErrDidNotConverge) {
-		return nil, fmt.Errorf("core: group lasso path: %w", err)
-	}
-	out := make([]*Placement, len(points))
-	for i, pt := range points {
-		out[i] = &Placement{
-			Lambda:     pt.Lambda,
-			Threshold:  thr,
-			Selected:   pt.Result.Select(thr),
-			GroupNorms: pt.Result.GroupNorms,
-			GL:         pt.Result,
-			XStd:       xStd,
-			FStd:       fStd,
-		}
-	}
-	return out, nil
+	}, b, nil
 }
 
 // Predictor is the runtime model of Eq. 20: f* = αˢ·xˢ + c evaluated on the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"voltsense/internal/basis"
-	"voltsense/internal/lasso"
 	"voltsense/internal/mat"
 	"voltsense/internal/ols"
 )
@@ -22,98 +21,16 @@ type ReducedPlacement struct {
 	Basis *basis.Basis // POD basis of the standardized critical targets
 }
 
-// fitTargetBasis standardizes the dataset and projects the critical targets
-// onto a POD basis — the shared front half of the reduced placement entry
-// points.
-func fitTargetBasis(ds *Dataset, bc basis.Config) (z, w *mat.Matrix, xStd, fStd *mat.Standardization, b *basis.Basis, err error) {
-	if err = ds.Check(); err != nil {
-		return
-	}
-	z, xStd = mat.Standardize(ds.X)
-	g, fStd := mat.Standardize(ds.F)
-	b, err = basis.Fit(g, bc)
-	if err != nil {
-		err = fmt.Errorf("core: target basis: %w", err)
-		return
-	}
-	w, err = b.Project(g)
-	if err != nil {
-		err = fmt.Errorf("core: target projection: %w", err)
-	}
-	return z, w, xStd, fStd, b, err
-}
-
 // PlaceSensorsReduced is PlaceSensors with the Step 4 solve run in the
 // r-dimensional POD coefficient space of the standardized critical targets:
 // every FISTA iteration costs O(r·M²) instead of O(K·M²). bc picks the rank
 // (exact Rank or an Energy fraction); cfg is interpreted as in PlaceSensors.
 func PlaceSensorsReduced(ds *Dataset, cfg Config, bc basis.Config) (*ReducedPlacement, error) {
-	if cfg.Lambda < 0 {
-		return nil, fmt.Errorf("core: negative lambda %v", cfg.Lambda)
-	}
-	thr := cfg.Threshold
-	if thr == 0 {
-		thr = DefaultThreshold
-	}
-	z, w, xStd, fStd, b, err := fitTargetBasis(ds, bc)
+	pl, b, err := placeSensors(ds, cfg, &bc)
 	if err != nil {
 		return nil, err
 	}
-	res, err := lasso.SolveConstrained(z, w, cfg.Lambda, cfg.Solver)
-	if err != nil && !errors.Is(err, lasso.ErrDidNotConverge) {
-		return nil, fmt.Errorf("core: reduced group lasso: %w", err)
-	}
-	return &ReducedPlacement{
-		Placement: &Placement{
-			Lambda:     cfg.Lambda,
-			Threshold:  thr,
-			Selected:   res.Select(thr),
-			GroupNorms: res.GroupNorms,
-			GL:         res,
-			XStd:       xStd,
-			FStd:       fStd,
-		},
-		Basis: b,
-	}, nil
-}
-
-// PlaceSensorsPathReduced is PlaceSensorsPath in the POD coefficient space:
-// one shared Gram, warm starts and screening across the λ sweep, with every
-// per-target cost scaled by r/K. cfg.Lambda is ignored.
-func PlaceSensorsPathReduced(ds *Dataset, lambdas []float64, cfg Config, bc basis.Config) ([]*ReducedPlacement, error) {
-	for _, l := range lambdas {
-		if l < 0 {
-			return nil, fmt.Errorf("core: negative lambda %v", l)
-		}
-	}
-	thr := cfg.Threshold
-	if thr == 0 {
-		thr = DefaultThreshold
-	}
-	z, w, xStd, fStd, b, err := fitTargetBasis(ds, bc)
-	if err != nil {
-		return nil, err
-	}
-	points, err := lasso.SolvePath(z, w, lambdas, cfg.Solver)
-	if err != nil && !errors.Is(err, lasso.ErrDidNotConverge) {
-		return nil, fmt.Errorf("core: reduced group lasso path: %w", err)
-	}
-	out := make([]*ReducedPlacement, len(points))
-	for i, pt := range points {
-		out[i] = &ReducedPlacement{
-			Placement: &Placement{
-				Lambda:     pt.Lambda,
-				Threshold:  thr,
-				Selected:   pt.Result.Select(thr),
-				GroupNorms: pt.Result.GroupNorms,
-				GL:         pt.Result,
-				XStd:       xStd,
-				FStd:       fStd,
-			},
-			Basis: b,
-		}
-	}
-	return out, nil
+	return &ReducedPlacement{Placement: pl, Basis: b}, nil
 }
 
 // BuildReducedPredictor runs the Step 6-8 refit in POD coefficient space:

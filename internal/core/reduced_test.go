@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"voltsense/internal/basis"
@@ -10,55 +11,27 @@ import (
 
 // TestReducedFullRankMatchesDense is the golden equivalence satellite: at
 // r = K the POD basis is a square orthogonal rotation of the targets, FISTA
-// commutes with it, and the reduced path must reproduce the dense sensor
-// selections exactly — same dataset, same λ values, same solver options.
+// commutes with it, and the reduced placement must reproduce the dense
+// sensor selections exactly — same dataset, same λ values, same solver
+// options.
 func TestReducedFullRankMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	trueIdx := []int{3, 11, 19}
 	ds := syntheticDataset(rng, 24, 6, 600, trueIdx, 0.001)
-	lambdas := []float64{4, 3, 2}
-
-	dense, err := PlaceSensorsPath(ds, lambdas, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reduced, err := PlaceSensorsPathReduced(ds, lambdas, Config{}, basis.Config{Rank: ds.F.Rows()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dense) != len(reduced) {
-		t.Fatalf("%d dense points vs %d reduced", len(dense), len(reduced))
-	}
-	for i := range dense {
-		d, r := dense[i].Selected, reduced[i].Selected
-		if len(d) != len(r) {
-			t.Fatalf("λ=%v: dense selected %v, reduced %v", dense[i].Lambda, d, r)
+	for _, l := range []float64{4, 3, 2} {
+		dense, err := PlaceSensors(ds, Config{Lambda: l})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for j := range d {
-			if d[j] != r[j] {
-				t.Fatalf("λ=%v: dense selected %v, reduced %v", dense[i].Lambda, d, r)
-			}
+		reduced, err := PlaceSensorsReduced(ds, Config{Lambda: l}, basis.Config{Rank: ds.F.Rows()})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if reduced[i].Basis.Rank() != ds.F.Rows() {
-			t.Fatalf("basis rank %d, want full %d", reduced[i].Basis.Rank(), ds.F.Rows())
+		if !slices.Equal(dense.Selected, reduced.Selected) {
+			t.Fatalf("λ=%v: dense selected %v, reduced %v", l, dense.Selected, reduced.Selected)
 		}
-	}
-
-	// Single-λ entry point agrees too.
-	dp, err := PlaceSensors(ds, Config{Lambda: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := PlaceSensorsReduced(ds, Config{Lambda: 3}, basis.Config{Rank: ds.F.Rows()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dp.Selected) != len(rp.Selected) {
-		t.Fatalf("single λ: dense %v, reduced %v", dp.Selected, rp.Selected)
-	}
-	for j := range dp.Selected {
-		if dp.Selected[j] != rp.Selected[j] {
-			t.Fatalf("single λ: dense %v, reduced %v", dp.Selected, rp.Selected)
+		if reduced.Basis.Rank() != ds.F.Rows() {
+			t.Fatalf("basis rank %d, want full %d", reduced.Basis.Rank(), ds.F.Rows())
 		}
 	}
 }

@@ -79,7 +79,7 @@ func (p *Pipeline) AblationPlainLasso(q int) (*SelectionComparison, error) {
 		if err != nil && !errors.Is(err, lasso.ErrDidNotConverge) {
 			return nil, fmt.Errorf("experiments: plain lasso output %d: %w", k, err)
 		}
-		for _, m := range r.Select(p.Cfg.Threshold) {
+		for _, m := range r.Select(p.threshold()) {
 			votes[m] += 1 + r.GroupNorms[m] // count + strength tie-break
 		}
 	}
@@ -203,9 +203,12 @@ func (p *Pipeline) AblationSensorsInFA(q int) (*FASensorResult, error) {
 	extGL := stackRows(ds.X, ds.F)
 	extTrain := stackRows(trainDS.X, trainDS.F)
 	extTest := stackRows(testDS.X, testDS.F)
-	sel, err := placeCount(extGL, ds.F, q, p.Cfg.Threshold, p.Cfg.Solver)
+	// Count-targeted selection over the extended pool, configured like the
+	// BA-only side's core solver.
+	ps := lasso.NewPathSolver(standardizeX(extGL), standardizeF(ds.F), p.placementSolver())
+	sel, _, _, err := ps.SelectCount(q, p.threshold())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: FA placement: %w", err)
 	}
 	extPred, err := core.BuildPredictor(&core.Dataset{X: extTrain, F: trainDS.F}, sel)
 	if err != nil {
@@ -220,61 +223,6 @@ func (p *Pipeline) AblationSensorsInFA(q int) (*FASensorResult, error) {
 		}
 	}
 	return &FASensorResult{Q: q, RelErrBAOnly: baErr, RelErrWithFA: extErr, FASelected: fa}, nil
-}
-
-// placeCount is a standalone count-targeted group-lasso selection over an
-// arbitrary candidate matrix (the pipeline method is bound to per-core BA
-// pools).
-func placeCount(x, f *mat.Matrix, q int, threshold float64, opts lasso.Options) ([]int, error) {
-	z := standardizeX(x)
-	g := standardizeF(f)
-	muMax := 0.0
-	k := g.Rows()
-	u := make([]float64, k)
-	for j := 0; j < z.Rows(); j++ {
-		zj := z.Row(j)
-		for i := 0; i < k; i++ {
-			u[i] = mat.Dot(g.Row(i), zj)
-		}
-		if n := mat.Norm2(u); n > muMax {
-			muMax = n
-		}
-	}
-	if opts.MaxIter < 3000 {
-		opts.MaxIter = 3000
-	}
-	lo, hi := 0.0, muMax
-	var best *lasso.Result
-	bestCount := -1
-	for it := 0; it < 40; it++ {
-		mu := (lo + hi) / 2
-		r, err := lasso.SolvePenalized(z, g, mu, opts)
-		if err != nil && !errors.Is(err, lasso.ErrDidNotConverge) {
-			return nil, err
-		}
-		n := len(r.Select(threshold))
-		if n >= q && (bestCount < 0 || n < bestCount) {
-			best, bestCount = r, n
-		}
-		if n == q {
-			break
-		}
-		if n > q {
-			lo = mu
-		} else {
-			hi = mu
-		}
-	}
-	if best == nil {
-		return nil, errors.New("experiments: count targeting failed")
-	}
-	sel := best.Select(threshold)
-	if len(sel) > q {
-		sort.Slice(sel, func(a, b int) bool { return best.GroupNorms[sel[a]] > best.GroupNorms[sel[b]] })
-		sel = sel[:q]
-		sort.Ints(sel)
-	}
-	return sel, nil
 }
 
 func standardizeX(x *mat.Matrix) *mat.Matrix {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -71,5 +72,40 @@ func TestAblationSensorsInFA(t *testing.T) {
 	}
 	if d.FASelected == 0 {
 		t.Log("note: no FA site selected; BA correlation already sufficient")
+	}
+}
+
+// TestAblationsThresholdZeroMeansDefault: Threshold 0 means
+// core.DefaultThreshold on both sides of the plain-lasso and FA-sensor
+// comparisons, exactly as it does for the group-lasso count placement they
+// compare against.
+func TestAblationsThresholdZeroMeansDefault(t *testing.T) {
+	type result struct {
+		fa    *FASensorResult
+		plain *SelectionComparison
+	}
+	run := func(threshold float64) result {
+		cfg := tinyConfig()
+		cfg.Threshold = threshold
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fa, err := p.AblationSensorsInFA(4)
+		if err != nil {
+			t.Fatalf("Threshold %g: FA ablation: %v", threshold, err)
+		}
+		plain, err := p.AblationPlainLasso(4)
+		if err != nil {
+			t.Fatalf("Threshold %g: plain-lasso ablation: %v", threshold, err)
+		}
+		return result{fa, plain}
+	}
+	explicit, zero := run(1e-3), run(0)
+	if !reflect.DeepEqual(explicit.fa, zero.fa) {
+		t.Errorf("FA ablation: Threshold 1e-3 gives %+v, Threshold 0 gives %+v", *explicit.fa, *zero.fa)
+	}
+	if !reflect.DeepEqual(explicit.plain, zero.plain) {
+		t.Errorf("plain lasso: Threshold 1e-3 gives %+v, Threshold 0 gives %+v", *explicit.plain, *zero.plain)
 	}
 }

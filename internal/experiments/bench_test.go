@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
 	"voltsense/internal/basis"
 	"voltsense/internal/core"
+	"voltsense/internal/lasso"
+	"voltsense/internal/mat"
 )
 
 // The placement benchmarks share one built pipeline: collection cost is
@@ -122,27 +125,34 @@ func BenchmarkPlaceChipReduced(b *testing.B) {
 
 // BenchmarkPlaceChipPathDense vs BenchmarkPlaceChipPathReduced: the full
 // chip-joint λ path, where the one-time basis fit amortizes across the
-// sweep and the per-iteration O(r/K) saving compounds.
-func BenchmarkPlaceChipPathDense(b *testing.B) {
-	p := benchPipeline(b)
-	ds := p.chipTrainDataset()
-	cfg := core.Config{Threshold: p.threshold(), Solver: p.Cfg.Solver}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.PlaceSensorsPath(ds, chipBenchLambdas, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// sweep and the per-iteration O(r/K) saving compounds. Each iteration
+// standardizes the chip-joint dataset, optionally projects the targets onto
+// a 99%-energy POD basis, and drives one path solver down the ladder.
+func BenchmarkPlaceChipPathDense(b *testing.B) { benchChipPath(b, false) }
 
-func BenchmarkPlaceChipPathReduced(b *testing.B) {
+func BenchmarkPlaceChipPathReduced(b *testing.B) { benchChipPath(b, true) }
+
+func benchChipPath(b *testing.B, reduced bool) {
 	p := benchPipeline(b)
 	ds := p.chipTrainDataset()
-	cfg := core.Config{Threshold: p.threshold(), Solver: p.Cfg.Solver}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.PlaceSensorsPathReduced(ds, chipBenchLambdas, cfg, basis.Config{Energy: 0.99}); err != nil {
-			b.Fatal(err)
+		z, _ := mat.Standardize(ds.X)
+		g, _ := mat.Standardize(ds.F)
+		if reduced {
+			bs, err := basis.Fit(g, basis.Config{Energy: 0.99})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if g, err = bs.Project(g); err != nil {
+				b.Fatal(err)
+			}
+		}
+		ps := lasso.NewPathSolver(z, g, p.Cfg.Solver)
+		for _, l := range chipBenchLambdas {
+			if _, _, err := ps.SolveConstrained(l); err != nil && !errors.Is(err, lasso.ErrDidNotConverge) {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -27,7 +27,7 @@ func (p *Pipeline) Figure1(lambdas ...float64) (*Fig1Data, error) {
 	if len(lambdas) == 0 {
 		lambdas = []float64{2, 4}
 	}
-	d := &Fig1Data{Core: 0, Lambdas: lambdas, Threshold: p.Cfg.Threshold}
+	d := &Fig1Data{Core: 0, Lambdas: lambdas, Threshold: p.threshold()}
 	pls, err := p.PlaceCorePath(0, lambdas)
 	if err != nil {
 		return nil, err

@@ -44,7 +44,6 @@ type corePathState struct {
 	mu      sync.Mutex
 	ps      *lasso.PathSolver
 	candIdx []int
-	m       int // candidate count for this core
 }
 
 // corePath returns core c's path state with its mutex HELD; the caller must
@@ -63,19 +62,22 @@ func (p *Pipeline) corePath(c int) *corePathState {
 		ds, candIdx := p.glTrainDataset(c)
 		z, _ := mat.Standardize(ds.X)
 		g, _ := mat.Standardize(ds.F)
-		// Selection needs the support, not a polished optimum, and the count
-		// bisection in particular tolerates hitting the iteration ceiling, so
-		// give the shared solver the same headroom the old per-call bisection
-		// used.
-		opts := p.Cfg.Solver
-		if opts.MaxIter < 3000 {
-			opts.MaxIter = 3000
-		}
-		st.ps = lasso.NewPathSolver(z, g, opts)
+		st.ps = lasso.NewPathSolver(z, g, p.placementSolver())
 		st.candIdx = candIdx
-		st.m = ds.X.Rows()
 	}
 	return st
+}
+
+// placementSolver is the pipeline's solver configuration with the headroom
+// placement needs: selection wants the support, not a polished optimum, and
+// the count bisection in particular tolerates hitting the iteration
+// ceiling, so the ceiling is raised to at least 3000.
+func (p *Pipeline) placementSolver() lasso.Options {
+	opts := p.Cfg.Solver
+	if opts.MaxIter < 3000 {
+		opts.MaxIter = 3000
+	}
+	return opts
 }
 
 func (p *Pipeline) threshold() float64 {
@@ -96,17 +98,6 @@ func (p *Pipeline) storePlacement(key placeKey, pl *CorePlacement) {
 	p.placeMu.Lock()
 	p.placeCache[key] = pl
 	p.placeMu.Unlock()
-}
-
-// PlaceCore runs the paper's group-lasso selection on core c's candidates at
-// budget lambda. Results are cached per (core, λ); concurrent callers are
-// safe.
-func (p *Pipeline) PlaceCore(c int, lambda float64) (*CorePlacement, error) {
-	pls, err := p.PlaceCorePath(c, []float64{lambda})
-	if err != nil {
-		return nil, err
-	}
-	return pls[0], nil
 }
 
 // PlaceCorePath places core c's sensors at every budget in lambdas through
@@ -153,67 +144,25 @@ func (p *Pipeline) PlaceCorePath(c int, lambdas []float64) ([]*CorePlacement, er
 	return out, nil
 }
 
-// PlaceCoreCount finds a per-core placement with exactly q sensors by
-// bisecting the penalized group-lasso multiplier μ (sensor count is monotone
-// in μ) and trimming to the top-q group norms when the count cannot land
-// exactly. Every bisection step reuses the core's path solver — one Gram for
-// the whole search, each solve warm-started from the previous midpoint —
-// and results are cached per (core, q).
+// PlaceCoreCount finds a per-core placement with exactly q sensors through
+// the core's path solver's count bisection (PathSolver.SelectCount): one
+// Gram for the whole search, each midpoint warm-started from the last.
+// Results are cached per (core, q).
 func (p *Pipeline) PlaceCoreCount(c, q int) (*CorePlacement, error) {
 	if pl, ok := p.cachedPlacement(countKey(c, q)); ok {
 		return pl, nil
 	}
-	if q < 1 {
-		return nil, fmt.Errorf("experiments: sensor count %d must be positive", q)
-	}
 	st := p.corePath(c)
 	defer st.mu.Unlock()
-	if q > st.m {
-		return nil, fmt.Errorf("experiments: core %d has %d candidates, cannot place %d", c, st.m, q)
-	}
-	thr := p.threshold()
-	count := func(r *lasso.Result) int { return len(r.Select(thr)) }
-
-	lo, hi := 0.0, st.ps.MuMax() // count(lo) = max, count(hi) = 0
-	var best *lasso.Result
-	bestCount := -1
-	for it := 0; it < 40; it++ {
-		mu := (lo + hi) / 2
-		r, _, err := st.ps.SolvePenalized(mu)
-		if err != nil && !errors.Is(err, lasso.ErrDidNotConverge) {
-			return nil, fmt.Errorf("experiments: core %d q=%d: %w", c, q, err)
-		}
-		n := count(r)
-		// Track the tightest solution with at least q sensors.
-		if n >= q && (bestCount < 0 || n < bestCount) {
-			best, bestCount = r, n
-		}
-		if n == q {
-			break
-		}
-		if n > q {
-			lo = mu
-		} else {
-			hi = mu
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("experiments: core %d: could not reach %d sensors", c, q)
-	}
-	sel := best.Select(thr)
-	if len(sel) > q {
-		// Keep the q strongest groups.
-		sort.Slice(sel, func(a, b int) bool {
-			return best.GroupNorms[sel[a]] > best.GroupNorms[sel[b]]
-		})
-		sel = sel[:q]
-		sort.Ints(sel)
+	sel, res, _, err := st.ps.SelectCount(q, p.threshold())
+	if err != nil {
+		return nil, fmt.Errorf("experiments: core %d: %w", c, err)
 	}
 	out := &CorePlacement{
 		Core:       c,
 		LocalIdx:   sel,
 		CandIdx:    mapIdx(st.candIdx, sel),
-		GroupNorms: best.GroupNorms,
+		GroupNorms: res.GroupNorms,
 	}
 	p.storePlacement(countKey(c, q), out)
 	return out, nil
@@ -264,16 +213,6 @@ func (p *Pipeline) ChipPlacementCount(q int) ([]*CorePlacement, []int, error) {
 		return nil, nil, err
 	}
 	return all, unionOf(all), nil
-}
-
-// ChipPlacementLambda places sensors in every core at budget λ and returns
-// the per-core placements plus the union of global candidate indices.
-func (p *Pipeline) ChipPlacementLambda(lambda float64) ([]*CorePlacement, []int, error) {
-	byLambda, err := p.ChipPlacementPath([]float64{lambda})
-	if err != nil {
-		return nil, nil, err
-	}
-	return byLambda[0], unionOf(byLambda[0]), nil
 }
 
 // ChipPlacementPath runs every core's full λ path — cores concurrent, each

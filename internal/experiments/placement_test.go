@@ -23,22 +23,18 @@ func intsEqual(a, b []int) bool {
 // TestPathPlacementMatchesColdPlaceSensors pins the tentpole equivalence at
 // the pipeline level: the warm-started, screened path placements must select
 // exactly the sensors an independent cold core.PlaceSensors solve picks for
-// every (core, λ) cell of the sweep.
+// every (core, λ) cell of the sweep. The budgets are deliberately unsorted:
+// PlaceCorePath solves them densest first and must return them in input
+// order.
 func TestPathPlacementMatchesColdPlaceSensors(t *testing.T) {
 	p, err := New(tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	lambdas := []float64{4, 2}
+	lambdas := []float64{2, 4, 3}
 	byLambda, err := p.ChipPlacementPath(lambdas)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// Mirror corePath's solver headroom so the cold reference optimizes the
-	// same problem to the same tolerance.
-	opts := p.Cfg.Solver
-	if opts.MaxIter < 3000 {
-		opts.MaxIter = 3000
 	}
 	for li, l := range lambdas {
 		for c := range p.Chip.Cores {
@@ -46,7 +42,7 @@ func TestPathPlacementMatchesColdPlaceSensors(t *testing.T) {
 			cold, err := core.PlaceSensors(ds, core.Config{
 				Lambda:    l,
 				Threshold: p.Cfg.Threshold,
-				Solver:    opts,
+				Solver:    p.placementSolver(), // the core solvers' options
 			})
 			if err != nil {
 				t.Fatalf("cold core %d λ=%g: %v", c, l, err)
@@ -61,6 +57,15 @@ func TestPathPlacementMatchesColdPlaceSensors(t *testing.T) {
 			}
 		}
 	}
+}
+
+// placeCoreAt places core c's sensors at the single budget lambda.
+func placeCoreAt(p *Pipeline, c int, lambda float64) (*CorePlacement, error) {
+	pls, err := p.PlaceCorePath(c, []float64{lambda})
+	if err != nil {
+		return nil, err
+	}
+	return pls[0], nil
 }
 
 // TestConcurrentPlacementConsistent hammers the placement cache and the
@@ -106,7 +111,7 @@ func TestConcurrentPlacementConsistent(t *testing.T) {
 		if q.byCount {
 			pl, err = serial.PlaceCoreCount(q.core, q.count)
 		} else {
-			pl, err = serial.PlaceCore(q.core, q.lambda)
+			pl, err = placeCoreAt(serial, q.core, q.lambda)
 		}
 		if err != nil {
 			t.Fatalf("serial %+v: %v", q, err)
@@ -128,7 +133,7 @@ func TestConcurrentPlacementConsistent(t *testing.T) {
 				if q.byCount {
 					pl, err = conc.PlaceCoreCount(q.core, q.count)
 				} else {
-					pl, err = conc.PlaceCore(q.core, q.lambda)
+					pl, err = placeCoreAt(conc, q.core, q.lambda)
 				}
 				if err != nil {
 					errCh <- fmt.Errorf("concurrent %+v: %w", q, err)

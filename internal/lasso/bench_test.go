@@ -12,16 +12,17 @@ func benchProblem(k, m, n int) (*mat.Matrix, *mat.Matrix) {
 	return randn(rng, m, n), randn(rng, k, n)
 }
 
-// BenchmarkSolveConstrained covers the full solve — Gram build, FISTA
-// iterations, group norms. allocs/op is the guard: it must stay proportional
-// to the fixed workspace setup, not to the iteration count.
+// BenchmarkSolveConstrained covers the full cold solve through a fresh path
+// solver — Gram build, FISTA iterations, group norms. allocs/op is the
+// guard: it must stay proportional to the fixed workspace setup, not to the
+// iteration count.
 func BenchmarkSolveConstrained(b *testing.B) {
 	z, g := benchProblem(8, 60, 600)
 	opt := Options{MaxIter: 300, Tol: 1e-8}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveConstrained(z, g, 6, opt); err != nil {
+		if _, _, err := NewPathSolver(z, g, opt).SolveConstrained(6); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -33,7 +34,7 @@ func BenchmarkFistaIterate(b *testing.B) {
 	z, g := benchProblem(8, 60, 600)
 	defer mat.SetParallelism(mat.SetParallelism(1))
 	gr := newGram(z, g)
-	st := newFistaState(gr, g.Rows(), z.Rows(), 6)
+	st := newFistaState(gr, mat.Zeros(g.Rows(), z.Rows()), 6, 1/gr.lipschitz())
 	st.iterate()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -57,9 +58,9 @@ func BenchmarkSolvePenalized(b *testing.B) {
 // benchLambdas is the Table 1 budget grid the placement pipeline sweeps.
 var benchLambdas = []float64{8, 6, 5, 4, 3, 2}
 
-// BenchmarkSolvePathCold is the pre-path baseline: one independent
-// SolveConstrained per budget, each rebuilding the Gram and starting FISTA
-// from zero — exactly what PlaceCore did per λ before the path solver.
+// BenchmarkSolvePathCold is the pre-path baseline: a fresh path solver per
+// budget, each rebuilding the Gram and starting FISTA from zero — exactly
+// what every placement did per λ before the path solver.
 func BenchmarkSolvePathCold(b *testing.B) {
 	z, g := benchProblem(8, 60, 600)
 	opt := Options{MaxIter: 2000, Tol: 1e-8}
@@ -67,24 +68,27 @@ func BenchmarkSolvePathCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, l := range benchLambdas {
-			if _, err := SolveConstrained(z, g, l, opt); err != nil {
+			if _, _, err := NewPathSolver(z, g, opt).SolveConstrained(l); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 }
 
-// BenchmarkSolvePathWarm sweeps the same budgets through SolvePath: one Gram,
-// warm starts between points, screening ahead of each solve. benchreport
-// pairs this against BenchmarkSolvePathCold.
+// BenchmarkSolvePathWarm drives one path solver down the same budgets: one
+// Gram, warm starts between points, screening ahead of each solve.
+// benchreport pairs this against BenchmarkSolvePathCold.
 func BenchmarkSolvePathWarm(b *testing.B) {
 	z, g := benchProblem(8, 60, 600)
 	opt := Options{MaxIter: 2000, Tol: 1e-8}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolvePath(z, g, benchLambdas, opt); err != nil {
-			b.Fatal(err)
+		ps := NewPathSolver(z, g, opt)
+		for _, l := range benchLambdas {
+			if _, _, err := ps.SolveConstrained(l); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

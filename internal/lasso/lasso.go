@@ -7,18 +7,24 @@
 // normalized block-voltage samples, and β_m the m-th column of the K-by-M
 // coefficient matrix — the group tying candidate m to every output.
 //
-// Two independent solvers are provided:
+// Every placement solves through one PathSolver (path.go), which holds the
+// Gram statistics of one instance:
 //
-//   - SolveConstrained: accelerated projected gradient (FISTA) on the
-//     constrained problem itself, using the exact Euclidean projection onto
-//     the group-norm ball (an ℓ₁-ball projection on the vector of group
-//     norms, Duchi et al. 2008). This is the production path: its λ is
-//     exactly the paper's λ.
-//   - SolvePenalized: block coordinate descent on the Lagrangian form
-//     ½‖G−βZ‖_F² + μ Σ‖β_m‖₂ with closed-form group soft-threshold updates.
-//     By convex duality the two formulations trace the same solution path;
-//     the test suite exercises that equivalence, and the penalized form
-//     doubles as a plain per-output lasso when K = 1.
+//   - PathSolver.SolveConstrained is the production path: accelerated
+//     projected gradient (FISTA) on the constrained problem itself, using
+//     the exact Euclidean projection onto the group-norm ball (an ℓ₁-ball
+//     projection on the vector of group norms, Duchi et al. 2008), so its λ
+//     is exactly the paper's λ. A fresh solver's first solve starts from
+//     zero without screening; later solves are warm-started and screened.
+//   - PathSolver.SolvePenalized runs block coordinate descent on the
+//     Lagrangian form ½‖G−βZ‖_F² + μ Σ‖β_m‖₂ with closed-form group
+//     soft-threshold updates, and PathSolver.SelectCount bisects its μ for
+//     a target sensor count.
+//
+// The package-level SolvePenalized and SolvePenalizedForBudget are the same
+// block coordinate descent from a cold start on every call: the plain
+// per-output lasso ablation (K = 1) rests on them, and the test suite uses
+// them to check that the two formulations trace the same solution path.
 //
 // The paper reformulates Eq. 12 as an SOCP for an interior-point solver;
 // first-order methods reach the same KKT points and need no cone machinery,
@@ -207,15 +213,6 @@ func (w *projWS) projectGroupBall(beta *mat.Matrix, radius float64) {
 	}
 }
 
-// ProjectGroupBall projects beta in place onto {β : Σ_m ‖β_m‖₂ ≤ radius}:
-// each column is rescaled to the ℓ₁-projected value of its norm.
-func ProjectGroupBall(beta *mat.Matrix, radius float64) {
-	if radius < 0 {
-		panic(fmt.Sprintf("lasso: negative radius %v", radius))
-	}
-	newProjWS(beta.Cols()).projectGroupBall(beta, radius)
-}
-
 // gram holds the sufficient statistics of a group-lasso instance: both
 // solvers work entirely from ZZᵀ (M-by-M) and GZᵀ (K-by-M) — the
 // "covariance trick" — so per-iteration cost is independent of the sample
@@ -293,18 +290,24 @@ type fistaState struct {
 	proj *projWS
 }
 
-func newFistaState(gr *gram, k, m int, lambda float64) *fistaState {
-	return &fistaState{
+// newFistaState starts FISTA from beta (taken over as the first iterate) with
+// the given step. A warm start may sit outside the ball; the first
+// projection pulls it back, so feasibility holds from iteration one onward.
+func newFistaState(gr *gram, beta *mat.Matrix, lambda, step float64) *fistaState {
+	k, m := beta.Rows(), beta.Cols()
+	st := &fistaState{
 		gr:     gr,
 		lambda: lambda,
-		step:   1 / gr.lipschitz(),
+		step:   step,
 		tk:     1,
-		beta:   mat.Zeros(k, m),
+		beta:   beta,
 		next:   mat.Zeros(k, m),
-		y:      mat.Zeros(k, m),
 		grad:   mat.Zeros(k, m),
 		proj:   newProjWS(m),
 	}
+	st.proj.projectGroupBall(beta, lambda)
+	st.y = beta.Clone()
+	return st
 }
 
 // iterate performs one accelerated projected-gradient step and returns the
@@ -339,41 +342,6 @@ func (f *fistaState) iterate() float64 {
 		base = 1
 	}
 	return math.Sqrt(diffSq) / base
-}
-
-// SolveConstrained solves the paper's Eq. 12 with accelerated projected
-// gradient. Z is M-by-N (normalized candidates), G is K-by-N (normalized
-// outputs), lambda is the group-norm budget. All per-iteration buffers are
-// preallocated in a workspace, so the iteration loop itself does not touch
-// the heap; the Gram products and the gradient multiply run on the parallel
-// blocked kernels of package mat.
-func SolveConstrained(z, g *mat.Matrix, lambda float64, opt Options) (*Result, error) {
-	checkShapes(z, g)
-	if lambda < 0 {
-		panic(fmt.Sprintf("lasso: negative lambda %v", lambda))
-	}
-	opt = opt.withDefaults()
-	k, m := g.Rows(), z.Rows()
-
-	gr := newGram(z, g)
-	st := newFistaState(gr, k, m, lambda)
-
-	var iters int
-	for iters = 1; iters <= opt.MaxIter; iters++ {
-		if st.iterate() < opt.Tol {
-			break
-		}
-	}
-	beta := st.beta
-	res := &Result{Beta: beta, GroupNorms: groupNorms(beta), Iters: iters,
-		Objective: gr.objective(beta)}
-	if iters > opt.MaxIter {
-		res.Iters = opt.MaxIter
-		// Fall through with the best iterate; callers treat the tolerance
-		// as advisory for the selection use-case, but we still signal it.
-		return res, ErrDidNotConverge
-	}
-	return res, nil
 }
 
 // SolvePenalized solves the Lagrangian form
@@ -486,8 +454,9 @@ func BudgetOf(r *Result) float64 {
 
 // SolvePenalizedForBudget finds, by bisection on μ, a penalized solution
 // whose group-norm budget Σ‖β_m‖₂ matches the constrained radius lambda to
-// within rel tolerance. It is the duality bridge used to cross-check the two
-// solvers and to warm-start regularization paths.
+// within rel tolerance. Every midpoint is a cold solve. It is the duality
+// bridge the tests use to cross-check the two formulations, and the
+// per-output budget search of the plain-lasso ablation.
 func SolvePenalizedForBudget(z, g *mat.Matrix, lambda, rel float64, opt Options) (*Result, float64, error) {
 	if rel <= 0 {
 		rel = 1e-3

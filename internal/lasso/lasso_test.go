@@ -18,6 +18,13 @@ func randn(rng *rand.Rand, r, c int) *mat.Matrix {
 	return m
 }
 
+// solveConstrained is the cold constrained solve: a fresh path solver's
+// first SolveConstrained, FISTA from zero with no screening.
+func solveConstrained(z, g *mat.Matrix, lambda float64, opt Options) (*Result, error) {
+	res, _, err := NewPathSolver(z, g, opt).SolveConstrained(lambda)
+	return res, err
+}
+
 func sumSlice(x []float64) float64 {
 	s := 0.0
 	for _, v := range x {
@@ -139,7 +146,7 @@ func TestProjectGroupBallBudgetAndDirections(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	beta := randn(rng, 4, 6)
 	orig := beta.Clone()
-	ProjectGroupBall(beta, 1.5)
+	newProjWS(beta.Cols()).projectGroupBall(beta, 1.5)
 	norms := groupNorms(beta)
 	if s := sumSlice(norms); s > 1.5+1e-9 {
 		t.Fatalf("budget after projection = %v > 1.5", s)
@@ -162,7 +169,7 @@ func TestSolveConstrainedRespectsBudget(t *testing.T) {
 	z := randn(rng, 10, 200)
 	g := randn(rng, 4, 200)
 	for _, lambda := range []float64{0.1, 1, 5} {
-		r, err := SolveConstrained(z, g, lambda, Options{})
+		r, err := solveConstrained(z, g, lambda, Options{})
 		if err != nil {
 			t.Fatalf("lambda=%v: %v", lambda, err)
 		}
@@ -185,7 +192,7 @@ func TestSolveConstrainedRecoversSupport(t *testing.T) {
 		}
 	}
 	g := mat.Mul(truth, z)
-	r, err := SolveConstrained(z, g, 4, Options{MaxIter: 5000})
+	r, err := solveConstrained(z, g, 4, Options{MaxIter: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +228,7 @@ func TestPaperSection23Example(t *testing.T) {
 		g.Set(0, j, z1)
 		g.Set(1, j, z1)
 	}
-	r, err := SolveConstrained(z, g, 1, Options{MaxIter: 5000})
+	r, err := solveConstrained(z, g, 1, Options{MaxIter: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +293,7 @@ func TestSolversAgreeThroughDuality(t *testing.T) {
 	g = mat.Add(g, mat.Scale(0.05, noise))
 
 	lambda := 3.0
-	rc, err := SolveConstrained(z, g, lambda, Options{MaxIter: 8000, Tol: 1e-9})
+	rc, err := solveConstrained(z, g, lambda, Options{MaxIter: 8000, Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +330,7 @@ func TestMoreBudgetNeverHurtsObjective(t *testing.T) {
 	g := randn(rng, 3, 200)
 	prev := math.Inf(1)
 	for _, lambda := range []float64{0.2, 0.5, 1, 2, 4, 8} {
-		r, err := SolveConstrained(z, g, lambda, Options{MaxIter: 4000})
+		r, err := solveConstrained(z, g, lambda, Options{MaxIter: 4000})
 		if err != nil {
 			t.Fatalf("lambda=%v: %v", lambda, err)
 		}
@@ -346,7 +353,7 @@ func TestSolveConstrainedZeroLambda(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	z := randn(rng, 4, 50)
 	g := randn(rng, 2, 50)
-	r, err := SolveConstrained(z, g, 0, Options{})
+	r, err := solveConstrained(z, g, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,5 +368,5 @@ func TestShapeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	SolveConstrained(mat.Zeros(2, 10), mat.Zeros(2, 11), 1, Options{})
+	solveConstrained(mat.Zeros(2, 10), mat.Zeros(2, 11), 1, Options{})
 }

@@ -42,13 +42,6 @@ type PathStats struct {
 	Resolves int // KKT-safeguard re-solves (screened group re-admitted)
 }
 
-// PathPoint is one solved point of a regularization path.
-type PathPoint struct {
-	Lambda float64 // the budget λ (constrained) or multiplier μ (penalized)
-	Result *Result
-	Stats  PathStats
-}
-
 // screenMargin is the fraction of the warm-start multiplier below which the
 // sequential constrained-path heuristic drops an inactive group. It only
 // trades solve time (a dropped group that comes back costs a safeguard
@@ -275,10 +268,11 @@ func mergeViolations(keep, viol []int) []int {
 }
 
 // SolveConstrained solves the paper's Eq. 12 at budget lambda, warm-started
-// from the previous solve and screened when the path is descending. The
-// returned result is equivalent to a cold SolveConstrained call at the same
-// options: screened groups are verified against the KKT conditions of the
-// full problem and re-admitted (with a re-solve) on any violation.
+// from the previous solve and screened when the path is descending. On a
+// fresh solver it is a cold solve: FISTA from zero over every group. A later
+// result is equivalent to that cold solve at the same options: screened
+// groups are verified against the KKT conditions of the full problem and
+// re-admitted (with a re-solve) on any violation.
 func (ps *PathSolver) SolveConstrained(lambda float64) (*Result, PathStats, error) {
 	if lambda < 0 {
 		panic(fmt.Sprintf("lasso: negative lambda %v", lambda))
@@ -371,23 +365,7 @@ func (ps *PathSolver) SolvePenalized(mu float64) (*Result, PathStats, error) {
 // reusing the full problem's Lipschitz bound (σ_max of a principal submatrix
 // never exceeds the full matrix's, so the step stays valid).
 func (ps *PathSolver) fistaReduced(keep []int, lambda float64) (*mat.Matrix, int, error) {
-	mk := len(keep)
-	beta := ps.warmReduced(keep)
-	st := &fistaState{
-		gr:     ps.subGram(keep),
-		lambda: lambda,
-		step:   1 / ps.lip,
-		tk:     1,
-		beta:   beta,
-		next:   mat.Zeros(ps.k, mk),
-		y:      beta.Clone(),
-		grad:   mat.Zeros(ps.k, mk),
-		proj:   newProjWS(mk),
-	}
-	// A warm start may sit outside the shrunken ball; the first projection
-	// pulls it back, so feasibility holds from iteration one onward.
-	st.proj.projectGroupBall(st.beta, lambda)
-	copy(st.y.Data(), st.beta.Data())
+	st := newFistaState(ps.subGram(keep), ps.warmReduced(keep), lambda, 1/ps.lip)
 	var iters int
 	for iters = 1; iters <= ps.opt.MaxIter; iters++ {
 		if st.iterate() < ps.opt.Tol {
@@ -450,59 +428,48 @@ func (ps *PathSolver) kktPenalizedViolations(full *mat.Matrix, keep []int, mu fl
 	return viol
 }
 
-// descendingOrder returns the index permutation visiting values from largest
-// to smallest (ties in input order), so paths warm-start dense → sparse.
-func descendingOrder(vals []float64) []int {
-	order := make([]int, len(vals))
-	for i := range order {
-		order[i] = i
+// SelectCount bisects the penalized multiplier μ over [0, MuMax] for exactly
+// q groups whose norm exceeds threshold — the count-targeted form of Steps
+// 4–5. The count is monotone in μ, so at most 40 midpoints are solved, each
+// warm-started from the last. The search keeps the tightest solution with
+// at least q groups and stops as soon as one has exactly q; when none does,
+// the q largest group norms of that solution are kept. It returns the
+// selection (ascending), the solution it was cut from and that solution's μ.
+// A q outside 1…M is an error.
+func (ps *PathSolver) SelectCount(q int, threshold float64) (sel []int, res *Result, mu float64, err error) {
+	if q < 1 || q > ps.m {
+		return nil, nil, 0, fmt.Errorf("lasso: count %d out of range 1..%d", q, ps.m)
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return vals[order[a]] > vals[order[b]]
-	})
-	return order
-}
-
-// SolvePath solves the constrained problem (Eq. 12) at every budget in
-// lambdas with one shared Gram, visiting budgets in descending order and
-// carrying warm starts between points. Points come back in the order of the
-// input slice. Each point is equivalent to an independent SolveConstrained
-// call (the screening layer is KKT-verified); a point that exhausts the
-// iteration budget contributes ErrDidNotConverge, with every point still
-// populated.
-func SolvePath(z, g *mat.Matrix, lambdas []float64, opt Options) ([]PathPoint, error) {
-	ps := NewPathSolver(z, g, opt)
-	points := make([]PathPoint, len(lambdas))
-	var pathErr error
-	for _, idx := range descendingOrder(lambdas) {
-		res, stats, err := ps.SolveConstrained(lambdas[idx])
+	lo, hi := 0.0, ps.muMax // count(lo) = max, count(hi) = 0
+	bestCount := -1
+	for it := 0; it < 40; it++ {
+		mid := (lo + hi) / 2
+		r, _, err := ps.SolvePenalized(mid)
 		if err != nil && !errors.Is(err, ErrDidNotConverge) {
-			return nil, err
+			return nil, nil, mid, err
 		}
-		if err != nil {
-			pathErr = err
+		n := len(r.Select(threshold))
+		if n >= q && (bestCount < 0 || n < bestCount) {
+			res, bestCount, mu = r, n, mid
 		}
-		points[idx] = PathPoint{Lambda: lambdas[idx], Result: res, Stats: stats}
+		if n == q {
+			break
+		}
+		if n > q {
+			lo = mid
+		} else {
+			hi = mid
+		}
 	}
-	return points, pathErr
-}
-
-// SolvePenalizedPath solves the Lagrangian form at every multiplier in mus,
-// descending, with shared Gram, warm starts, and gap-safe screening. Points
-// come back in input order; each is equivalent to a cold SolvePenalized call.
-func SolvePenalizedPath(z, g *mat.Matrix, mus []float64, opt Options) ([]PathPoint, error) {
-	ps := NewPathSolver(z, g, opt)
-	points := make([]PathPoint, len(mus))
-	var pathErr error
-	for _, idx := range descendingOrder(mus) {
-		res, stats, err := ps.SolvePenalized(mus[idx])
-		if err != nil && !errors.Is(err, ErrDidNotConverge) {
-			return nil, err
-		}
-		if err != nil {
-			pathErr = err
-		}
-		points[idx] = PathPoint{Lambda: mus[idx], Result: res, Stats: stats}
+	if res == nil {
+		return nil, nil, 0, fmt.Errorf("lasso: could not reach %d groups", q)
 	}
-	return points, pathErr
+	sel = res.Select(threshold)
+	if len(sel) > q {
+		// Keep the q strongest groups.
+		sort.Slice(sel, func(a, b int) bool { return res.GroupNorms[sel[a]] > res.GroupNorms[sel[b]] })
+		sel = sel[:q]
+		sort.Ints(sel)
+	}
+	return sel, res, mu, nil
 }

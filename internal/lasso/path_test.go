@@ -3,6 +3,7 @@ package lasso
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"voltsense/internal/mat"
@@ -55,58 +56,58 @@ func sameSelections(a, b []float64) bool {
 // the shared optimum that 1e-9 agreement is meaningful.
 var tightOpt = Options{MaxIter: 20000, Tol: 1e-11}
 
+// TestSolvePathMatchesColdConstrained drives one path solver down a
+// descending budget grid: every warm-started, screened point must match a
+// fresh solver's cold solve at the same budget.
 func TestSolvePathMatchesColdConstrained(t *testing.T) {
 	z, g := pathProblem(11, 6, 40, 240)
-	// Deliberately unsorted input: the solver must reorder internally and
-	// return points in this order.
-	lambdas := []float64{3, 8, 2, 6, 4, 5}
-	points, err := SolvePath(z, g, lambdas, tightOpt)
-	if err != nil {
-		t.Fatalf("SolvePath: %v", err)
-	}
+	ps := NewPathSolver(z, g, tightOpt)
 	screened := 0
-	for i, p := range points {
-		if p.Lambda != lambdas[i] {
-			t.Fatalf("point %d has lambda %g, want %g", i, p.Lambda, lambdas[i])
-		}
-		cold, err := SolveConstrained(z, g, p.Lambda, tightOpt)
+	for _, l := range []float64{8, 6, 5, 4, 3, 2} {
+		res, stats, err := ps.SolveConstrained(l)
 		if err != nil {
-			t.Fatalf("cold solve λ=%g: %v", p.Lambda, err)
+			t.Fatalf("path solve λ=%g: %v", l, err)
 		}
-		if d := mat.MaxAbsDiff(p.Result.Beta, cold.Beta); d > 1e-9 {
-			t.Errorf("λ=%g: path vs cold max |Δβ| = %g", p.Lambda, d)
+		cold, err := solveConstrained(z, g, l, tightOpt)
+		if err != nil {
+			t.Fatalf("cold solve λ=%g: %v", l, err)
 		}
-		if !sameSelections(p.Result.GroupNorms, cold.GroupNorms) {
-			t.Errorf("λ=%g: path and cold solves select different groups", p.Lambda)
+		if d := mat.MaxAbsDiff(res.Beta, cold.Beta); d > 1e-9 {
+			t.Errorf("λ=%g: path vs cold max |Δβ| = %g", l, d)
 		}
-		screened += p.Stats.Screened
+		if !sameSelections(res.GroupNorms, cold.GroupNorms) {
+			t.Errorf("λ=%g: path and cold solves select different groups", l)
+		}
+		screened += stats.Screened
 	}
 	if screened == 0 {
 		t.Error("screening never dropped a group across the whole path; test exercises nothing")
 	}
 }
 
+// TestSolvePenalizedPathMatchesCold drives one path solver down a descending
+// μ grid: every gap-safe screened point must match a cold SolvePenalized.
 func TestSolvePenalizedPathMatchesCold(t *testing.T) {
 	z, g := pathProblem(12, 6, 40, 240)
-	muMax := NewPathSolver(z, g, tightOpt).MuMax()
-	mus := []float64{0.3 * muMax, 0.7 * muMax, 0.05 * muMax, 0.15 * muMax, 0.5 * muMax}
-	points, err := SolvePenalizedPath(z, g, mus, tightOpt)
-	if err != nil {
-		t.Fatalf("SolvePenalizedPath: %v", err)
-	}
+	ps := NewPathSolver(z, g, tightOpt)
+	muMax := ps.MuMax()
 	screened := 0
-	for i, p := range points {
-		cold, err := SolvePenalized(z, g, mus[i], tightOpt)
+	for _, mu := range []float64{0.7 * muMax, 0.5 * muMax, 0.3 * muMax, 0.15 * muMax, 0.05 * muMax} {
+		res, stats, err := ps.SolvePenalized(mu)
 		if err != nil {
-			t.Fatalf("cold solve μ=%g: %v", mus[i], err)
+			t.Fatalf("path solve μ=%g: %v", mu, err)
 		}
-		if d := mat.MaxAbsDiff(p.Result.Beta, cold.Beta); d > 1e-9 {
-			t.Errorf("μ=%g: path vs cold max |Δβ| = %g", mus[i], d)
+		cold, err := SolvePenalized(z, g, mu, tightOpt)
+		if err != nil {
+			t.Fatalf("cold solve μ=%g: %v", mu, err)
 		}
-		if !sameSelections(p.Result.GroupNorms, cold.GroupNorms) {
-			t.Errorf("μ=%g: path and cold solves select different groups", mus[i])
+		if d := mat.MaxAbsDiff(res.Beta, cold.Beta); d > 1e-9 {
+			t.Errorf("μ=%g: path vs cold max |Δβ| = %g", mu, d)
 		}
-		screened += p.Stats.Screened
+		if !sameSelections(res.GroupNorms, cold.GroupNorms) {
+			t.Errorf("μ=%g: path and cold solves select different groups", mu)
+		}
+		screened += stats.Screened
 	}
 	if screened == 0 {
 		t.Error("gap-safe screening never fired; test exercises nothing")
@@ -171,17 +172,18 @@ func TestPathSolverEdgeCases(t *testing.T) {
 		t.Fatalf("zero-solution objective = %g, want %g", res.Objective, want)
 	}
 
-	// A single-point path equals the one-shot solver exactly in structure.
-	points, err := SolvePath(z, g, []float64{4}, tightOpt)
+	// After the two trivial points the solver restarts cleanly: a larger
+	// budget matches a fresh solver's cold solve.
+	res, _, err = ps.SolveConstrained(4)
 	if err != nil {
-		t.Fatalf("single-point path: %v", err)
+		t.Fatalf("λ=4 after λ=0: %v", err)
 	}
-	cold, err := SolveConstrained(z, g, 4, tightOpt)
+	cold, err := solveConstrained(z, g, 4, tightOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := mat.MaxAbsDiff(points[0].Result.Beta, cold.Beta); d > 1e-9 {
-		t.Fatalf("single-point path vs cold max |Δβ| = %g", d)
+	if d := mat.MaxAbsDiff(res.Beta, cold.Beta); d > 1e-9 {
+		t.Fatalf("λ=4 after λ=0 vs cold max |Δβ| = %g", d)
 	}
 }
 
@@ -193,28 +195,98 @@ func sumSquares(m *mat.Matrix) float64 {
 	return s
 }
 
-// TestSolvePathInputOrderInvariance shuffles the budget list: the returned
-// points must be identical (bitwise) to the sorted run's, point by point.
+// TestSolvePathInputOrderInvariance feeds two path solvers the same budgets,
+// one descending and one shuffled: warm starts and screening follow the
+// visiting order, but every budget must reach the same optimum and select
+// the same groups whichever order it was visited in.
 func TestSolvePathInputOrderInvariance(t *testing.T) {
 	z, g := pathProblem(15, 5, 30, 180)
 	sorted := []float64{8, 6, 5, 4, 3, 2}
 	shuffled := []float64{4, 2, 8, 5, 3, 6}
-	a, err := SolvePath(z, g, sorted, tightOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SolvePath(z, g, shuffled, tightOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := NewPathSolver(z, g, tightOpt)
 	byLambda := map[float64]*Result{}
-	for _, p := range a {
-		byLambda[p.Lambda] = p.Result
-	}
-	for _, p := range b {
-		ref := byLambda[p.Lambda]
-		if d := mat.MaxAbsDiff(p.Result.Beta, ref.Beta); d != 0 {
-			t.Fatalf("λ=%g: shuffled path differs from sorted by %g", p.Lambda, d)
+	for _, l := range sorted {
+		res, _, err := a.SolveConstrained(l)
+		if err != nil {
+			t.Fatalf("sorted λ=%g: %v", l, err)
 		}
+		byLambda[l] = res
+	}
+	b := NewPathSolver(z, g, tightOpt)
+	for _, l := range shuffled {
+		res, _, err := b.SolveConstrained(l)
+		if err != nil {
+			t.Fatalf("shuffled λ=%g: %v", l, err)
+		}
+		ref := byLambda[l]
+		if d := mat.MaxAbsDiff(res.Beta, ref.Beta); d > 1e-9 {
+			t.Errorf("λ=%g: shuffled path differs from sorted by %g", l, d)
+		}
+		if !sameSelections(res.GroupNorms, ref.GroupNorms) {
+			t.Errorf("λ=%g: shuffled and sorted paths select different groups", l)
+		}
+	}
+}
+
+// TestPathSolverSelectCount pins the count bisection. On a random sparse
+// instance every target count lands exactly: the returned solution selects
+// exactly q groups and a cold solve at the returned μ agrees. On an
+// orthogonal instance where three groups enter at the same μ the count
+// jumps from 0 to 3, so q = 1 and q = 2 keep the q largest group norms of
+// the returned solution, ascending. Counts outside 1…M are errors.
+func TestPathSolverSelectCount(t *testing.T) {
+	z, g := pathProblem(16, 5, 30, 180)
+	ps := NewPathSolver(z, g, tightOpt)
+	for q := 1; q <= 5; q++ {
+		sel, res, mu, err := ps.SelectCount(q, 1e-3)
+		if err != nil {
+			t.Fatalf("q=%d: %v", q, err)
+		}
+		if got := res.Select(1e-3); len(sel) != q || !slices.Equal(sel, got) {
+			t.Fatalf("q=%d: selected %v from a solution selecting %v", q, sel, got)
+		}
+		cold, err := SolvePenalized(z, g, mu, tightOpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cold.Select(1e-3); !slices.Equal(sel, got) {
+			t.Fatalf("q=%d: selected %v, cold solve at μ=%g selects %v", q, sel, mu, got)
+		}
+	}
+	for _, q := range []int{0, 31} {
+		if _, _, _, err := ps.SelectCount(q, 1e-3); err == nil {
+			t.Errorf("q=%d of 30 groups accepted", q)
+		}
+	}
+
+	// Orthogonal ±1 rows h1, h2, h3 of a 4×4 Hadamard matrix, scaled by s;
+	// g = Σ h_m/s_m gives every group the correlation 4, so all three enter
+	// at μ = 4 with norms (4−μ)/(4·s_m²): candidate 1 largest, then 0.
+	// Candidate 3 (the constant row) is uncorrelated with g.
+	h := [][]float64{{1, 1, -1, -1}, {1, -1, 1, -1}, {1, -1, -1, 1}, {1, 1, 1, 1}}
+	scale := []float64{2, 1, 4, 1}
+	zo, gf := mat.Zeros(4, 4), mat.Zeros(1, 4)
+	for m := range h {
+		for j, v := range h[m] {
+			zo.Set(m, j, scale[m]*v)
+			if m < 3 {
+				gf.Set(0, j, gf.At(0, j)+v/scale[m])
+			}
+		}
+	}
+	for q, want := range map[int][]int{1: {1}, 2: {0, 1}} {
+		sel, res, _, err := NewPathSolver(zo, gf, tightOpt).SelectCount(q, 0)
+		if err != nil {
+			t.Fatalf("q=%d: %v", q, err)
+		}
+		if n := len(res.Select(0)); n != 3 {
+			t.Fatalf("q=%d: solution selects %d groups, want the 3 tied ones", q, n)
+		}
+		if !slices.Equal(sel, want) {
+			t.Errorf("q=%d: selected %v, want the %d largest group norms %v (norms %v)", q, sel, q, want, res.GroupNorms)
+		}
+	}
+	if _, _, _, err := NewPathSolver(zo, gf, tightOpt).SelectCount(4, 0); err == nil {
+		t.Error("reached 4 groups although candidate 3 is uncorrelated with the targets")
 	}
 }

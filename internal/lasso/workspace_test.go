@@ -9,8 +9,9 @@ import (
 )
 
 // referenceSolveConstrained is the straightforward pre-workspace FISTA
-// implementation — allocate-per-iteration mat.Sub/Mul/Scale chains and the
-// public projection — kept as the golden oracle for the reworked solver.
+// implementation — allocate-per-iteration mat.Sub/Mul/Scale chains and a
+// fresh projection workspace every step — kept as the golden oracle for the
+// path solver's constrained solve.
 func referenceSolveConstrained(z, g *mat.Matrix, lambda float64, opt Options) *Result {
 	opt = opt.withDefaults()
 	k, m := g.Rows(), z.Rows()
@@ -26,7 +27,7 @@ func referenceSolveConstrained(z, g *mat.Matrix, lambda float64, opt Options) *R
 	for it := 1; it <= opt.MaxIter; it++ {
 		grad := mat.Sub(mat.Mul(y, gr.zzt), gr.gzt)
 		next := mat.Sub(y, mat.Scale(step, grad))
-		ProjectGroupBall(next, lambda)
+		newProjWS(m).projectGroupBall(next, lambda)
 		tNext := (1 + math.Sqrt(1+4*tk*tk)) / 2
 		mom := (tk - 1) / tNext
 		yd, nd, bd := y.Data(), next.Data(), beta.Data()
@@ -67,7 +68,7 @@ func TestWorkspaceSolverMatchesReference(t *testing.T) {
 		z := randn(rng, c.m, c.n)
 		g := randn(rng, c.k, c.n)
 		want := referenceSolveConstrained(z, g, c.lambda, opt)
-		got, err := SolveConstrained(z, g, c.lambda, opt)
+		got, err := solveConstrained(z, g, c.lambda, opt)
 		if err != nil {
 			t.Fatalf("k=%d m=%d: %v", c.k, c.m, err)
 		}
@@ -99,13 +100,13 @@ func TestSolveConstrainedInvariantUnderParallelism(t *testing.T) {
 	opt := Options{MaxIter: 400, Tol: 1e-8}
 
 	defer mat.SetParallelism(mat.SetParallelism(1))
-	serial, err := SolveConstrained(z, g, 6, opt)
+	serial, err := solveConstrained(z, g, 6, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
 		mat.SetParallelism(workers)
-		par, err := SolveConstrained(z, g, 6, opt)
+		par, err := solveConstrained(z, g, 6, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +131,7 @@ func TestFistaSteadyStateZeroAllocs(t *testing.T) {
 	defer mat.SetParallelism(mat.SetParallelism(1))
 
 	gr := newGram(z, g)
-	st := newFistaState(gr, g.Rows(), z.Rows(), 4)
+	st := newFistaState(gr, mat.Zeros(g.Rows(), z.Rows()), 4, 1/gr.lipschitz())
 	st.iterate() // warm up: first projection may take the inside-ball path
 
 	allocs := testing.AllocsPerRun(200, func() {

@@ -1,9 +1,7 @@
 package place
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 
 	"voltsense/internal/eagleeye"
 	"voltsense/internal/lasso"
@@ -21,7 +19,7 @@ type GroupLasso struct{}
 // Name returns "grouplasso".
 func (GroupLasso) Name() string { return "grouplasso" }
 
-// Select bisects μ over one warm-started path solver.
+// Select runs the path solver's count bisection (lasso.PathSolver.SelectCount).
 func (GroupLasso) Select(p *Problem, q int) ([]int, error) {
 	if err := p.checkBudget(q); err != nil {
 		return nil, err
@@ -34,41 +32,11 @@ func (GroupLasso) Select(p *Problem, q int) ([]int, error) {
 	if opt.MaxIter == 0 {
 		opt.MaxIter = 3000
 	}
-	if opt.Tol == 0 {
-		opt.Tol = 1e-7
+	sel, _, _, err := lasso.NewPathSolver(p.Z, p.G, opt).SelectCount(q, threshold)
+	if err != nil {
+		return nil, fmt.Errorf("place: group lasso: %w", err)
 	}
-	ps := lasso.NewPathSolver(p.Z, p.G, opt)
-	lo, hi := 0.0, ps.MuMax()
-	var best *lasso.Result
-	bestCount := -1
-	for it := 0; it < 40; it++ {
-		mu := (lo + hi) / 2
-		r, _, err := ps.SolvePenalized(mu)
-		if err != nil && !errors.Is(err, lasso.ErrDidNotConverge) {
-			return nil, err
-		}
-		n := len(r.Select(threshold))
-		if n >= q && (bestCount < 0 || n < bestCount) {
-			best, bestCount = r, n
-		}
-		if n == q {
-			break
-		}
-		if n > q {
-			lo = mu
-		} else {
-			hi = mu
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("place: group lasso could not reach %d sensors", q)
-	}
-	sel := best.Select(threshold)
-	if len(sel) > q {
-		sort.Slice(sel, func(a, b int) bool { return best.GroupNorms[sel[a]] > best.GroupNorms[sel[b]] })
-		sel = sel[:q]
-	}
-	return ascending(sel), nil
+	return sel, nil
 }
 
 // EagleEye adapts the Eagle-Eye coverage baseline (greedy emergency-coverage

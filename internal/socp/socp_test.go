@@ -61,7 +61,7 @@ func TestAgreesWithFISTA(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: socp: %v", seed, err)
 		}
-		fo, err := lasso.SolveConstrained(z, g, lambda, lasso.Options{MaxIter: 20000, Tol: 1e-10})
+		fo, _, err := lasso.NewPathSolver(z, g, lasso.Options{MaxIter: 20000, Tol: 1e-10}).SolveConstrained(lambda)
 		if err != nil {
 			t.Fatalf("seed %d: fista: %v", seed, err)
 		}
