@@ -35,13 +35,16 @@ import (
 	"time"
 )
 
-// benchPackages is the suite the report covers: the kernel layer, the solver
-// hot loops (cold and path), the banded factor, the transient engine, the
-// experiment pipeline (placement sweep + trace collection), the inference
-// server, the online recalibration loop (rank-1 update + shadow scoring),
-// and the placement criteria (greedy optimal design).
+// benchPackages is the suite the report covers: the kernel layer, the Eq. 17
+// refit and its leave-k-out fallbacks, the solver hot loops (cold and path),
+// the banded factor, the transient engine, the experiment pipeline
+// (placement sweep + trace collection), the inference server, the online
+// recalibration loop (rank-1 update + shadow scoring), and the placement
+// criteria (greedy optimal design).
 var benchPackages = []string{
 	"./internal/mat/",
+	"./internal/ols/",
+	"./internal/core/",
 	"./internal/lasso/",
 	"./internal/banded/",
 	"./internal/sparse/",
@@ -52,9 +55,10 @@ var benchPackages = []string{
 	"./internal/place/",
 }
 
-// speedupPairs maps each parallel/blocked/warm-started benchmark to the
-// serial or cold baseline it is measured against. Names are as reported by
-// `go test -bench`, without the -GOMAXPROCS suffix.
+// speedupPairs maps each parallel/blocked/warm-started/factorization-reusing
+// benchmark to the serial, cold or refit-from-scratch baseline it is
+// measured against. Names are as reported by `go test -bench`, without the
+// -GOMAXPROCS suffix.
 var speedupPairs = []struct{ Kernel, Baseline string }{
 	{"BenchmarkMul128", "BenchmarkMulSerial128"},
 	{"BenchmarkMul256", "BenchmarkMulSerial256"},
@@ -71,6 +75,8 @@ var speedupPairs = []struct{ Kernel, Baseline string }{
 	{"BenchmarkPlaceChipReduced", "BenchmarkPlaceChipDense"},
 	{"BenchmarkPlaceChipPathReduced", "BenchmarkPlaceChipPathDense"},
 	{"BenchmarkDOptSherman", "BenchmarkDOptNaive"},
+	{"BenchmarkOLSFit", "BenchmarkOLSFitRowMajor"},
+	{"BenchmarkFitFallbacks", "BenchmarkFitFallbacksRefit"},
 }
 
 type benchResult struct {

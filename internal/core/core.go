@@ -134,31 +134,41 @@ type Predictor struct {
 // must be strictly ascending: a duplicated index would feed the same
 // reading into two coefficients and silently double-count it.
 func BuildPredictor(ds *Dataset, selected []int) (*Predictor, error) {
+	p, _, err := buildPredictor(ds, selected)
+	return p, err
+}
+
+// buildPredictor is BuildPredictor, also returning the factorization the
+// refit solved, from which the fallback models follow.
+func buildPredictor(ds *Dataset, selected []int) (*Predictor, *ols.Factorization, error) {
 	if err := ds.Check(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(selected) == 0 {
-		return nil, errors.New("core: no sensors selected; increase lambda")
+		return nil, nil, errors.New("core: no sensors selected; increase lambda")
 	}
 	for i, s := range selected {
 		if s < 0 || s >= ds.X.Rows() {
-			return nil, fmt.Errorf("core: selected sensor %d out of range 0..%d", s, ds.X.Rows()-1)
+			return nil, nil, fmt.Errorf("core: selected sensor %d out of range 0..%d", s, ds.X.Rows()-1)
 		}
 		if i > 0 && s == selected[i-1] {
-			return nil, fmt.Errorf("core: duplicate selected sensor %d", s)
+			return nil, nil, fmt.Errorf("core: duplicate selected sensor %d", s)
 		}
 		if i > 0 && s < selected[i-1] {
-			return nil, fmt.Errorf("core: selected sensors not ascending at position %d", i)
+			return nil, nil, fmt.Errorf("core: selected sensors not ascending at position %d", i)
 		}
 	}
-	xs := ds.X.SelectRows(selected)
-	m, err := ols.Fit(xs, ds.F)
+	fz, err := ols.Factor(ds.X.SelectRows(selected), ds.F)
 	if err != nil {
-		return nil, fmt.Errorf("core: OLS refit: %w", err)
+		return nil, nil, fmt.Errorf("core: OLS refit: %w", err)
+	}
+	m, err := fz.Model()
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: OLS refit: %w", err)
 	}
 	sel := make([]int, len(selected))
 	copy(sel, selected)
-	return &Predictor{Selected: sel, Model: m}, nil
+	return &Predictor{Selected: sel, Model: m}, fz, nil
 }
 
 // Predict maps the raw voltages of the selected sensors (length Q, ordered

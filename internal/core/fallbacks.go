@@ -140,58 +140,91 @@ func SensorTrainingStats(ds *Dataset, selected []int) []faults.SensorStats {
 // The chain trades coverage for artifact size: deeper failures are served
 // only along the chain, and anything else trips the runtime's degraded
 // mode. budget must be in 1..Q-1 (at least one sensor must survive).
+//
+// Every submodel comes from one QR factorization of the selected sensors'
+// design by Givens column deletion (ols.Factorization.Drop), so each costs
+// O(Q²·K) instead of a refit over the N samples, and its training error
+// comes from the rotated-out residual without predicting the training set.
 func FitFallbacks(ds *Dataset, selected []int, budget int) (*FallbackSet, error) {
 	if err := ds.Check(); err != nil {
 		return nil, err
 	}
-	q := len(selected)
+	if err := checkFallbackBudget(len(selected), budget); err != nil {
+		return nil, err
+	}
+	fz, err := ols.Factor(ds.X.SelectRows(selected), ds.F)
+	if err != nil {
+		return nil, fmt.Errorf("core: fallback factorization: %w", err)
+	}
+	return fitFallbacks(ds, selected, budget, fz)
+}
+
+// checkFallbackBudget validates a failure budget for q selected sensors.
+func checkFallbackBudget(q, budget int) error {
 	if q < 2 {
-		return nil, errors.New("core: fallbacks need at least 2 selected sensors")
+		return errors.New("core: fallbacks need at least 2 selected sensors")
 	}
 	if budget < 1 || budget > q-1 {
-		return nil, fmt.Errorf("core: fallback budget %d out of 1..%d", budget, q-1)
+		return fmt.Errorf("core: fallback budget %d out of 1..%d", budget, q-1)
 	}
+	return nil
+}
+
+// fitFallbacks is FitFallbacks from the factorization fz of the full
+// selection.
+func fitFallbacks(ds *Dataset, selected []int, budget int, fz *ols.Factorization) (*FallbackSet, error) {
+	q := len(selected)
 	fs := &FallbackSet{Stats: SensorTrainingStats(ds, selected)}
 
 	// Depth 1: exact leave-one-out for every sensor.
-	bestSingle, bestErr := -1, math.Inf(1)
+	bestSingle := -1
+	var chainFz *ols.Factorization
 	for i := 0; i < q; i++ {
-		fm, err := fitExcluding(ds, selected, []int{i})
+		sub := fz.Drop(i)
+		fm, err := fallbackModel(sub, []int{i}, q)
 		if err != nil {
 			return nil, fmt.Errorf("core: leave-one-out fallback excluding sensor %d: %w", i, err)
 		}
 		fs.Models = append(fs.Models, *fm)
-		if fm.RelError < bestErr {
-			bestSingle, bestErr = i, fm.RelError
+		if chainFz == nil || fm.RelError < chainFz.RelError() {
+			bestSingle, chainFz = i, sub
 		}
 	}
 
 	// Depths 2..budget: grow the greedy chain from the cheapest singleton.
+	// chainFz covers the sensors outside the chain, in ascending position.
 	chain := []int{bestSingle}
 	for depth := 2; depth <= budget; depth++ {
-		var bestModel *FallbackModel
+		var best *ols.Factorization
 		bestNext := -1
+		col := 0 // j's column in chainFz
 		for j := 0; j < q; j++ {
 			if contains(chain, j) {
 				continue
 			}
-			ex := append(append([]int(nil), chain...), j)
-			sort.Ints(ex)
-			fm, err := fitExcluding(ds, selected, ex)
-			if err != nil {
-				// This subset is unfittable (rank-deficient or too few
-				// samples); other extensions may still work.
+			sub := chainFz.Drop(col)
+			col++
+			if sub.Check() != nil {
+				// This subset is unfittable (rank-deficient); other
+				// extensions may still work.
 				continue
 			}
-			if bestModel == nil || fm.RelError < bestModel.RelError {
-				bestModel, bestNext = fm, j
+			if best == nil || sub.RelError() < best.RelError() {
+				best, bestNext = sub, j
 			}
 		}
-		if bestModel == nil {
+		if best == nil {
 			return nil, fmt.Errorf("core: no fittable leave-%d-out fallback extends the chain %v", depth, chain)
 		}
-		fs.Models = append(fs.Models, *bestModel)
 		chain = append(chain, bestNext)
+		ex := append([]int(nil), chain...)
+		sort.Ints(ex)
+		fm, err := fallbackModel(best, ex, q)
+		if err != nil {
+			return nil, err
+		}
+		fs.Models = append(fs.Models, *fm)
+		chainFz = best
 	}
 	return fs, nil
 }
@@ -205,47 +238,32 @@ func contains(xs []int, v int) bool {
 	return false
 }
 
-// fitExcluding refits Eq. 17 on the selected sensors minus the excluded
-// positions and scores it on the training set.
-func fitExcluding(ds *Dataset, selected []int, excluded []int) (*FallbackModel, error) {
-	kept := make([]int, 0, len(selected)-len(excluded))
-	ex := 0
-	for i, s := range selected {
-		if ex < len(excluded) && excluded[ex] == i {
-			ex++
-			continue
-		}
-		kept = append(kept, s)
-	}
-	if len(kept) == 0 {
-		return nil, errors.New("core: fallback would exclude every sensor")
-	}
-	xs := ds.X.SelectRows(kept)
-	m, err := ols.Fit(xs, ds.F)
+// fallbackModel solves the factorization of the selection minus the
+// excluded positions for its Eq. 17 model.
+func fallbackModel(fz *ols.Factorization, excluded []int, q int) (*FallbackModel, error) {
+	m, err := fz.Model()
 	if err != nil {
 		return nil, err
 	}
-	fm := &FallbackModel{
-		Excluded: append([]int(nil), excluded...),
-		Model:    m,
-		RelError: ols.RelativeError(m.PredictMatrix(xs), ds.F),
-	}
-	fm.buildKeep(len(selected))
+	fm := &FallbackModel{Excluded: excluded, Model: m, RelError: fz.RelError()}
+	fm.buildKeep(q)
 	return fm, nil
 }
 
 // BuildPredictorWithFallbacks runs Steps 6-8 plus the fault-tolerance tier:
 // the primary Eq. 17 refit and a FallbackSet at the given failure budget,
-// ready to serialize into the artifact's `fallbacks` section.
+// ready to serialize into the artifact's `fallbacks` section. The primary
+// model and every fallback come from one factorization.
 func BuildPredictorWithFallbacks(ds *Dataset, selected []int, budget int) (*Predictor, error) {
-	p, err := BuildPredictor(ds, selected)
+	p, fz, err := buildPredictor(ds, selected)
 	if err != nil {
 		return nil, err
 	}
-	fb, err := FitFallbacks(ds, selected, budget)
-	if err != nil {
+	if err := checkFallbackBudget(len(selected), budget); err != nil {
 		return nil, err
 	}
-	p.Fallbacks = fb
+	if p.Fallbacks, err = fitFallbacks(ds, selected, budget, fz); err != nil {
+		return nil, err
+	}
 	return p, nil
 }

@@ -2,11 +2,15 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
+	"voltsense/internal/mat"
 	"voltsense/internal/ols"
 )
 
@@ -182,5 +186,166 @@ func TestBuildPredictorRejectsBadSelection(t *testing.T) {
 	}
 	if _, err := BuildPredictor(ds, []int{1, 6}); err == nil {
 		t.Error("out-of-range selection accepted")
+	}
+}
+
+// refitFallbacks is the oracle FitFallbacks must match: the same depth-1
+// sweep and greedy chain, with every model refit from the raw samples by
+// ols.Fit on the kept sensors and scored by predicting the training set.
+func refitFallbacks(ds *Dataset, selected []int, budget int) (*FallbackSet, error) {
+	if err := ds.Check(); err != nil {
+		return nil, err
+	}
+	if err := checkFallbackBudget(len(selected), budget); err != nil {
+		return nil, err
+	}
+	q := len(selected)
+	fs := &FallbackSet{Stats: SensorTrainingStats(ds, selected)}
+	bestSingle, bestErr := -1, math.Inf(1)
+	for i := 0; i < q; i++ {
+		fm, err := refitExcluding(ds, selected, []int{i})
+		if err != nil {
+			return nil, fmt.Errorf("core: leave-one-out fallback excluding sensor %d: %w", i, err)
+		}
+		fs.Models = append(fs.Models, *fm)
+		if fm.RelError < bestErr {
+			bestSingle, bestErr = i, fm.RelError
+		}
+	}
+	chain := []int{bestSingle}
+	for depth := 2; depth <= budget; depth++ {
+		var bestModel *FallbackModel
+		bestNext := -1
+		for j := 0; j < q; j++ {
+			if contains(chain, j) {
+				continue
+			}
+			ex := append(append([]int(nil), chain...), j)
+			sort.Ints(ex)
+			fm, err := refitExcluding(ds, selected, ex)
+			if err != nil {
+				continue
+			}
+			if bestModel == nil || fm.RelError < bestModel.RelError {
+				bestModel, bestNext = fm, j
+			}
+		}
+		if bestModel == nil {
+			return nil, fmt.Errorf("core: no fittable leave-%d-out fallback extends the chain %v", depth, chain)
+		}
+		fs.Models = append(fs.Models, *bestModel)
+		chain = append(chain, bestNext)
+	}
+	return fs, nil
+}
+
+func refitExcluding(ds *Dataset, selected, excluded []int) (*FallbackModel, error) {
+	var kept []int
+	ex := 0
+	for i, s := range selected {
+		if ex < len(excluded) && excluded[ex] == i {
+			ex++
+			continue
+		}
+		kept = append(kept, s)
+	}
+	xs := ds.X.SelectRows(kept)
+	m, err := ols.Fit(xs, ds.F)
+	if err != nil {
+		return nil, err
+	}
+	fm := &FallbackModel{
+		Excluded: append([]int(nil), excluded...),
+		Model:    m,
+		RelError: ols.RelativeError(m.PredictMatrix(xs), ds.F),
+	}
+	fm.buildKeep(len(selected))
+	return fm, nil
+}
+
+// sameFallbacks fails unless got and want hold the same models in the same
+// order: equal Excluded sets, α and c within 1e-9, RelError within 1e-9
+// relative.
+func sameFallbacks(t *testing.T, got, want *FallbackSet) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Stats, want.Stats) {
+		t.Fatal("sensor stats differ from the refit oracle")
+	}
+	if len(got.Models) != len(want.Models) {
+		t.Fatalf("%d models, oracle %d", len(got.Models), len(want.Models))
+	}
+	for i := range want.Models {
+		g, w := &got.Models[i], &want.Models[i]
+		if !reflect.DeepEqual(g.Excluded, w.Excluded) || !reflect.DeepEqual(g.keep, w.keep) {
+			t.Fatalf("model %d excludes %v, oracle %v", i, g.Excluded, w.Excluded)
+		}
+		if !mat.Equalish(g.Model.Alpha, w.Model.Alpha, 1e-9) {
+			t.Fatalf("model %d (excluding %v): alpha differs from the refit by more than 1e-9", i, g.Excluded)
+		}
+		for k, c := range w.Model.C {
+			if math.Abs(g.Model.C[k]-c) > 1e-9 {
+				t.Fatalf("model %d (excluding %v): c[%d] = %v, refit %v", i, g.Excluded, k, g.Model.C[k], c)
+			}
+		}
+		if d := math.Abs(g.RelError-w.RelError) / w.RelError; d > 1e-9 {
+			t.Fatalf("model %d (excluding %v): RelError %v, refit %v", i, g.Excluded, g.RelError, w.RelError)
+		}
+	}
+}
+
+func TestFitFallbacksMatchesRefit(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	base := syntheticDataset(rng, 12, 4, 400, []int{1, 4, 8, 10}, 0.002)
+
+	// Near-collinear: sensor 5 tracks sensor 4 at correlation >= 0.9999.
+	collinear := &Dataset{X: base.X.Clone(), F: base.F}
+	for j, v := range collinear.X.Row(4) {
+		collinear.X.Set(5, j, v+5e-4*rng.NormFloat64())
+	}
+	if r := mat.Correlation(collinear.X.Row(4), collinear.X.Row(5)); r < 0.9999 {
+		t.Fatalf("collinear fixture correlation %v", r)
+	}
+
+	wide, served := servedFallbackFixture()
+
+	for _, tc := range []struct {
+		name     string
+		ds       *Dataset
+		selected []int
+		budget   int
+	}{
+		{"fixture", base, []int{1, 4, 8, 10}, 2},
+		{"fixture budget 3", base, []int{1, 4, 8, 10}, 3},
+		{"near-collinear", collinear, []int{1, 4, 5, 8, 10}, 3},
+		{"served shape", wide, served, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := FitFallbacks(tc.ds, tc.selected, tc.budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := refitFallbacks(tc.ds, tc.selected, tc.budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameFallbacks(t, got, want)
+		})
+	}
+}
+
+// A selection that repeats a sensor leaves some leave-one-out models
+// rank-deficient: FitFallbacks fails at the same position, with the same
+// error, as the refit oracle.
+func TestFitFallbacksDuplicateSensorError(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ds := syntheticDataset(rng, 12, 4, 400, []int{1, 4, 8, 10}, 0.002)
+	sel := []int{4, 4, 1, 8}
+	_, err := FitFallbacks(ds, sel, 2)
+	_, want := refitFallbacks(ds, sel, 2)
+	if err == nil || want == nil {
+		t.Fatalf("duplicated sensor accepted: error %v, oracle %v", err, want)
+	}
+	if err.Error() != want.Error() || !errors.Is(err, mat.ErrSingular) {
+		t.Fatalf("error %q, oracle %q", err, want)
 	}
 }

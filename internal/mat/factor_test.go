@@ -3,6 +3,7 @@ package mat
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -17,12 +18,21 @@ func spdMatrix(rng *rand.Rand, n int) *Matrix {
 	return s
 }
 
+// qrSolve returns the least-squares solution of a x = b through the
+// column-layout QR: a's columns are the rows of aᵀ, b is one right-hand side.
+func qrSolve(a *Matrix, b []float64) ([]float64, error) {
+	x, err := FactorQRColumns(a.T()).SolveRows(New(1, len(b), b))
+	if err != nil {
+		return nil, err
+	}
+	return x.Row(0), nil
+}
+
 func TestQRSolveExact(t *testing.T) {
 	// Square well-conditioned system: the least-squares solution is exact.
 	a := FromRows([][]float64{{2, 1}, {1, 3}})
 	b := []float64{5, 10}
-	f := FactorQR(a)
-	x, err := f.Solve(b)
+	x, err := qrSolve(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +55,7 @@ func TestQRRecoversConsistentSolution(t *testing.T) {
 			xStar[i] = r.NormFloat64()
 		}
 		b := MulVec(a, xStar)
-		x, err := FactorQR(a).Solve(b)
+		x, err := qrSolve(a, b)
 		if err != nil {
 			return false
 		}
@@ -73,7 +83,7 @@ func TestQRNormalEquationsResidual(t *testing.T) {
 		for i := range b {
 			b[i] = r.NormFloat64()
 		}
-		x, err := FactorQR(a).Solve(b)
+		x, err := qrSolve(a, b)
 		if err != nil {
 			return false
 		}
@@ -91,18 +101,18 @@ func TestQRSolveMatrixMultiRHS(t *testing.T) {
 	a := randMatrix(rng, 10, 4)
 	xStar := randMatrix(rng, 4, 3)
 	b := Mul(a, xStar)
-	x, err := FactorQR(a).SolveMatrix(b)
+	x, err := FactorQRColumns(a.T()).SolveRows(b.T())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Equalish(x, xStar, 1e-8) {
-		t.Error("SolveMatrix did not recover the planted solution")
+	if !Equalish(x, xStar.T(), 1e-8) {
+		t.Error("SolveRows did not recover the planted solution")
 	}
 }
 
 func TestQRSingular(t *testing.T) {
 	a := FromRows([][]float64{{1, 1}, {2, 2}, {3, 3}}) // rank 1
-	_, err := FactorQR(a).Solve([]float64{1, 2, 3})
+	_, err := qrSolve(a, []float64{1, 2, 3})
 	if err == nil {
 		t.Fatal("expected ErrSingular for rank-deficient matrix")
 	}
@@ -110,11 +120,11 @@ func TestQRSingular(t *testing.T) {
 
 func TestQRRCond(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	good := FactorQR(Add(randMatrix(rng, 5, 5), Scale(10, Eye(5))))
+	good := FactorQRColumns(Add(randMatrix(rng, 5, 5), Scale(10, Eye(5))).T())
 	if good.RCond() < 1e-4 {
 		t.Errorf("well-conditioned RCond = %v, suspiciously small", good.RCond())
 	}
-	bad := FactorQR(FromRows([][]float64{{1, 0}, {0, 1e-14}}))
+	bad := FactorQRColumns(FromRows([][]float64{{1, 0}, {0, 1e-14}}).T())
 	if bad.RCond() > 1e-10 {
 		t.Errorf("ill-conditioned RCond = %v, suspiciously large", bad.RCond())
 	}
@@ -251,7 +261,7 @@ func TestQRvsCholeskyOnNormalEquations(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	xQR, err := FactorQR(a).Solve(b)
+	xQR, err := qrSolve(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,6 +275,80 @@ func TestQRvsCholeskyOnNormalEquations(t *testing.T) {
 	for i := range xQR {
 		if math.Abs(xQR[i]-xChol[i]) > 1e-8 {
 			t.Fatalf("QR and Cholesky disagree at %d: %v vs %v", i, xQR[i], xChol[i])
+		}
+	}
+}
+
+// The column-layout QR must be bitwise identical at every worker count: the
+// right-hand sides split by rows across the pool, four per pass, and each
+// row's reflector arithmetic is fixed. K = 243 leaves a remainder row past
+// the four-row groups, and the shape is large enough that the split really
+// happens at two shares. Run at GOMAXPROCS 1 and 2 as well as under
+// SetParallelism.
+func TestQRSolveRowsInvariantUnderParallelism(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n, m, k = 16, 400, 243
+	a := randMatrix(rng, n, m)
+	for j := 0; j < m; j += 7 {
+		a.Set(3, j, 0) // exact zeros in a reflector take the skip path
+	}
+	b := randMatrix(rng, k, m)
+	if 2*minRowsPerChunk(4*n*m) > k {
+		t.Fatalf("shape %dx%d with %d rows would not split across two shares", n, m, k)
+	}
+	SetParallelism(1)
+	defer SetParallelism(0)
+	want, err := FactorQRColumns(a).SolveRows(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(old)
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, workers := range []int{0, 2, 3} {
+			SetParallelism(workers)
+			got, err := FactorQRColumns(a).SolveRows(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range want.Data() {
+				if got.Data()[i] != v {
+					t.Fatalf("GOMAXPROCS %d, parallelism %d: entry %d = %v, serial %v", procs, workers, i, got.Data()[i], v)
+				}
+			}
+		}
+	}
+}
+
+// ApplyQT is the factorization's Qᵀ: applied to A's own columns it gives R
+// stacked over zeros, and it preserves the norm of any right-hand side.
+func TestQRApplyQTIsOrthogonal(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const n, m = 5, 30
+	a := randMatrix(rng, n, m)
+	f := FactorQRColumns(a)
+	// Qᵀ applied to A's own columns gives R stacked over zeros.
+	qta := a.Clone()
+	f.ApplyQT(qta)
+	r := f.R()
+	for c := 0; c < n; c++ {
+		for i := 0; i < m; i++ {
+			want := 0.0
+			if i < n {
+				want = r.At(i, c)
+			}
+			if math.Abs(qta.At(c, i)-want) > 1e-12 {
+				t.Fatalf("(QᵀA)[%d][%d] = %v, want %v", i, c, qta.At(c, i), want)
+			}
+		}
+	}
+	b := randMatrix(rng, 3, m)
+	qtb := b.Clone()
+	f.ApplyQT(qtb)
+	for i := 0; i < 3; i++ {
+		if d := Norm2(qtb.Row(i)) - Norm2(b.Row(i)); math.Abs(d) > 1e-12 {
+			t.Fatalf("row %d: ‖Qᵀb‖ − ‖b‖ = %v", i, d)
 		}
 	}
 }

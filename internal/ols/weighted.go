@@ -49,26 +49,19 @@ func FitWeighted(x, f *mat.Matrix, w []float64) (*Model, error) {
 	xMean := weightedRowMeans(x, w, wSum)
 	fMean := weightedRowMeans(f, w, wSum)
 
-	// Whitened design (N-by-Q) and right-hand side (N-by-K): each centered
-	// sample row scaled by √w_j.
-	design := mat.Zeros(n, q)
-	dd := design.Data()
-	rhs := mat.Zeros(n, k)
-	rd := rhs.Data()
-	for j := 0; j < n; j++ {
-		s := math.Sqrt(w[j])
-		for i := 0; i < q; i++ {
-			dd[j*q+i] = s * (x.At(i, j) - xMean[i])
-		}
-		for i := 0; i < k; i++ {
-			rd[j*k+i] = s * (f.At(i, j) - fMean[i])
-		}
+	// Whitened design (one centered sensor per row, the columns the QR
+	// factors) and right-hand sides (one centered target per row): every
+	// sample scaled by √w_j.
+	sw := make([]float64, n)
+	for j, v := range w {
+		sw[j] = math.Sqrt(v)
 	}
-	sol, err := mat.FactorQR(design).SolveMatrix(rhs) // Q-by-K
+	design := centered(x, xMean, sw)
+	rhs := centered(f, fMean, sw)
+	alpha, err := mat.FactorQRColumns(design).SolveRows(rhs) // K-by-Q
 	if err != nil {
 		return nil, fmt.Errorf("ols: rank-deficient weighted design: %w", err)
 	}
-	alpha := sol.T() // K-by-Q
 	c := make([]float64, k)
 	for i := 0; i < k; i++ {
 		c[i] = fMean[i] - mat.Dot(alpha.Row(i), xMean)
@@ -124,22 +117,22 @@ func GLSGain(design *mat.Matrix, noiseVar []float64) (*mat.Matrix, error) {
 		}
 		sqw[i] = 1 / math.Sqrt(v)
 	}
-	// Whiten the design and solve against the whitened identity: the columns
-	// of the solution are P's columns because P·y = argmin ‖√W(D a − y)‖.
-	wd := mat.Zeros(q, r)
+	// Whiten the design and solve against the whitened identity: the
+	// solution for the i-th right-hand side √w_i·e_i is P's column i, because
+	// P·y = argmin ‖√W(D a − y)‖. The QR takes the design's columns as rows.
+	cols := mat.Zeros(r, q)
 	for i := 0; i < q; i++ {
-		src, dst := design.Row(i), wd.Row(i)
-		for j, v := range src {
-			dst[j] = sqw[i] * v
+		for j, v := range design.Row(i) {
+			cols.Set(j, i, sqw[i]*v)
 		}
 	}
 	rhs := mat.Zeros(q, q)
 	for i := 0; i < q; i++ {
 		rhs.Set(i, i, sqw[i])
 	}
-	gain, err := mat.FactorQR(wd).SolveMatrix(rhs) // r-by-q
+	sol, err := mat.FactorQRColumns(cols).SolveRows(rhs) // q-by-r
 	if err != nil {
 		return nil, fmt.Errorf("ols: GLS gain: %w", err)
 	}
-	return gain, nil
+	return sol.T(), nil
 }

@@ -108,7 +108,9 @@ func NewProblem(x, f *mat.Matrix, bc basis.Config, vth float64) (*Problem, error
 	psi := b.Components()
 	scaleBasis(psi, coef, b.SingularValues())
 	// Target loadings: least-squares of Gᵀ on Coefᵀ, one QR for all K nodes.
-	lt, err := mat.FactorQR(coef.T()).SolveMatrix(g.T())
+	// Coef's rows are the design's columns and G's rows its right-hand
+	// sides, so the solution's rows are already the K loadings.
+	lt, err := mat.FactorQRColumns(coef).SolveRows(g)
 	if err != nil {
 		return nil, fmt.Errorf("place: target loadings: %w", err)
 	}
@@ -117,7 +119,7 @@ func NewProblem(x, f *mat.Matrix, bc basis.Config, vth float64) (*Problem, error
 		Z: z, G: g,
 		Psi:        psi,
 		Coef:       coef,
-		TargetLoad: lt.T(),
+		TargetLoad: lt,
 		CandBasis:  b,
 		XStd:       xStd, FStd: fStd,
 		Vth: vth,
