@@ -10,7 +10,7 @@ BENCH_REPORT ?= BENCH_PR10.json
 FLEET_REPORT ?= BENCH_PR9.json
 BENCH_TOLERANCE ?= 0.25
 
-.PHONY: build test race stress vet lint bench bench-quick bench-compare bench-trajectory fleet-smoke fleet-compare fault-ablation adapt-ablation transfer-ablation docs-check clean
+.PHONY: build test race stress vet lint bench bench-quick bench-compare bench-trajectory fleet-smoke fleet-compare fault-ablation adapt-ablation transfer-ablation shootout-sweep docs-check clean
 
 build:
 	$(GO) build ./...
@@ -95,6 +95,18 @@ transfer-ablation:
 	$(GO) run ./cmd/voltmap transfer | tee TRANSFER_ABLATION.txt
 	$(GO) run ./cmd/voltmap -csv transfer > TRANSFER_ABLATION.csv
 
+# shootout-sweep reruns the placement criteria shootout on the quick
+# pipeline over seeds 1-5 and 4, 8, 16, 24 and 32 sensors into
+# SHOOTOUT_SWEEP.txt: the evidence behind the criteria ranking in
+# EXPERIMENTS.md, in one command. CI does not run it: eopt alone takes
+# 14-17 s at 32 sensors.
+shootout-sweep:
+	rm -f SHOOTOUT_SWEEP.txt
+	for s in 1 2 3 4 5; do for q in 4 8 16 24 32; do \
+		echo "== seed $$s" >> SHOOTOUT_SWEEP.txt; \
+		$(GO) run ./cmd/voltmap -seed $$s -shootq $$q -criteria dopt,eopt,framesense,worstcase,eagleeye shootout >> SHOOTOUT_SWEEP.txt || exit 1; \
+	done; done
+
 # docs-check enforces the documentation bar: package comments everywhere,
 # intra-repo markdown links resolve, examples compile and pass.
 docs-check:
@@ -102,4 +114,4 @@ docs-check:
 	$(GO) test -run Example ./...
 
 clean:
-	rm -f $(BENCH_REPORT:.json=.new.json) $(FLEET_REPORT:.json=.new.json) FAULT_ABLATION.txt FAULT_ABLATION.csv ADAPT_ABLATION.txt ADAPT_ABLATION.csv TRANSFER_ABLATION.txt TRANSFER_ABLATION.csv
+	rm -f $(BENCH_REPORT:.json=.new.json) $(FLEET_REPORT:.json=.new.json) FAULT_ABLATION.txt FAULT_ABLATION.csv ADAPT_ABLATION.txt ADAPT_ABLATION.csv TRANSFER_ABLATION.txt TRANSFER_ABLATION.csv SHOOTOUT_SWEEP.txt

@@ -135,7 +135,7 @@ func TestCheckCommandFlags(t *testing.T) {
 func TestCheckCriterionValues(t *testing.T) {
 	dir := t.TempDir()
 	md := filepath.Join(dir, "doc.md")
-	write(t, md, "Run `sensorplace -criterion qrpivot` or `-criterion=dopt`.\n\n```\nsensorplace -criterion nosuch\n```\n")
+	write(t, md, "Run `sensorplace -criterion eopt` or `-criterion=dopt`.\n\n```\nsensorplace -criterion nosuch\n```\n")
 	problems, err := checkCriterionValues(md)
 	if err != nil {
 		t.Fatal(err)

@@ -22,12 +22,12 @@
 // group-lasso selection runs in a POD compression of the monitored nodes —
 // same methodology at O(r/K) of the solver cost (see internal/basis); for
 // criterion-driven placement the same flags size the candidate POD basis
-// instead. Flag precedence when combined: -fallback-budget always forces
-// the dense leave-k-out refit, so -rank/-energy then accelerate only the
-// selection, not the refit.
+// instead. Either way the flags only shape the selection: every
+// homogeneous placement refits the dense Eq. 17 model against all the
+// monitored nodes.
 //
 //	sensorplace -x candidates.csv -f blocks.csv -count 4 -fallback-budget 1 -model model.json
-//	sensorplace -x candidates.csv -f blocks.csv -count 8 -criterion qrpivot
+//	sensorplace -x candidates.csv -f blocks.csv -count 8 -criterion dopt
 //	sensorplace -x candidates.csv -f blocks.csv -budget 24 -class-noise 0.0025,0.04
 package main
 
@@ -75,7 +75,7 @@ func run(args []string, out io.Writer) error {
 	criterion := fs.String("criterion", "grouplasso", "placement criterion ("+strings.Join(place.Names(), ", ")+"); non-grouplasso criteria require -count and refuse -lambda (see DESIGN.md §13)")
 	budget := fs.Float64("budget", 0, "mixed-class cost budget: place reference and low-cost sensors until the budget runs out and refit by GLS (mutually exclusive with -lambda/-count/-criterion/-fallback-budget)")
 	classNoise := fs.String("class-noise", "", "per-class noise variances REFVAR,LOWVAR for -budget placement (default 0.0025,0.04)")
-	fallbackBudget := fs.Int("fallback-budget", 0, "fit leave-k-out fallback submodels tolerating up to this many failed sensors (0 = none); takes precedence over -rank/-energy for the refit, which then stays dense")
+	fallbackBudget := fs.Int("fallback-budget", 0, "fit leave-k-out fallback submodels tolerating up to this many failed sensors (0 = none)")
 	rank := fs.Int("rank", 0, "rank-r POD basis: compresses the monitored nodes for group lasso, sizes the candidate basis for other criteria (0 = default)")
 	energyFrac := fs.Float64("energy", 0, "smallest POD basis capturing this energy fraction, e.g. 0.99; same role as -rank (0 = default)")
 	sparseWorkers := fs.Int("sparse-workers", 0, "bound the shared worker pool of the matrix and solver kernels (0 = all cores, 1 = serial); results are identical either way")
@@ -239,22 +239,12 @@ func run(args []string, out io.Writer) error {
 	case pred != nil:
 		// Mixed placement already refit by GLS above.
 	case *fallbackBudget > 0:
-		// The fallback machinery refits dense leave-k-out submodels; the
-		// reduced basis (when requested) still accelerated the selection.
 		pred, err = core.BuildPredictorWithFallbacks(train, selected, *fallbackBudget)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "fitted %d fallback submodels (budget %d failed sensors)\n",
 			len(pred.Fallbacks.Models), *fallbackBudget)
-	case reduced && !critDriven:
-		var rb *basis.Basis
-		pred, rb, err = core.BuildReducedPredictor(train, selected, bc)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "refit in POD coefficient space (rank %d, %.4f%% energy)\n",
-			rb.Rank(), 100*rb.EnergyCaptured())
 	default:
 		pred, err = core.BuildPredictor(train, selected)
 		if err != nil {

@@ -1,6 +1,6 @@
 // Criteria shootout: run every registered placement criterion — the paper's
-// group lasso, the Eagle-Eye baseline, QR-pivot, D-/E-optimal, FrameSense
-// and worst-case — against the same chip data and rank them on held-out
+// group lasso, the Eagle-Eye baseline, D-/E-optimal, FrameSense and
+// worst-case — against the same chip data and rank them on held-out
 // detection quality and placement wall-clock (DESIGN.md §13). Then place a
 // heterogeneous network under a cost budget: quiet reference sensors vs
 // cheap noisy ones, refit by GLS so each reading is weighted by its
@@ -36,7 +36,7 @@ func main() {
 	// The same machinery on caller-supplied data: pick one criterion by name
 	// and refit the paper's runtime model on its selection.
 	ds := &voltsense.Dataset{X: p.Train.CandV, F: p.Train.CritV}
-	cp, err := voltsense.PlaceWithCriterion(ds, "qrpivot", q, voltsense.CriterionConfig{})
+	cp, err := voltsense.PlaceWithCriterion(ds, "dopt", q, voltsense.CriterionConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nqrpivot on raw data picked sites %v (%d model outputs)\n",
+	fmt.Printf("\ndopt on raw data picked sites %v (%d model outputs)\n",
 		cp.Selected, len(pred.Model.C))
 
 	// Heterogeneous placement: the budget buys a mix of device classes, and

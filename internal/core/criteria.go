@@ -55,9 +55,8 @@ type CriterionPlacement struct {
 
 // PlaceWith selects q sensors with an arbitrary placement criterion —
 // the pluggable counterpart of PlaceSensors. The refit is the caller's
-// choice: BuildPredictor for the paper's dense OLS, BuildReducedPredictor
-// for the POD-space refit, or BuildGLSPredictor for the basis refit with
-// per-sensor noise weighting.
+// choice: BuildPredictor for the paper's dense OLS, or BuildGLSPredictor
+// for the basis refit with per-sensor noise weighting.
 func PlaceWith(ds *Dataset, crit place.Criterion, q int, cc CriterionConfig) (*CriterionPlacement, error) {
 	p, err := NewPlacementProblem(ds, cc)
 	if err != nil {

@@ -59,18 +59,6 @@ type FallbackSet struct {
 	Models []FallbackModel
 }
 
-// MaxExcluded returns the largest Excluded set size — the failure depth the
-// set can cover at all.
-func (fs *FallbackSet) MaxExcluded() int {
-	max := 0
-	for i := range fs.Models {
-		if n := len(fs.Models[i].Excluded); n > max {
-			max = n
-		}
-	}
-	return max
-}
-
 // Lookup returns the narrowest fallback whose Excluded set covers every
 // faulty position (faulty ascending), or nil when the failure set is
 // uncovered. A superset match is valid — a model that additionally ignores

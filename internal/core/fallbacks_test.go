@@ -43,8 +43,8 @@ func TestFitFallbacksShape(t *testing.T) {
 	if len(fb.Models) != 5 {
 		t.Fatalf("%d fallback models, want 5", len(fb.Models))
 	}
-	if fb.MaxExcluded() != 2 {
-		t.Fatalf("MaxExcluded = %d, want 2", fb.MaxExcluded())
+	if n := len(fb.Models[4].Excluded); n != 2 {
+		t.Fatalf("chain entry excludes %d sensors, want 2", n)
 	}
 	seen := map[int]bool{}
 	for _, fm := range fb.Models[:4] {

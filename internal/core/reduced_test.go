@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"voltsense/internal/basis"
-	"voltsense/internal/ols"
 )
 
 // TestReducedFullRankMatchesDense is the golden equivalence satellite: at
@@ -61,65 +60,6 @@ func TestReducedLowRankStillFindsDrivers(t *testing.T) {
 	}
 }
 
-// TestBuildReducedPredictorFullRankMatchesOLS: at full rank the lifted
-// reduced refit equals the dense OLS refit up to roundoff.
-func TestBuildReducedPredictorFullRankMatchesOLS(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	train, test := splitDataset(rng, 20, 5, 600, 100, []int{2, 9, 15}, 0.002)
-	selected := []int{2, 9, 15}
-
-	densePred, err := BuildPredictor(train, selected)
-	if err != nil {
-		t.Fatal(err)
-	}
-	redPred, b, err := BuildReducedPredictor(train, selected, basis.Config{Rank: train.F.Rows()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Rank() != train.F.Rows() {
-		t.Fatalf("refit basis rank %d, want %d", b.Rank(), train.F.Rows())
-	}
-	de := ols.RelativeError(densePred.PredictDataset(test), test.F)
-	re := ols.RelativeError(redPred.PredictDataset(test), test.F)
-	if diff := re - de; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("full-rank reduced refit error %g vs dense %g", re, de)
-	}
-}
-
-// TestBuildReducedPredictorTruncationDegradesGracefully: the rank knob
-// trades accuracy monotonically-ish — a 99%-energy model stays close to
-// dense while a rank-1 model is clearly worse, confirming the trade-off is
-// real and measurable.
-func TestBuildReducedPredictorTruncationDegradesGracefully(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	train, test := splitDataset(rng, 24, 10, 700, 150, []int{4, 12, 20}, 0.01)
-	selected := []int{4, 12, 20}
-
-	densePred, err := BuildPredictor(train, selected)
-	if err != nil {
-		t.Fatal(err)
-	}
-	de := ols.RelativeError(densePred.PredictDataset(test), test.F)
-
-	highPred, b, err := BuildReducedPredictor(train, selected, basis.Config{Energy: 0.999})
-	if err != nil {
-		t.Fatal(err)
-	}
-	he := ols.RelativeError(highPred.PredictDataset(test), test.F)
-	if he > de*1.5+0.05 {
-		t.Fatalf("99.9%%-energy refit error %g far above dense %g (rank %d)", he, de, b.Rank())
-	}
-
-	onePred, _, err := BuildReducedPredictor(train, selected, basis.Config{Rank: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oe := ols.RelativeError(onePred.PredictDataset(test), test.F)
-	if oe < he {
-		t.Fatalf("rank-1 refit error %g beats %g of the 99.9%%-energy model; truncation has no cost?", oe, he)
-	}
-}
-
 func TestReducedValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	ds := syntheticDataset(rng, 10, 4, 200, []int{1}, 0.01)
@@ -128,14 +68,5 @@ func TestReducedValidation(t *testing.T) {
 	}
 	if _, err := PlaceSensorsReduced(ds, Config{Lambda: 2}, basis.Config{Energy: 2}); err == nil {
 		t.Fatal("bad energy accepted")
-	}
-	if _, _, err := BuildReducedPredictor(ds, nil, basis.Config{}); err == nil {
-		t.Fatal("empty selection accepted")
-	}
-	if _, _, err := BuildReducedPredictor(ds, []int{3, 3}, basis.Config{}); err == nil {
-		t.Fatal("duplicate selection accepted")
-	}
-	if _, _, err := BuildReducedPredictor(ds, []int{50}, basis.Config{}); err == nil {
-		t.Fatal("out-of-range selection accepted")
 	}
 }

@@ -58,12 +58,6 @@ func AlarmsFromPredictions(pred *mat.Matrix, vth float64) []bool {
 	return TruthFromVoltages(pred, vth)
 }
 
-// AlarmsFromSensors flags sample j when any of the selected sensor rows of x
-// reads below vth — Eagle-Eye's direct-thresholding alarm rule.
-func AlarmsFromSensors(x *mat.Matrix, selected []int, vth float64) []bool {
-	return TruthFromVoltages(x.SelectRows(selected), vth)
-}
-
 // Score compares per-sample alarms against per-sample truth.
 //
 // ME is conditioned on emergency samples and WAE on emergency-free samples

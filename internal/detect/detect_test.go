@@ -103,21 +103,6 @@ func TestRatesConsistency(t *testing.T) {
 	}
 }
 
-func TestAlarmsFromSensors(t *testing.T) {
-	x := mat.FromRows([][]float64{
-		{0.9, 0.80, 0.9},
-		{0.7, 0.90, 0.9},
-		{0.9, 0.90, 0.9},
-	})
-	got := AlarmsFromSensors(x, []int{0, 2}, 0.85)
-	want := []bool{false, true, false} // row 1's 0.7 excluded by selection
-	for j := range want {
-		if got[j] != want[j] {
-			t.Fatalf("alarms = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestScorePerBlock(t *testing.T) {
 	truth := mat.FromRows([][]float64{
 		{0.80, 0.90},

@@ -156,25 +156,3 @@ func (p *Placement) Alarms(x *mat.Matrix) []bool {
 	}
 	return out
 }
-
-// WorstNoiseRank returns candidate indices sorted by ascending observed
-// minimum voltage (noisiest first) — the pure worst-noise placement used in
-// ablations.
-func WorstNoiseRank(x *mat.Matrix) []int {
-	m := x.Rows()
-	idx := make([]int, m)
-	mins := make([]float64, m)
-	for c := 0; c < m; c++ {
-		idx[c] = c
-		row := x.Row(c)
-		mn := row[0]
-		for _, v := range row {
-			if v < mn {
-				mn = v
-			}
-		}
-		mins[c] = mn
-	}
-	sort.Slice(idx, func(a, b int) bool { return mins[idx[a]] < mins[idx[b]] })
-	return idx
-}

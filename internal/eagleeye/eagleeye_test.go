@@ -98,18 +98,6 @@ func TestNoEmergenciesFallsBackToNoise(t *testing.T) {
 	}
 }
 
-func TestWorstNoiseRank(t *testing.T) {
-	x := mat.FromRows([][]float64{
-		{0.95, 0.92},
-		{0.80, 0.99},
-		{0.90, 0.85},
-	})
-	rank := WorstNoiseRank(x)
-	if rank[0] != 1 || rank[1] != 2 || rank[2] != 0 {
-		t.Fatalf("rank = %v, want [1 2 0]", rank)
-	}
-}
-
 func TestPlaceGravitatesTowardWorstNoise(t *testing.T) {
 	// Statistical behaviour the paper reports: with correlated noise,
 	// Eagle-Eye's picks concentrate on deep-droop candidates.

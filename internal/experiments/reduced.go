@@ -47,8 +47,10 @@ func (p *Pipeline) PlaceChipReduced(lambda float64, bc basis.Config) (*core.Redu
 	}, bc)
 }
 
-// RankStudyRow is one point of the rank/accuracy trade-off: a placement +
-// refit at one basis configuration, scored on the held-out maps.
+// RankStudyRow is one point of the rank/accuracy trade-off: a placement at
+// one basis configuration, refit dense (full-K OLS) and scored on the
+// held-out maps. The basis only shrinks the selection solve, so the
+// accuracy columns measure what truncation risks: the selection.
 type RankStudyRow struct {
 	Label   string        // "dense" for the baseline, "energy=…" for reduced rows
 	Rank    int           // basis rank used for the solve (K for dense)
@@ -57,14 +59,6 @@ type RankStudyRow struct {
 	Solve   time.Duration // wall-clock of the placement solve
 	RelErr  float64       // relative prediction error on the held-out maps
 	TE      detect.Rates  // chip-level detection rates on the held-out maps
-	// RelErrDense/TEDense score the same selection refit dense (full-K
-	// OLS). They separate the two places truncation could cost accuracy:
-	// the selection (what the accelerated solver actually risks) and the
-	// rank-r refit. On chip data with a dominant common mode the energy
-	// knob can pick a tiny rank whose refit collapses while the selection
-	// — and hence the dense-refit columns — stays at dense quality.
-	RelErrDense float64
-	TEDense     detect.Rates
 }
 
 // RankStudyData is the dense baseline plus one row per requested energy
@@ -76,15 +70,25 @@ type RankStudyData struct {
 }
 
 // RankStudy measures the reduced-basis trade-off end to end: the chip-joint
-// placement is solved dense and then at each requested energy level, each
-// selection is refit (reduced rows via the rank-r coefficient refit) and
-// scored on the held-out maps. The Solve timings make the speedup visible;
-// RelErr and TE make its cost visible.
+// placement is solved dense and then at each requested energy level, and
+// each selection is refit dense and scored on the held-out maps. The Solve
+// timings make the speedup visible; RelErr and TE make its cost visible.
 func (p *Pipeline) RankStudy(lambda float64, energies []float64) (*RankStudyData, error) {
 	test := p.TestAll()
 	truth := detect.TruthFromVoltages(test.CritV, p.Cfg.Vth)
 	full := &core.Dataset{X: p.Train.CandV, F: p.Train.CritV}
 	d := &RankStudyData{Lambda: lambda, Targets: p.Train.CritV.Rows()}
+	addRow := func(row RankStudyRow, selected []int) error {
+		pred, err := core.BuildPredictor(full, selected)
+		if err != nil {
+			return err
+		}
+		row.Sensors = len(selected)
+		row.RelErr = p.RelErrorOn(pred, test)
+		row.TE = detect.Score(truth, detect.AlarmsFromPredictions(p.PredictTest(pred, test), p.Cfg.Vth))
+		d.Rows = append(d.Rows, row)
+		return nil
+	}
 
 	start := time.Now()
 	dense, err := p.PlaceChipDense(lambda)
@@ -95,28 +99,13 @@ func (p *Pipeline) RankStudy(lambda float64, energies []float64) (*RankStudyData
 	if len(dense.Selected) == 0 {
 		return nil, fmt.Errorf("experiments: dense chip placement selected no sensors at λ=%g", lambda)
 	}
-	pred, err := core.BuildPredictor(full, dense.Selected)
-	if err != nil {
+	if err := addRow(RankStudyRow{Label: "dense", Rank: d.Targets, Energy: 1, Solve: solve}, dense.Selected); err != nil {
 		return nil, err
 	}
-	denseErr := p.RelErrorOn(pred, test)
-	denseTE := detect.Score(truth, detect.AlarmsFromPredictions(p.PredictTest(pred, test), p.Cfg.Vth))
-	d.Rows = append(d.Rows, RankStudyRow{
-		Label:       "dense",
-		Rank:        d.Targets,
-		Energy:      1,
-		Sensors:     len(dense.Selected),
-		Solve:       solve,
-		RelErr:      denseErr,
-		TE:          denseTE,
-		RelErrDense: denseErr,
-		TEDense:     denseTE,
-	})
 
 	for _, e := range energies {
-		bc := basis.Config{Energy: e}
 		start = time.Now()
-		rp, err := p.PlaceChipReduced(lambda, bc)
+		rp, err := p.PlaceChipReduced(lambda, basis.Config{Energy: e})
 		solve = time.Since(start)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: reduced chip placement (energy %g): %w", e, err)
@@ -124,42 +113,29 @@ func (p *Pipeline) RankStudy(lambda float64, energies []float64) (*RankStudyData
 		if len(rp.Selected) == 0 {
 			return nil, fmt.Errorf("experiments: reduced placement (energy %g) selected no sensors at λ=%g", e, lambda)
 		}
-		rpred, b, err := core.BuildReducedPredictor(full, rp.Selected, bc)
-		if err != nil {
+		row := RankStudyRow{
+			Label:  fmt.Sprintf("energy=%g", e),
+			Rank:   rp.Basis.Rank(),
+			Energy: rp.Basis.EnergyCaptured(),
+			Solve:  solve,
+		}
+		if err := addRow(row, rp.Selected); err != nil {
 			return nil, err
 		}
-		dpred, err := core.BuildPredictor(full, rp.Selected)
-		if err != nil {
-			return nil, err
-		}
-		d.Rows = append(d.Rows, RankStudyRow{
-			Label:       fmt.Sprintf("energy=%g", e),
-			Rank:        b.Rank(),
-			Energy:      b.EnergyCaptured(),
-			Sensors:     len(rp.Selected),
-			Solve:       solve,
-			RelErr:      p.RelErrorOn(rpred, test),
-			TE:          detect.Score(truth, detect.AlarmsFromPredictions(p.PredictTest(rpred, test), p.Cfg.Vth)),
-			RelErrDense: p.RelErrorOn(dpred, test),
-			TEDense:     detect.Score(truth, detect.AlarmsFromPredictions(p.PredictTest(dpred, test), p.Cfg.Vth)),
-		})
 	}
 	return d, nil
 }
 
-// Render formats the rank study as a fixed-width table. The "reduced
-// refit" columns score the rank-r coefficient-space refit; the "dense
-// refit" columns score the same selection refit against all K nodes.
+// Render formats the rank study as a fixed-width table.
 func (d *RankStudyData) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "chip-joint placement at λ=%g over %d critical nodes\n", d.Lambda, d.Targets)
-	fmt.Fprintf(&b, "%-44s %-20s %-20s\n", "", "reduced refit", "dense refit")
-	fmt.Fprintf(&b, "%-14s %6s %9s %8s %12s %11s %8s %11s %8s\n",
-		"basis", "rank", "energy", "sensors", "solve", "rel err(%)", "TE", "rel err(%)", "TE")
+	fmt.Fprintf(&b, "%-14s %6s %9s %8s %12s %11s %8s\n",
+		"basis", "rank", "energy", "sensors", "solve", "rel err(%)", "TE")
 	for _, r := range d.Rows {
-		fmt.Fprintf(&b, "%-14s %6d %9.5f %8d %12s %11.3f %8.4f %11.3f %8.4f\n",
+		fmt.Fprintf(&b, "%-14s %6d %9.5f %8d %12s %11.3f %8.4f\n",
 			r.Label, r.Rank, r.Energy, r.Sensors, r.Solve.Round(time.Millisecond),
-			100*r.RelErr, r.TE.TE, 100*r.RelErrDense, r.TEDense.TE)
+			100*r.RelErr, r.TE.TE)
 	}
 	return b.String()
 }
@@ -167,12 +143,11 @@ func (d *RankStudyData) Render() string {
 // CSV emits the rank study as comma-separated rows.
 func (d *RankStudyData) CSV() string {
 	var b strings.Builder
-	b.WriteString("basis,rank,energy,sensors,solve_ms,rel_err_pct,me,wae,te,dense_rel_err_pct,dense_te\n")
+	b.WriteString("basis,rank,energy,sensors,solve_ms,rel_err_pct,me,wae,te\n")
 	for _, r := range d.Rows {
-		fmt.Fprintf(&b, "%s,%d,%.6f,%d,%.1f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f\n",
+		fmt.Fprintf(&b, "%s,%d,%.6f,%d,%.1f,%.4f,%.4f,%.4f,%.4f\n",
 			r.Label, r.Rank, r.Energy, r.Sensors,
-			float64(r.Solve.Microseconds())/1000, 100*r.RelErr, r.TE.ME, r.TE.WAE, r.TE.TE,
-			100*r.RelErrDense, r.TEDense.TE)
+			float64(r.Solve.Microseconds())/1000, 100*r.RelErr, r.TE.ME, r.TE.WAE, r.TE.TE)
 	}
 	return b.String()
 }

@@ -8,9 +8,8 @@ import (
 )
 
 // TestRankStudy runs the chip-joint rank/accuracy trade-off end to end on
-// the tiny pipeline and checks the properties the PR's acceptance criteria
-// lean on: the 99%-energy basis compresses K hard, its selection agrees
-// with the dense solve, and its held-out accuracy stays within tolerance.
+// the tiny pipeline: the 99%-energy basis compresses K hard, its selection
+// agrees with the dense solve, and its dense refit stays at dense accuracy.
 func TestRankStudy(t *testing.T) {
 	p, err := New(tinyConfig())
 	if err != nil {
@@ -41,24 +40,15 @@ func TestRankStudy(t *testing.T) {
 		if diff := row.Sensors - dense.Sensors; diff > 2 || diff < -2 {
 			t.Fatalf("%s selected %d sensors vs dense %d", row.Label, row.Sensors, dense.Sensors)
 		}
-		// …and its held-out accuracy must not collapse: the acceptance bar
-		// is TE within 5 points of dense, and the truncation cost in
-		// relative error stays a few percent (the EXPERIMENTS.md table
-		// records the exact numbers).
+		// …and, refit dense, supports dense-quality predictions: the
+		// truncated basis only shrank the selection solve, so the
+		// accuracy columns measure the selection alone (the EXPERIMENTS.md
+		// table records the exact numbers).
 		if row.TE.TE > dense.TE.TE+0.05 {
 			t.Fatalf("%s TE %g vs dense %g", row.Label, row.TE.TE, dense.TE.TE)
 		}
-		if row.RelErr > dense.RelErr+0.03 {
+		if row.RelErr > dense.RelErr+0.01 {
 			t.Fatalf("%s rel err %g vs dense %g", row.Label, row.RelErr, dense.RelErr)
-		}
-		// The dense-refit columns isolate selection quality: whatever the
-		// rank-r refit costs, the sensors the reduced solve picked must
-		// support near-dense accuracy when refit against all K nodes.
-		if row.TEDense.TE > dense.TE.TE+0.05 {
-			t.Fatalf("%s dense-refit TE %g vs dense %g", row.Label, row.TEDense.TE, dense.TE.TE)
-		}
-		if row.RelErrDense > dense.RelErr+0.01 {
-			t.Fatalf("%s dense-refit rel err %g vs dense %g", row.Label, row.RelErrDense, dense.RelErr)
 		}
 	}
 }

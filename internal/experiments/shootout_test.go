@@ -8,7 +8,7 @@ import (
 )
 
 // TestCriteriaShootoutRanksAllMethods runs the full parallel shootout — all
-// seven criteria concurrently on one shared problem, plus the mixed-class
+// six criteria concurrently on one shared problem, plus the mixed-class
 // row — on the shared quick pipeline. Run with -race to exercise the
 // concurrent Select path.
 func TestCriteriaShootoutRanksAllMethods(t *testing.T) {
@@ -94,11 +94,11 @@ func TestCriteriaShootoutValidation(t *testing.T) {
 		t.Error("unknown criterion accepted")
 	}
 	// budget 0 skips the mixed row.
-	d, err := p.CriteriaShootout(4, []string{"qrpivot"}, place.DefaultClassSpec, 0)
+	d, err := p.CriteriaShootout(4, []string{"dopt"}, place.DefaultClassSpec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Rows) != 1 || d.Rows[0].Criterion != "qrpivot" {
+	if len(d.Rows) != 1 || d.Rows[0].Criterion != "dopt" {
 		t.Errorf("criteria subset not honored: %+v", d.Rows)
 	}
 }

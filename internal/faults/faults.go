@@ -161,9 +161,6 @@ func NewInjector(faults []Fault, q int) (*Injector, error) {
 	return &Injector{faults: fs}, nil
 }
 
-// NumFaults returns the number of configured faults.
-func (in *Injector) NumFaults() int { return len(in.faults) }
-
 // Apply overwrites the faulted sensors of readings in place for the given
 // cycle. Faults whose Start is in the future leave the vector untouched.
 func (in *Injector) Apply(cycle int, readings []float64) {

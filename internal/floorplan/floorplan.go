@@ -239,16 +239,6 @@ func (c *Chip) CoreAt(x, y float64) *Core {
 // NumBlocks returns the total function-block count (cores x BlocksPerCore).
 func (c *Chip) NumBlocks() int { return len(c.Blocks) }
 
-// FAFraction returns the fraction of chip area covered by function blocks, a
-// sanity metric used in tests (roughly 40-60% for the default config).
-func (c *Chip) FAFraction() float64 {
-	fa := 0.0
-	for _, b := range c.Blocks {
-		fa += b.Bounds.Area()
-	}
-	return fa / (c.Width * c.Height)
-}
-
 // NearestBlock returns the block whose center is nearest to (x, y) and the
 // distance to it, used when associating sensor candidates with units for
 // reporting.

@@ -108,7 +108,11 @@ func TestBlockAtMatchesLinearScan(t *testing.T) {
 
 func TestFAFractionReasonable(t *testing.T) {
 	chip := New(DefaultConfig())
-	fa := chip.FAFraction()
+	fa := 0.0
+	for _, b := range chip.Blocks {
+		fa += b.Bounds.Area()
+	}
+	fa /= chip.Width * chip.Height
 	if fa < 0.35 || fa > 0.75 {
 		t.Fatalf("FA fraction = %v, want mid-range so BA has room for sensors", fa)
 	}

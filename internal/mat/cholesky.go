@@ -88,13 +88,3 @@ func (c *Cholesky) SolveMatrix(b *Matrix) *Matrix {
 	}
 	return out
 }
-
-// LogDet returns the natural log of det(A) = 2 Σ log L_ii.
-func (c *Cholesky) LogDet() float64 {
-	n := c.l.rows
-	s := 0.0
-	for i := 0; i < n; i++ {
-		s += math.Log(c.l.data[i*n+i])
-	}
-	return 2 * s
-}

@@ -88,8 +88,12 @@ func TestQRNormalEquationsResidual(t *testing.T) {
 			return false
 		}
 		res := SubVec(MulVec(a, x), b)
-		grad := MulTVec(a, res)
-		return NormInf(grad) < 1e-8
+		for _, g := range MulTVec(a, res) {
+			if math.Abs(g) >= 1e-8 {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -115,18 +119,6 @@ func TestQRSingular(t *testing.T) {
 	_, err := qrSolve(a, []float64{1, 2, 3})
 	if err == nil {
 		t.Fatal("expected ErrSingular for rank-deficient matrix")
-	}
-}
-
-func TestQRRCond(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	good := FactorQRColumns(Add(randMatrix(rng, 5, 5), Scale(10, Eye(5))).T())
-	if good.RCond() < 1e-4 {
-		t.Errorf("well-conditioned RCond = %v, suspiciously small", good.RCond())
-	}
-	bad := FactorQRColumns(FromRows([][]float64{{1, 0}, {0, 1e-14}}).T())
-	if bad.RCond() > 1e-10 {
-		t.Errorf("ill-conditioned RCond = %v, suspiciously large", bad.RCond())
 	}
 }
 
@@ -180,25 +172,11 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	}
 }
 
-func TestCholeskyLogDet(t *testing.T) {
-	a := FromRows([][]float64{{4, 0}, {0, 9}})
-	c, err := FactorCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := c.LogDet(), math.Log(36); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("LogDet = %v, want %v", got, want)
-	}
-}
-
-func TestLUSolveAndDet(t *testing.T) {
+func TestLUSolvePivots(t *testing.T) {
 	a := FromRows([][]float64{{0, 2}, {1, 1}}) // needs pivoting
 	f, err := FactorLU(a)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got, want := f.Det(), -2.0; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("Det = %v, want %v", got, want)
 	}
 	x := f.Solve([]float64{4, 3})
 	// 2y = 4 → y = 2; x + y = 3 → x = 1.

@@ -7,9 +7,8 @@ import (
 
 // LU holds an LU factorization with partial pivoting: P A = L U.
 type LU struct {
-	lu   *Matrix // L (unit diagonal, below) and U (on and above) packed
-	piv  []int   // row permutation
-	sign float64 // +1 or -1 from permutation parity
+	lu  *Matrix // L (unit diagonal, below) and U (on and above) packed
+	piv []int   // row permutation
 }
 
 // FactorLU computes the LU factorization of the square matrix a with partial
@@ -24,7 +23,6 @@ func FactorLU(a *Matrix) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1.0
 	for k := 0; k < n; k++ {
 		// Find the pivot row.
 		p, pv := k, math.Abs(lu.data[k*n+k])
@@ -43,7 +41,6 @@ func FactorLU(a *Matrix) (*LU, error) {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		ukk := lu.data[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -57,7 +54,7 @@ func FactorLU(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	return &LU{lu: lu, piv: piv}, nil
 }
 
 // Solve returns x such that A x = b.
@@ -87,16 +84,6 @@ func (f *LU) Solve(b []float64) []float64 {
 		x[i] = s / f.lu.data[i*n+i]
 	}
 	return x
-}
-
-// Det returns the determinant of A.
-func (f *LU) Det() float64 {
-	n := f.lu.rows
-	d := f.sign
-	for i := 0; i < n; i++ {
-		d *= f.lu.data[i*n+i]
-	}
-	return d
 }
 
 // Inverse returns A⁻¹, computed column by column. Prefer Solve when only a

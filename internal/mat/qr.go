@@ -248,26 +248,3 @@ func UpperSingular(r *Matrix) bool {
 	}
 	return false
 }
-
-// RCond returns a cheap condition estimate of R: |r_min| / |r_max| over the
-// diagonal. Values near zero indicate ill-conditioning.
-func (f *QR) RCond() float64 {
-	n, m := f.v.rows, f.v.cols
-	if n == 0 {
-		return 1
-	}
-	mn, mx := math.Inf(1), 0.0
-	for i := 0; i < n; i++ {
-		a := math.Abs(f.v.data[i*m+i])
-		if a < mn {
-			mn = a
-		}
-		if a > mx {
-			mx = a
-		}
-	}
-	if mx == 0 {
-		return 0
-	}
-	return mn / mx
-}

@@ -13,15 +13,6 @@ func RowMeans(m *Matrix) []float64 {
 	return out
 }
 
-// RowStdDevs returns the population standard deviation of every row of m.
-func RowStdDevs(m *Matrix) []float64 {
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = StdDev(m.Row(i))
-	}
-	return out
-}
-
 // Standardization records the per-row affine transform used to bring a data
 // matrix to zero mean and unit variance, so predictions can be mapped back.
 type Standardization struct {

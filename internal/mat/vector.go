@@ -26,36 +26,6 @@ func Norm2(x []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// NormInf returns the max-abs norm of x, or 0 for an empty slice.
-func NormInf(x []float64) float64 {
-	m := 0.0
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// AxpyTo computes dst = a*x + y elementwise. dst may alias x or y.
-func AxpyTo(dst []float64, a float64, x, y []float64) {
-	if len(x) != len(y) || len(dst) != len(x) {
-		panic(fmt.Sprintf("mat: Axpy length mismatch %d/%d/%d", len(dst), len(x), len(y)))
-	}
-	for i := range dst {
-		dst[i] = a*x[i] + y[i]
-	}
-}
-
-// ScaleVec returns a new slice holding s*x.
-func ScaleVec(s float64, x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = s * v
-	}
-	return out
-}
-
 // SubVec returns a new slice holding x - y.
 func SubVec(x, y []float64) []float64 {
 	if len(x) != len(y) {

@@ -122,17 +122,9 @@ func TestCorrelationAffineInvariance(t *testing.T) {
 	}
 }
 
-func TestAxpyScaleSub(t *testing.T) {
+func TestSubVec(t *testing.T) {
 	x := []float64{1, 2}
 	y := []float64{10, 20}
-	dst := make([]float64, 2)
-	AxpyTo(dst, 3, x, y)
-	if dst[0] != 13 || dst[1] != 26 {
-		t.Errorf("AxpyTo = %v, want [13 26]", dst)
-	}
-	if got := ScaleVec(2, x); got[0] != 2 || got[1] != 4 {
-		t.Errorf("ScaleVec = %v", got)
-	}
 	if got := SubVec(y, x); got[0] != 9 || got[1] != 18 {
 		t.Errorf("SubVec = %v", got)
 	}
@@ -195,8 +187,7 @@ func TestRowMeansStds(t *testing.T) {
 	if mu[0] != 2 || mu[1] != 2 {
 		t.Errorf("RowMeans = %v", mu)
 	}
-	sd := RowStdDevs(m)
-	if math.Abs(sd[0]-1) > 1e-12 || sd[1] != 0 {
-		t.Errorf("RowStdDevs = %v", sd)
+	if sd0, sd1 := StdDev(m.Row(0)), StdDev(m.Row(1)); math.Abs(sd0-1) > 1e-12 || sd1 != 0 {
+		t.Errorf("row std devs = %v, %v", sd0, sd1)
 	}
 }

@@ -83,8 +83,8 @@ func Factor(x, f *mat.Matrix) (*Factorization, error) {
 	k := f.Rows()
 	xMean := mat.RowMeans(x)
 	fMean := mat.RowMeans(f)
-	qr := mat.FactorQRColumns(centered(x, xMean, nil))
-	w := centered(f, fMean, nil)
+	qr := mat.FactorQRColumns(centered(x, xMean))
+	w := centered(f, fMean)
 	qr.ApplyQT(w)
 	head := mat.Zeros(k, q)
 	resid := 0.0
@@ -106,20 +106,13 @@ func Factor(x, f *mat.Matrix) (*Factorization, error) {
 	}, nil
 }
 
-// centered returns m with every row's mean subtracted and, when scale is
-// non-nil, every column j scaled by scale[j].
-func centered(m *mat.Matrix, means, scale []float64) *mat.Matrix {
+// centered returns m with every row's mean subtracted.
+func centered(m *mat.Matrix, means []float64) *mat.Matrix {
 	out := mat.Zeros(m.Rows(), m.Cols())
 	for i, mu := range means {
 		dst := out.Row(i)
-		if scale == nil {
-			for j, v := range m.Row(i) {
-				dst[j] = v - mu
-			}
-			continue
-		}
 		for j, v := range m.Row(i) {
-			dst[j] = scale[j] * (v - mu)
+			dst[j] = v - mu
 		}
 	}
 	return out
@@ -264,15 +257,6 @@ func RelativeError(pred, truth *mat.Matrix) float64 {
 		return math.Inf(1)
 	}
 	return mat.FrobeniusDistance(pred, truth) / den
-}
-
-// RMSE returns the root-mean-square elementwise error.
-func RMSE(pred, truth *mat.Matrix) float64 {
-	n := float64(pred.Rows() * pred.Cols())
-	if n == 0 {
-		return 0
-	}
-	return mat.FrobeniusDistance(pred, truth) / math.Sqrt(n)
 }
 
 // MaxAbsError returns the worst elementwise error.

@@ -10,8 +10,8 @@ import (
 	"voltsense/internal/mat"
 )
 
-// This file keeps the row-major Householder QR that Fit, FitWeighted and
-// GLSGain used before the column-layout mat.QR, as the oracle the new path
+// This file keeps the row-major Householder QR that Fit and GLSGain used
+// before the column-layout mat.QR, as the oracle the new path
 // must match bitwise: the factorization walks an N-by-Q design with stride
 // Q and the solve applies the reflectors to an N-by-K right-hand side.
 
@@ -247,43 +247,6 @@ func TestFitMatchesRowMajor(t *testing.T) {
 		sameBits(t, fmt.Sprint("alpha ", sh), got.Alpha.Data(), want.Alpha.Data())
 		sameBits(t, fmt.Sprint("c ", sh), got.C, want.C)
 	}
-}
-
-func TestFitWeightedMatchesRowMajor(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	const q, k, n = 5, 9, 80
-	x, f := correlatedSamples(rng, q, k, n)
-	w := make([]float64, n)
-	for j := range w {
-		w[j] = rng.Float64()
-	}
-	w[3] = 0
-	got, err := FitWeighted(x, f, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The oracle: the whitened, weighted-centered design and right-hand side
-	// laid out row-major, one sample per row.
-	var wSum float64
-	for _, v := range w {
-		wSum += v
-	}
-	xMean, fMean := weightedRowMeans(x, w, wSum), weightedRowMeans(f, w, wSum)
-	design, rhs := mat.Zeros(n, q), mat.Zeros(n, k)
-	for j := 0; j < n; j++ {
-		s := math.Sqrt(w[j])
-		for i := 0; i < q; i++ {
-			design.Set(j, i, s*(x.At(i, j)-xMean[i]))
-		}
-		for i := 0; i < k; i++ {
-			rhs.Set(j, i, s*(f.At(i, j)-fMean[i]))
-		}
-	}
-	sol, err := factorRowMajor(design).solveMatrix(rhs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameBits(t, "weighted alpha", got.Alpha.Data(), sol.T().Data())
 }
 
 func TestGLSGainMatchesRowMajor(t *testing.T) {

@@ -17,96 +17,6 @@ func randMatrix(rng *rand.Rand, r, c int) *mat.Matrix {
 	return m
 }
 
-func TestFitWeightedUniformMatchesFit(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	x := randMatrix(rng, 4, 60)
-	f := randMatrix(rng, 6, 60)
-	plain, err := Fit(x, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, wv := range []float64{1, 0.25, 13.5} {
-		w := make([]float64, x.Cols())
-		for j := range w {
-			w[j] = wv
-		}
-		wm, err := FitWeighted(x, f, w)
-		if err != nil {
-			t.Fatalf("weight %v: %v", wv, err)
-		}
-		if !mat.Equalish(plain.Alpha, wm.Alpha, 1e-9) {
-			t.Errorf("weight %v: alpha diverges from Fit by %g", wv, mat.MaxAbsDiff(plain.Alpha, wm.Alpha))
-		}
-		for i := range plain.C {
-			if math.Abs(plain.C[i]-wm.C[i]) > 1e-9 {
-				t.Errorf("weight %v: intercept %d: %g vs %g", wv, i, plain.C[i], wm.C[i])
-			}
-		}
-	}
-}
-
-func TestFitWeightedDownweightsCorruptedSamples(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	x := randMatrix(rng, 3, 80)
-	truth := randMatrix(rng, 2, 3) // true coefficients
-	f := mat.Mul(truth, x)
-	// Corrupt the last 10 samples of f badly; a weighted fit that zeroes
-	// them out must recover the clean coefficients.
-	for j := 70; j < 80; j++ {
-		for i := 0; i < f.Rows(); i++ {
-			f.Set(i, j, f.At(i, j)+25)
-		}
-	}
-	w := make([]float64, 80)
-	for j := range w {
-		if j < 70 {
-			w[j] = 1
-		}
-	}
-	m, err := FitWeighted(x, f, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mat.Equalish(truth, m.Alpha, 1e-8) {
-		t.Errorf("weighted fit did not ignore zero-weight samples: max diff %g",
-			mat.MaxAbsDiff(truth, m.Alpha))
-	}
-	// The unweighted fit, by contrast, must be pulled off the truth.
-	um, err := Fit(x, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mat.Equalish(truth, um.Alpha, 1e-3) {
-		t.Error("unweighted fit unexpectedly immune to corrupted samples")
-	}
-}
-
-func TestFitWeightedRejectsBadWeights(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	x := randMatrix(rng, 3, 20)
-	f := randMatrix(rng, 2, 20)
-	w := make([]float64, 20)
-	for j := range w {
-		w[j] = 1
-	}
-	w[4] = -0.5
-	if _, err := FitWeighted(x, f, w); err == nil {
-		t.Error("negative weight accepted")
-	}
-	w[4] = math.NaN()
-	if _, err := FitWeighted(x, f, w); err == nil {
-		t.Error("NaN weight accepted")
-	}
-	// Too few positive weights.
-	for j := range w {
-		w[j] = 0
-	}
-	w[0], w[1] = 1, 1
-	if _, err := FitWeighted(x, f, w); err == nil {
-		t.Error("underdetermined weighted design accepted")
-	}
-}
-
 func TestGLSGainEqualVariancesIsPseudoInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	d := randMatrix(rng, 8, 3)

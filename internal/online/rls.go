@@ -87,40 +87,6 @@ func NewRecursiveOLS(q, k int, forgetting float64) *RecursiveOLS {
 	}
 }
 
-// NewRecursiveOLSFromNormal returns a warm-started estimator seeded from
-// externally assembled normal equations over the unshifted augmented
-// regressor z = [x; 1]: a = Σ w_i z_i z_iᵀ (plus any prior pseudo-observation
-// terms, e.g. the MAP regularizer of internal/transfer) and b = Σ w_i z_i f_iᵀ.
-// a must be (q+1)×(q+1) and invertible, b (q+1)×k. The estimator starts Ready
-// — no warmup buffering — with samples recorded as the ingested count, and
-// keeps folding new labeled samples into the seeded equations, so a few-shot
-// aligned fit continues adapting online with its prior still in effect.
-func NewRecursiveOLSFromNormal(q, k int, forgetting float64, a, b *mat.Matrix, samples int) (*RecursiveOLS, error) {
-	r := NewRecursiveOLS(q, k, forgetting)
-	d := q + 1
-	if a.Rows() != d || a.Cols() != d {
-		return nil, fmt.Errorf("online: normal matrix is %dx%d, want %dx%d", a.Rows(), a.Cols(), d, d)
-	}
-	if b.Rows() != d || b.Cols() != k {
-		return nil, fmt.Errorf("online: cross-moment matrix is %dx%d, want %dx%d", b.Rows(), b.Cols(), d, k)
-	}
-	if samples < 0 {
-		return nil, fmt.Errorf("online: negative warm-start sample count %d", samples)
-	}
-	lu, err := mat.FactorLU(a)
-	if err != nil {
-		return nil, fmt.Errorf("online: warm-start normal matrix not invertible: %w", err)
-	}
-	r.x0 = make([]float64, q)
-	r.f0 = make([]float64, k)
-	r.p = lu.Inverse()
-	r.b = b.Clone()
-	r.n = samples
-	r.ready = true
-	r.dirty = true
-	return r, nil
-}
-
 // NumInputs returns q.
 func (r *RecursiveOLS) NumInputs() int { return r.q }
 

@@ -67,17 +67,6 @@ func BenchmarkDOptNaive(b *testing.B) {
 	}
 }
 
-// BenchmarkQRPivot tracks the pivoted Gram–Schmidt sweep.
-func BenchmarkQRPivot(b *testing.B) {
-	p := benchProblem(b, 200, 8, 400, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (QRPivot{}).Select(p, 20); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFrameSense tracks the worst-out frame-potential elimination.
 func BenchmarkFrameSense(b *testing.B) {
 	p := benchProblem(b, 200, 8, 400, 10)

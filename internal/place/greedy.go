@@ -1,83 +1,6 @@
 package place
 
-import (
-	"math"
-
-	"voltsense/internal/mat"
-)
-
-// QRPivot is the SSPOR-style greedy of PySensors 2.0: column-pivoted QR of
-// Ψᵀ. Each step takes the candidate whose basis row has the largest norm
-// after orthogonalizing against the rows already chosen — the pivot order of
-// a Householder/Businger–Golub factorization — so the selected rows form a
-// maximally well-conditioned square (or tall) system for coefficient
-// recovery. The selection depends only on inner products between basis
-// rows, which makes it invariant under any orthogonal rotation of the basis
-// (TestQRPivotRotationInvariant pins this); complexity is O(M·r·q).
-type QRPivot struct{}
-
-// Name returns "qrpivot".
-func (QRPivot) Name() string { return "qrpivot" }
-
-// Select runs the pivoted Gram–Schmidt sweep. When q exceeds the basis rank
-// the residuals vanish after r pivots; the remaining slots are filled with
-// the unchosen candidates of largest original row norm (the highest-energy
-// sites), keeping the method total like its PySensors counterpart.
-func (QRPivot) Select(p *Problem, q int) ([]int, error) {
-	if err := p.checkBudget(q); err != nil {
-		return nil, err
-	}
-	m, r := p.Psi.Rows(), p.Psi.Cols()
-	// Residual copies of the basis rows, deflated as pivots are chosen.
-	res := p.Psi.Clone()
-	norm2 := make([]float64, m)
-	orig2 := make([]float64, m)
-	for i := 0; i < m; i++ {
-		n2 := mat.Dot(res.Row(i), res.Row(i))
-		norm2[i] = n2
-		orig2[i] = n2
-	}
-	chosen := make([]bool, m)
-	var sel []int
-	scale := maxFloat(norm2)
-	if scale == 0 {
-		scale = 1
-	}
-	for len(sel) < q && len(sel) < r {
-		best, bestN := -1, 0.0
-		for i := 0; i < m; i++ {
-			if !chosen[i] && norm2[i] > bestN {
-				best, bestN = i, norm2[i]
-			}
-		}
-		// Once every residual is at roundoff the pivots no longer carry
-		// information; stop and fall through to the norm fill.
-		if best < 0 || bestN <= 1e-24*scale {
-			break
-		}
-		chosen[best] = true
-		sel = append(sel, best)
-		// Deflate: remove the chosen direction from every remaining row.
-		pv := res.Row(best)
-		inv := 1 / math.Sqrt(bestN)
-		for j := range pv {
-			pv[j] *= inv
-		}
-		for i := 0; i < m; i++ {
-			if chosen[i] {
-				continue
-			}
-			row := res.Row(i)
-			d := mat.Dot(row, pv)
-			for j := range row {
-				row[j] -= d * pv[j]
-			}
-			norm2[i] = mat.Dot(row, row)
-		}
-	}
-	fillByScore(&sel, chosen, orig2, q)
-	return ascending(sel), nil
-}
+import "voltsense/internal/mat"
 
 // FrameSense is Ranieri et al.'s near-optimal greedy for linear inverse
 // problems: minimize the frame potential FP(S) = Σ_{i,j∈S} ⟨ψ_i, ψ_j⟩² by
@@ -152,41 +75,4 @@ func FramePotential(psi *mat.Matrix, sel []int) float64 {
 		}
 	}
 	return fp
-}
-
-// fillByScore appends unchosen indices in descending score order until the
-// selection reaches q — the shared tail rule for criteria whose primary
-// objective saturates before the budget is spent.
-func fillByScore(sel *[]int, chosen []bool, score []float64, q int) {
-	if len(*sel) >= q {
-		return
-	}
-	var rest []int
-	for i, c := range chosen {
-		if !c {
-			rest = append(rest, i)
-		}
-	}
-	// Deterministic: score descending, index ascending on ties.
-	for len(*sel) < q && len(rest) > 0 {
-		best := 0
-		for i := 1; i < len(rest); i++ {
-			if score[rest[i]] > score[rest[best]] {
-				best = i
-			}
-		}
-		*sel = append(*sel, rest[best])
-		chosen[rest[best]] = true
-		rest = append(rest[:best], rest[best+1:]...)
-	}
-}
-
-func maxFloat(xs []float64) float64 {
-	mx := math.Inf(-1)
-	for _, v := range xs {
-		if v > mx {
-			mx = v
-		}
-	}
-	return mx
 }

@@ -88,6 +88,17 @@ func (st *infoState) add(psi []float64, w float64) {
 // greedy enjoys the usual (1−1/e) near-optimality; complexity is O(M·q·r²).
 // TestDOptGreedyMatchesBruteForce pins the incremental arithmetic against
 // naive log-det recomputation.
+//
+// Up to the basis rank this is the SSPOR column-pivoted QR greedy of
+// PySensors 2.0: with selection S spanning V, ψᵀM⁻¹ψ = ‖ψ⊥‖²/ε +
+// O(‖ψ‖²/σ²_min), where ψ⊥ is ψ's residual orthogonal to V and σ²_min the
+// smallest nonzero eigenvalue of the selected rows' information, so the
+// greedy takes the largest residual norm — pivoted QR's choice
+// (TestDOptMatchesPivotedQR). Past the rank the residuals vanish and the
+// O(‖ψ‖²/σ²_min) term keeps ranking candidates by how much they sharpen the
+// directions already covered. The gain depends only on inner products
+// between basis rows, so the selection is invariant under any orthogonal
+// rotation of the basis (TestDOptRotationInvariant).
 type DOpt struct{}
 
 // Name returns "dopt".

@@ -2,11 +2,14 @@
 // interface over every selection strategy the repository knows, from the
 // paper's group lasso and the Eagle-Eye coverage baseline to the
 // basis-driven optimality criteria of the wider placement literature
-// (QR-pivot greedy à la PySensors/SSPOR, D- and E-optimal greedy, Ranieri et
-// al.'s FrameSense frame-potential minimization, and worst-case-scenario
-// coverage), plus heterogeneous sensor classes — reference vs low-cost
-// devices with per-class noise variance, budget-constrained mixed placement,
-// and a GLS refit that weighs each sensor by its precision.
+// (D- and E-optimal greedy, Ranieri et al.'s FrameSense frame-potential
+// minimization, and worst-case-scenario coverage), plus heterogeneous sensor
+// classes — reference vs low-cost devices with per-class noise variance,
+// budget-constrained mixed placement, and a GLS refit that weighs each
+// sensor by its precision. The D-optimal greedy is also the QR-pivot greedy
+// of PySensors/SSPOR: up to the basis rank the two pick the same sensors
+// (DESIGN.md §13), and past it D-optimality keeps ranking candidates where
+// pivoted QR has no residual left to rank by.
 //
 // The common formulation is the one PySensors 2.0 and the Ranieri line of
 // work share: fit a rank-r POD basis U of the standardized candidate traces
@@ -171,7 +174,6 @@ func Names() []string {
 var registry = map[string]func() Criterion{
 	"grouplasso": func() Criterion { return GroupLasso{} },
 	"eagleeye":   func() Criterion { return EagleEye{} },
-	"qrpivot":    func() Criterion { return QRPivot{} },
 	"dopt":       func() Criterion { return DOpt{} },
 	"eopt":       func() Criterion { return EOpt{} },
 	"framesense": func() Criterion { return FrameSense{} },

@@ -3,6 +3,7 @@ package place
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"voltsense/internal/basis"
@@ -40,8 +41,9 @@ func testProblem(t *testing.T, seed int64, m, k, n, rank int) *Problem {
 
 func TestParseCriterionRoundTripsNames(t *testing.T) {
 	names := Names()
-	if len(names) != 7 {
-		t.Fatalf("expected 7 registered criteria, got %v", names)
+	want := []string{"dopt", "eagleeye", "eopt", "framesense", "grouplasso", "worstcase"}
+	if strings.Join(names, ",") != strings.Join(want, ",") {
+		t.Fatalf("registered criteria %v, want %v", names, want)
 	}
 	for _, name := range names {
 		c, err := ParseCriterion(name)
@@ -52,7 +54,7 @@ func TestParseCriterionRoundTripsNames(t *testing.T) {
 			t.Errorf("ParseCriterion(%q).Name() = %q", name, c.Name())
 		}
 	}
-	if _, err := ParseCriterion("  QRPivot "); err != nil {
+	if _, err := ParseCriterion("  DOpt "); err != nil {
 		t.Errorf("case/space-insensitive parse failed: %v", err)
 	}
 	if _, err := ParseCriterion("bogus"); err == nil {
@@ -155,12 +157,104 @@ func TestDOptGreedyMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestQRPivotRotationInvariant: the pivot order depends only on inner
-// products between basis rows, so any orthogonal rotation of the basis must
-// leave the selection unchanged. The latent dimension deliberately exceeds
-// the fitted rank — a fully-covering basis would equalize every row norm
-// (ties), making the first pivot ill-defined and the test meaningless.
-func TestQRPivotRotationInvariant(t *testing.T) {
+// pivotedQR is the SSPOR greedy of PySensors 2.0, kept as the oracle for
+// DOpt below the basis rank: a column-pivoted Gram–Schmidt sweep over Ψᵀ
+// that takes, at each step, the candidate whose basis row has the largest
+// norm after orthogonalizing against the rows already chosen. Ties within a
+// relative 1e-9 go to the lowest index, DOpt's rule: on a basis that covers
+// every candidate's energy all row norms are equal, and without the shared
+// rule roundoff would pick the first pivot. q must not exceed the rank.
+func pivotedQR(psi *mat.Matrix, q int) []int {
+	m := psi.Rows()
+	res := psi.Clone()
+	norm2 := make([]float64, m)
+	for i := range norm2 {
+		norm2[i] = mat.Dot(res.Row(i), res.Row(i))
+	}
+	chosen := make([]bool, m)
+	var sel []int
+	for len(sel) < q {
+		best, bestN := -1, 0.0
+		for i := 0; i < m; i++ {
+			if !chosen[i] && (best < 0 || norm2[i] > bestN*(1+1e-9)) {
+				best, bestN = i, norm2[i]
+			}
+		}
+		chosen[best] = true
+		sel = append(sel, best)
+		// Deflate: remove the chosen direction from every remaining row.
+		pv := res.Row(best)
+		inv := 1 / math.Sqrt(bestN)
+		for j := range pv {
+			pv[j] *= inv
+		}
+		for i := 0; i < m; i++ {
+			if chosen[i] {
+				continue
+			}
+			row := res.Row(i)
+			d := mat.Dot(row, pv)
+			for j := range row {
+				row[j] -= d * pv[j]
+			}
+			norm2[i] = mat.Dot(row, row)
+		}
+	}
+	return ascending(sel)
+}
+
+// TestDOptMatchesPivotedQR: up to the basis rank the D-optimal gain is
+// ‖ψ⊥‖²/ε plus a term of order ‖ψ‖²/σ²_min, so the greedy must pick exactly
+// the pivoted-QR sensors for every q ≤ r — on random problems whose latent
+// dimension equals the rank (equal row norms, a tied first step) or exceeds
+// it, and on the fixtures the other tests use.
+func TestDOptMatchesPivotedQR(t *testing.T) {
+	var probs []*Problem
+	rng := rand.New(rand.NewSource(70))
+	for trial := 0; trial < 24; trial++ {
+		r := 2 + rng.Intn(7)
+		latent := r + trial%2*(1+rng.Intn(4))
+		m := r + 4 + rng.Intn(30)
+		n := 3*m + 20
+		h := randMat(rng, latent, n)
+		x := mat.Mul(randMat(rng, m, latent), h)
+		f := mat.Mul(randMat(rng, 3, latent), h)
+		p, err := NewProblem(x, f, basis.Config{Rank: r}, 0.85)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probs = append(probs, p)
+	}
+	for _, fx := range [][5]int{
+		{1, 14, 3, 160, 4}, {2, 8, 2, 60, 3}, {3, 12, 3, 90, 4}, {5, 18, 3, 140, 4},
+		{7, 15, 4, 130, 4}, {10, 20, 3, 150, 4}, {11, 12, 2, 90, 3},
+	} {
+		probs = append(probs, testProblem(t, int64(fx[0]), fx[1], fx[2], fx[3], fx[4]))
+	}
+	probs = append(probs, rotationProblem(t))
+	for pi, p := range probs {
+		for q := 1; q <= p.Rank(); q++ {
+			got, err := (DOpt{}).Select(p, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := pivotedQR(p.Psi, q)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("problem %d (M=%d, r=%d), q=%d: dopt %v, pivoted QR %v",
+						pi, p.Candidates(), p.Rank(), q, got, want)
+				}
+			}
+		}
+	}
+}
+
+// rotationProblem is a rank-5 basis of 16 candidates driven by 9 latent
+// factors. The latent dimension deliberately exceeds the fitted rank — a
+// fully-covering basis would equalize every row norm (ties), making the
+// first pick depend on the tie rule rather than on the geometry.
+func rotationProblem(t *testing.T) *Problem {
+	t.Helper()
 	rng := rand.New(rand.NewSource(40))
 	h := randMat(rng, 9, 120)
 	x := mat.Mul(randMat(rng, 16, 9), h)
@@ -169,29 +263,38 @@ func TestQRPivotRotationInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const q = 5
-	base, err := (QRPivot{}).Select(p, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng = rand.New(rand.NewSource(41))
-	for trial := 0; trial < 3; trial++ {
-		// An orthogonal r×r matrix: eigenvectors of a random symmetric matrix.
-		a := randMat(rng, p.Rank(), p.Rank())
-		sym := mat.Mul(a, a.T())
-		e, err := mat.FactorSymEigen(sym)
+	return p
+}
+
+// TestDOptRotationInvariant: the D-optimal gain depends only on inner
+// products between basis rows, so any orthogonal rotation of the basis must
+// leave the selection unchanged, below the rank and past it.
+func TestDOptRotationInvariant(t *testing.T) {
+	p := rotationProblem(t)
+	rng := rand.New(rand.NewSource(41))
+	for _, q := range []int{5, 9} {
+		base, err := (DOpt{}).Select(p, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rotated := *p
-		rotated.Psi = mat.Mul(p.Psi, e.Vectors)
-		got, err := (QRPivot{}).Select(&rotated, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range base {
-			if base[i] != got[i] {
-				t.Fatalf("trial %d: rotation changed selection: %v vs %v", trial, base, got)
+		for trial := 0; trial < 3; trial++ {
+			// An orthogonal r×r matrix: eigenvectors of a random symmetric matrix.
+			a := randMat(rng, p.Rank(), p.Rank())
+			sym := mat.Mul(a, a.T())
+			e, err := mat.FactorSymEigen(sym)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rotated := *p
+			rotated.Psi = mat.Mul(p.Psi, e.Vectors)
+			got, err := (DOpt{}).Select(&rotated, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range base {
+				if base[i] != got[i] {
+					t.Fatalf("q=%d trial %d: rotation changed selection: %v vs %v", q, trial, base, got)
+				}
 			}
 		}
 	}
@@ -293,7 +396,7 @@ func TestGLSModelEqualVariancesMatchesUnweighted(t *testing.T) {
 // refit must reproduce the targets nearly exactly from raw readings.
 func TestGLSModelPredictsLowRankTargets(t *testing.T) {
 	p := testProblem(t, 8, 15, 4, 130, 4)
-	sel, err := (QRPivot{}).Select(p, 6)
+	sel, err := (DOpt{}).Select(p, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,25 +125,3 @@ func (m *Model) CurrentsScaledLeakage(tr *workload.Trace, leakScale []float64) *
 	}
 	return ct
 }
-
-// PeakCoreCurrent returns the worst-case current (amps) one core can draw,
-// used when sizing the grid and pads.
-func (m *Model) PeakCoreCurrent(chip *floorplan.Chip) float64 {
-	if len(chip.Cores) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, b := range chip.Cores[0].Blocks {
-		s += (m.Dynamic[b.ID] + m.Leakage[b.ID]) / m.VDD
-	}
-	return s
-}
-
-// TotalPower returns the chip power (watts) at step t of the trace.
-func (ct *CurrentTrace) TotalPower(vdd float64, t int) float64 {
-	s := 0.0
-	for _, row := range ct.Currents {
-		s += row[t] * vdd
-	}
-	return s
-}

@@ -29,10 +29,20 @@ func TestDefaultModelCoversAllBlocks(t *testing.T) {
 	}
 }
 
+// peakCoreCurrent is the worst-case current (amps) one core can draw: every
+// block of core 0 at full dynamic power plus leakage.
+func peakCoreCurrent(m *Model, chip *floorplan.Chip) float64 {
+	s := 0.0
+	for _, b := range chip.Cores[0].Blocks {
+		s += (m.Dynamic[b.ID] + m.Leakage[b.ID]) / m.VDD
+	}
+	return s
+}
+
 func TestPeakCoreCurrentPlausible(t *testing.T) {
 	chip := floorplan.New(floorplan.DefaultConfig())
 	m := DefaultModel(chip)
-	peak := m.PeakCoreCurrent(chip)
+	peak := peakCoreCurrent(m, chip)
 	// A 2.5 GHz Xeon-class core at 1.0 V peaks in the 15-35 W range.
 	if peak < 15 || peak > 35 {
 		t.Fatalf("peak core current = %v A, want 15-35 A at 1 V", peak)
@@ -122,10 +132,13 @@ func TestUngatedIdleDrawsLeakage(t *testing.T) {
 
 func TestTotalPower(t *testing.T) {
 	_, m, ct := testSetup(t, 100)
-	p := ct.TotalPower(m.VDD, 50)
+	p := 0.0
+	for _, row := range ct.Currents {
+		p += row[50] * m.VDD
+	}
 	// 8 cores, mid-activity: tens of watts, far below 8 * peak.
 	chip := floorplan.New(floorplan.DefaultConfig())
-	peak := m.PeakCoreCurrent(chip) * m.VDD * float64(len(chip.Cores))
+	peak := peakCoreCurrent(m, chip) * m.VDD * float64(len(chip.Cores))
 	if p <= 0 || p > peak {
 		t.Fatalf("total power = %v, want (0, %v]", p, peak)
 	}

@@ -184,39 +184,3 @@ func ReadDataset(xr, fr io.Reader) (*Dataset, error) {
 	}
 	return &Dataset{X: x, F: f}, nil
 }
-
-// WriteSeriesCSV writes aligned named time series (equal lengths), one row
-// per time step — the Figure 2 trace format.
-func WriteSeriesCSV(w io.Writer, names []string, series ...[]float64) error {
-	if len(names) != len(series) {
-		return fmt.Errorf("traceio: %d names for %d series", len(names), len(series))
-	}
-	if len(series) == 0 {
-		return fmt.Errorf("traceio: no series")
-	}
-	n := len(series[0])
-	for i, s := range series {
-		if len(s) != n {
-			return fmt.Errorf("traceio: series %q has %d points, want %d", names[i], len(s), n)
-		}
-	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write(append([]string{"step"}, names...)); err != nil {
-		return fmt.Errorf("traceio: %w", err)
-	}
-	row := make([]string, len(series)+1)
-	for t := 0; t < n; t++ {
-		row[0] = strconv.Itoa(t)
-		for i, s := range series {
-			row[i+1] = strconv.FormatFloat(s[t], 'g', 17, 64)
-		}
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("traceio: %w", err)
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("traceio: %w", err)
-	}
-	return nil
-}

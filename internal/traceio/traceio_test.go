@@ -120,37 +120,6 @@ func TestDatasetSampleMismatch(t *testing.T) {
 	}
 }
 
-func TestSeriesCSV(t *testing.T) {
-	var buf bytes.Buffer
-	err := WriteSeriesCSV(&buf, []string{"real", "pred"},
-		[]float64{1, 2, 3}, []float64{1.5, 2.5, 3.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if lines[0] != "step,real,pred" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if lines[2] != "1,2,2.5" {
-		t.Fatalf("row = %q", lines[2])
-	}
-}
-
-func TestSeriesCSVErrors(t *testing.T) {
-	if err := WriteSeriesCSV(&bytes.Buffer{}, []string{"a"}, []float64{1}, []float64{2}); err == nil {
-		t.Error("expected name-count error")
-	}
-	if err := WriteSeriesCSV(&bytes.Buffer{}, nil); err == nil {
-		t.Error("expected no-series error")
-	}
-	if err := WriteSeriesCSV(&bytes.Buffer{}, []string{"a", "b"}, []float64{1}, []float64{2, 3}); err == nil {
-		t.Error("expected length-mismatch error")
-	}
-}
-
 func TestRoundTripPreservesSpecialValues(t *testing.T) {
 	m := mat.FromRows([][]float64{{0, -0.0, 1e-300, 1e300, math.Pi}})
 	var buf bytes.Buffer

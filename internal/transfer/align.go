@@ -7,7 +7,6 @@ import (
 	"voltsense/internal/core"
 	"voltsense/internal/mat"
 	"voltsense/internal/ols"
-	"voltsense/internal/online"
 )
 
 // AlignConfig tunes the few-shot MAP alignment. The zero value selects the
@@ -55,8 +54,7 @@ func (c *AlignConfig) defaults() {
 }
 
 // Alignment is the result of aligning one fielded chip against the shared
-// prior: the servable predictor, the sparse delta that persists it, and the
-// posterior normal equations that warm-start continued online adaptation.
+// prior: the servable predictor and the sparse delta that persists it.
 type Alignment struct {
 	// Predictor is the aligned Eq. 20 model, lineage source "prior".
 	Predictor *core.Predictor
@@ -72,9 +70,6 @@ type Alignment struct {
 	// PriorOnly reports that the evidence gate held the model at the pure
 	// prior mean (fewer than MinSamples labeled samples).
 	PriorOnly bool
-
-	a *mat.Matrix // (Q+1)×(Q+1) posterior normal matrix ZᵀZ + σ²τΛ
-	b *mat.Matrix // (Q+1)×K posterior cross-moments Zᵀf + σ²τΛ·Meanᵀ
 }
 
 // AlignChip solves the per-chip MAP alignment in closed form. x is Q×N
@@ -85,9 +80,7 @@ type Alignment struct {
 //
 // whose solution (ZᵀZ + σ²τΛ) θ = Zᵀf_k + σ²τΛ θ̄_k is one Cholesky solve
 // shared across all K nodes. With zero samples — or fewer than the evidence
-// gate allows — the result is the pure prior mean. The returned alignment's
-// normal equations include the prior term, so WarmStart hands continued
-// online adaptation a fit whose prior stays in effect as pseudo-observations.
+// gate allows — the result is the pure prior mean.
 func AlignChip(prior *SharedPrior, x, f *mat.Matrix, cfg AlignConfig) (*Alignment, error) {
 	cfg.defaults()
 	if err := prior.validate(); err != nil {
@@ -206,22 +199,9 @@ func AlignChip(prior *SharedPrior, x, f *mat.Matrix, cfg AlignConfig) (*Alignmen
 		Predictor: pred,
 		Samples:   n,
 		PriorOnly: priorOnly,
-		a:         a,
-		b:         b,
 	}
 	al.Delta = MakeDelta(prior, pred, cfg.DeltaTol)
 	return al, nil
-}
-
-// WarmStart hands the alignment's posterior normal equations to a
-// RecursiveOLS, so the aligned model keeps adapting from runtime labeled
-// samples with the golden prior still acting as pseudo-observations. With
-// forgetting < 1 the prior's influence decays with the same half-life as any
-// other past sample.
-func (al *Alignment) WarmStart(forgetting float64) (*online.RecursiveOLS, error) {
-	q := al.a.Rows() - 1
-	k := al.b.Cols()
-	return online.NewRecursiveOLSFromNormal(q, k, forgetting, al.a, al.b, al.Samples)
 }
 
 // FitScratch fits the same labeled samples with no golden prior — a

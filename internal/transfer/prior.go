@@ -9,9 +9,8 @@
 // chips cannot each run a characterization campaign. This package inverts
 // the cost — the campaign runs once on the golden chip, and every fielded
 // chip pays only a few labeled (readings, voltages) pairs. The aligned fit
-// is warm-startable into online.RecursiveOLS so it keeps adapting from
-// runtime feedback, and it is stored as a sparse delta over the prior so a
-// million-chip artifact store stays small (see fleet.go).
+// is stored as a sparse delta over the prior so a million-chip artifact
+// store stays small (see fleet.go).
 package transfer
 
 import (

@@ -340,75 +340,3 @@ func TestPriorSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestWarmStartContinuesAlignment(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	q, k := 4, 3
-	sel := seq(q)
-	golden := makeChip(rng, q, k)
-	fielded := golden.perturb(rng, 0.1)
-	prior, err := FitPrior([]*core.Predictor{golden.predictor(sel, nil)}, PriorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x1, f1 := fielded.sample(rng, 8, 1e-3)
-	x2, f2 := fielded.sample(rng, 24, 1e-3)
-	al, err := AlignChip(prior, x1, f1, AlignConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rls, err := al.WarmStart(1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rls.Ready() || rls.Samples() != 8 {
-		t.Fatalf("warm start: ready=%v samples=%d", rls.Ready(), rls.Samples())
-	}
-	xs := make([]float64, q)
-	fs := make([]float64, k)
-	for s := 0; s < x2.Cols(); s++ {
-		for i := 0; i < q; i++ {
-			xs[i] = x2.At(i, s)
-		}
-		for i := 0; i < k; i++ {
-			fs[i] = f2.At(i, s)
-		}
-		if err := rls.Ingest(xs, fs); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Warm-started RLS over (8 + 24) samples must match a batch alignment
-	// over all 32: the prior enters both as the same pseudo-observations.
-	xAll := mat.Zeros(q, 32)
-	fAll := mat.Zeros(k, 32)
-	for s := 0; s < 8; s++ {
-		for i := 0; i < q; i++ {
-			xAll.Set(i, s, x1.At(i, s))
-		}
-		for i := 0; i < k; i++ {
-			fAll.Set(i, s, f1.At(i, s))
-		}
-	}
-	for s := 0; s < 24; s++ {
-		for i := 0; i < q; i++ {
-			xAll.Set(i, 8+s, x2.At(i, s))
-		}
-		for i := 0; i < k; i++ {
-			fAll.Set(i, 8+s, f2.At(i, s))
-		}
-	}
-	batch, err := AlignChip(prior, xAll, fAll, AlignConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := rls.Model()
-	if d := mat.MaxAbsDiff(m.Alpha, batch.Predictor.Model.Alpha); d > 1e-7 {
-		t.Fatalf("warm-started coefficients diverge from batch alignment by %v", d)
-	}
-	for i := range m.C {
-		if d := math.Abs(m.C[i] - batch.Predictor.Model.C[i]); d > 1e-7 {
-			t.Fatalf("warm-started intercept %d diverges by %v", i, d)
-		}
-	}
-}

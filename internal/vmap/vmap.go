@@ -45,12 +45,6 @@ func (g *Generator) Generate(sensorV []float64) []float64 {
 	return g.model.Predict(sensorV)
 }
 
-// GenerateMatrix reconstructs maps for Q-by-N sensor samples, returning
-// NumNodes-by-N voltages.
-func (g *Generator) GenerateMatrix(sensorX *mat.Matrix) *mat.Matrix {
-	return g.model.PredictMatrix(sensorX)
-}
-
 // MapError summarizes reconstruction quality of one map against truth.
 type MapError struct {
 	Rel    float64 // ‖pred − truth‖₂ / ‖truth‖₂
@@ -114,18 +108,4 @@ func Render(g *grid.Grid, v []float64, lo, hi float64) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// RenderDiff draws |pred − truth| on a scale of 0..scale volts, for eyeballing
-// where reconstruction error concentrates.
-func RenderDiff(g *grid.Grid, pred, truth []float64, scale float64) string {
-	if len(pred) != len(truth) {
-		panic(fmt.Sprintf("vmap: map sizes %d vs %d", len(pred), len(truth)))
-	}
-	diff := make([]float64, len(pred))
-	for i := range diff {
-		// Invert so larger error maps to the "deep" end of the ramp.
-		diff[i] = scale - math.Abs(pred[i]-truth[i])
-	}
-	return Render(g, diff, 0, scale)
 }

@@ -53,30 +53,6 @@ func TestTrainGenerateRecoversLinearField(t *testing.T) {
 	}
 }
 
-func TestGenerateMatrixMatchesGenerate(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	sensors := mat.Zeros(2, 50)
-	nodeV := mat.Zeros(10, 50)
-	for j := 0; j < 50; j++ {
-		sensors.Set(0, j, rng.NormFloat64())
-		sensors.Set(1, j, rng.NormFloat64())
-		for i := 0; i < 10; i++ {
-			nodeV.Set(i, j, rng.NormFloat64())
-		}
-	}
-	g, err := Train(sensors, nodeV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := g.GenerateMatrix(sensors)
-	one := g.Generate(sensors.Col(7))
-	for i := range one {
-		if math.Abs(m.At(i, 7)-one[i]) > 1e-12 {
-			t.Fatal("GenerateMatrix disagrees with Generate")
-		}
-	}
-}
-
 func TestCompareMetrics(t *testing.T) {
 	truth := []float64{1, 1, 1, 1}
 	pred := []float64{1, 1, 1, 0.9}
@@ -146,18 +122,4 @@ func TestRenderBadScalePanics(t *testing.T) {
 		}
 	}()
 	Render(g, make([]float64, g.NumNodes()), 1.0, 1.0)
-}
-
-func TestRenderDiff(t *testing.T) {
-	g := smallGrid()
-	a := make([]float64, g.NumNodes())
-	b := make([]float64, g.NumNodes())
-	for i := range a {
-		a[i], b[i] = 1.0, 1.0
-	}
-	b[g.NodeID(2, 2)] = 0.9 // 0.1 V error at one node
-	s := RenderDiff(g, a, b, 0.1)
-	if strings.Count(s, "@") != 1 {
-		t.Fatalf("want exactly one max-error cell:\n%s", s)
-	}
 }
