@@ -24,10 +24,11 @@ race:
 # stress reruns the solver packages under the race detector at one and two
 # procs, three times each, so the parallel kernels and the mat worker pool
 # are exercised at GOMAXPROCS 2 as well as serially. lasso, core and place
-# reach the pool through the path solver's Gram and FISTA kernels; ols,
-# core and place through the QR's row-split right-hand-side sweep.
+# reach the pool through the path solver's Gram kernels; ols, core and
+# place through the QR's row-split right-hand-side sweep; banded holds the
+# paired triangular solve the batched pdn step runs.
 stress:
-	$(GO) test -race -cpu 1,2 -count 3 ./internal/mat ./internal/sparse ./internal/pdn \
+	$(GO) test -race -cpu 1,2 -count 3 ./internal/mat ./internal/sparse ./internal/banded ./internal/pdn \
 		./internal/lasso ./internal/ols ./internal/core ./internal/place
 
 vet:

@@ -56,8 +56,8 @@ var benchPackages = []string{
 }
 
 // speedupPairs maps each parallel/blocked/warm-started/factorization-reusing
-// benchmark to the serial, cold or refit-from-scratch baseline it is
-// measured against. Names are as reported by `go test -bench`, without the
+// /paired/support-sized benchmark to the serial, cold, refit-from-scratch,
+// looped or dense baseline it is measured against. Names are as reported by `go test -bench`, without the
 // -GOMAXPROCS suffix.
 var speedupPairs = []struct{ Kernel, Baseline string }{
 	{"BenchmarkMul128", "BenchmarkMulSerial128"},
@@ -77,6 +77,8 @@ var speedupPairs = []struct{ Kernel, Baseline string }{
 	{"BenchmarkDOptSherman", "BenchmarkDOptNaive"},
 	{"BenchmarkOLSFit", "BenchmarkOLSFitRowMajor"},
 	{"BenchmarkFitFallbacks", "BenchmarkFitFallbacksRefit"},
+	{"BenchmarkStepPairBanded", "BenchmarkStepLoopedBanded"},
+	{"BenchmarkFistaIterateSupport", "BenchmarkFistaIterateReference"},
 }
 
 type benchResult struct {

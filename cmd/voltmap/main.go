@@ -75,7 +75,7 @@ func run(args []string) error {
 	budget := fs.Int("budget", 2, "fallback budget (max simultaneous failed sensors) for faults")
 	backend := fs.String("backend", "", "transient solver backend: auto (default), banded, or sparse")
 	sparseWorkers := fs.Int("sparse-workers", 0, "worker shares per sparse solve (0 = pool default, 1 = serial); results are bitwise identical either way")
-	batch := fs.String("batch", "auto", "multi-RHS trace collection: auto (batch when sparse), on, or off")
+	batch := fs.String("batch", "auto", "benchmarks stepped together in trace collection: auto (all on sparse, pairs on banded), on (all), or off (one)")
 	rankLambda := fs.Float64("ranklambda", 12, "chip-joint λ for the rank experiment")
 	shootQ := fs.Int("shootq", 8, "chip-wide sensor count for the shootout experiment")
 	criteria := fs.String("criteria", "", "comma-separated criterion subset for shootout (default: all)")

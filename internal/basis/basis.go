@@ -3,8 +3,8 @@
 // space and the rank-r coefficient space. A basis fitted on the K×N
 // training matrix G (K critical nodes, N samples) retains the r dominant
 // left singular vectors U_r; Project replaces every K-dimensional column
-// with its r coefficients Uᵀ·g, and Lift maps predictions back with U·w.
-// Because U has orthonormal columns, least-squares fits and group-lasso
+// with its r coefficients Uᵀ·g (U·w maps coefficients back). Because U has
+// orthonormal columns, least-squares fits and group-lasso
 // norms computed in coefficient space agree with the full-space ones up to
 // the discarded (1−energy) tail, which is what makes placement and
 // per-node regression O(r) instead of O(K).
@@ -224,30 +224,6 @@ func (b *Basis) Project(g *mat.Matrix) (*mat.Matrix, error) {
 		return nil, fmt.Errorf("basis: Project: %d rows, basis has %d nodes", g.Rows(), b.Nodes())
 	}
 	return mat.Mul(b.u.T(), g), nil
-}
-
-// ProjectVec maps one K-vector to its r coefficients.
-func (b *Basis) ProjectVec(v []float64) ([]float64, error) {
-	if len(v) != b.Nodes() {
-		return nil, fmt.Errorf("basis: ProjectVec: %d entries, basis has %d nodes", len(v), b.Nodes())
-	}
-	return mat.MulTVec(b.u, v), nil
-}
-
-// Lift maps an r×N coefficient matrix back to the K×N full space via U·w.
-func (b *Basis) Lift(w *mat.Matrix) (*mat.Matrix, error) {
-	if w.Rows() != b.Rank() {
-		return nil, fmt.Errorf("basis: Lift: %d rows, basis has rank %d", w.Rows(), b.Rank())
-	}
-	return mat.Mul(b.u, w), nil
-}
-
-// LiftVec maps one r-coefficient vector back to a K-vector.
-func (b *Basis) LiftVec(w []float64) ([]float64, error) {
-	if len(w) != b.Rank() {
-		return nil, fmt.Errorf("basis: LiftVec: %d entries, basis has rank %d", len(w), b.Rank())
-	}
-	return mat.MulVec(b.u, w), nil
 }
 
 // RankForEnergy returns the smallest prefix of the descending spectrum s

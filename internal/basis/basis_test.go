@@ -68,6 +68,10 @@ func TestFitEnergyKnob(t *testing.T) {
 	}
 }
 
+// lift maps an r×N coefficient matrix back to the K×N full space via U·w:
+// the round-trip oracle of Project.
+func lift(b *Basis, w *mat.Matrix) *mat.Matrix { return mat.Mul(b.u, w) }
+
 func TestProjectLiftRoundTrip(t *testing.T) {
 	// Data of exact rank 4 with a rank-4 basis: lift(project(g)) == g.
 	rng := rand.New(rand.NewSource(3))
@@ -83,40 +87,10 @@ func TestProjectLiftRoundTrip(t *testing.T) {
 	if w.Rows() != 4 || w.Cols() != 30 {
 		t.Fatalf("projected shape %dx%d, want 4x30", w.Rows(), w.Cols())
 	}
-	back, err := b.Lift(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := lift(b, w)
 	scale := g.FrobeniusNorm()
 	if d := mat.FrobeniusDistance(back, g); d > 1e-8*scale {
 		t.Fatalf("round-trip error %g (scale %g)", d, scale)
-	}
-}
-
-func TestProjectLiftVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	g := randMatrix(rng, 9, 25)
-	b, err := Fit(g, Config{Rank: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := make([]float64, 9)
-	for i := range v {
-		v[i] = rng.NormFloat64()
-	}
-	w, err := b.ProjectVec(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := b.LiftVec(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Full-rank basis on 9 training directions spans R⁹: exact round trip.
-	for i := range v {
-		if math.Abs(back[i]-v[i]) > 1e-9 {
-			t.Fatalf("entry %d: %g != %g", i, back[i], v[i])
-		}
 	}
 }
 
@@ -137,10 +111,7 @@ func TestFullRankLossless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := b.Lift(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := lift(b, w)
 	if d := mat.FrobeniusDistance(back, fresh); d > 1e-8*fresh.FrobeniusNorm() {
 		t.Fatalf("full-rank round trip error %g", d)
 	}
@@ -164,15 +135,6 @@ func TestFitErrors(t *testing.T) {
 	}
 	if _, err := b.Project(mat.Zeros(5, 3)); err == nil {
 		t.Fatal("shape-mismatched Project accepted")
-	}
-	if _, err := b.Lift(mat.Zeros(3, 3)); err == nil {
-		t.Fatal("shape-mismatched Lift accepted")
-	}
-	if _, err := b.ProjectVec(make([]float64, 5)); err == nil {
-		t.Fatal("shape-mismatched ProjectVec accepted")
-	}
-	if _, err := b.LiftVec(make([]float64, 3)); err == nil {
-		t.Fatal("shape-mismatched LiftVec accepted")
 	}
 }
 

@@ -88,8 +88,14 @@ func (p *Pipeline) AblationOnlineAdaptation(q int, sigma float64, acfg online.Co
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building drifted die: %w", err)
 	}
-	driftedTest := p.resampleOnNodes(drifted, p.CritNodes)
-	feed := p.resampleTrainOnNodes(drifted, p.CritNodes)
+	driftedTest, err := p.resampleOnNodes(drifted, p.CritNodes)
+	if err != nil {
+		return nil, err
+	}
+	feed, err := p.resampleTrainOnNodes(drifted, p.CritNodes)
+	if err != nil {
+		return nil, err
+	}
 	n := feed.N()
 
 	if acfg.Vth == 0 {

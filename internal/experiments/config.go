@@ -24,19 +24,21 @@ import (
 	"voltsense/internal/sparse"
 )
 
-// BatchMode controls whether the pipeline steps every benchmark's transient
-// through one blocked multi-RHS solve (pdn.BatchSimulator) instead of
-// fanning independent simulators across workers.
+// BatchMode sets how many benchmarks' transients the pipeline steps
+// together through one pdn.BatchSimulator during trace collection. The
+// groups are spread across workers, and collected voltages are bitwise
+// identical in every mode.
 type BatchMode int
 
 const (
-	// BatchAuto batches exactly when the resolved backend is Sparse — there
-	// the multi-RHS solve amortizes the dominant matrix/factor memory
-	// streams; the banded backend gains nothing over the simulator pool.
+	// BatchAuto steps every benchmark in one group when the resolved
+	// backend is Sparse, where the multi-RHS PCG amortizes the dominant
+	// matrix and factor memory streams, and pairs of benchmarks on Banded,
+	// where a pair shares each walk of the Cholesky factor's rows.
 	BatchAuto BatchMode = iota
-	// BatchOn forces lock-stepped batched collection on either backend.
+	// BatchOn steps every benchmark in one group on either backend.
 	BatchOn
-	// BatchOff forces the per-benchmark simulator fan-out.
+	// BatchOff steps each benchmark through its own simulator.
 	BatchOff
 )
 
@@ -107,10 +109,10 @@ type Config struct {
 	// row-partitioned kernels use (0 = the mat pool default, 1 = serial).
 	// Results are bitwise identical across settings.
 	SparseWorkers int
-	// BatchTraces controls blocked multi-RHS trace collection: when active,
-	// the calibration, training and test runs step all benchmarks through
-	// one pdn.BatchSimulator instead of per-benchmark simulators. Collected
-	// voltages are bitwise identical either way.
+	// BatchTraces sets how many benchmarks the calibration, training and
+	// test runs step together through one pdn.BatchSimulator: all of them
+	// (BatchOn, or BatchAuto on Sparse), pairs (BatchAuto on Banded) or one
+	// (BatchOff). Collected voltages are bitwise identical either way.
 	BatchTraces BatchMode
 	// ThermalFeedback couples per-run average power to a steady-state
 	// temperature map and scales block leakage accordingly (hotter blocks

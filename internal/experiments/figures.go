@@ -142,7 +142,7 @@ func (p *Pipeline) Figure2(benchIdx, blockID, steps int, counts ...int) (*Fig2Da
 		d.Pred[pa.q] = make([]float64, 0, steps)
 	}
 	allCand := make([]float64, len(p.Grid.Candidates))
-	err := p.simulate(p.Bench[benchIdx], runTrace, steps, func(t int, v []float64) {
+	err := p.runBenchmarks(runTrace, steps, []int{benchIdx}, func(_, t int, v []float64) {
 		d.Real = append(d.Real, v[p.CritNodes[blockID]])
 		for i, nd := range p.Grid.Candidates {
 			allCand[i] = v[nd]

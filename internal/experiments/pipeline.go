@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"voltsense/internal/core"
 	"voltsense/internal/floorplan"
@@ -60,10 +61,10 @@ type Pipeline struct {
 	placeCache map[placeKey]*CorePlacement
 	pathState  map[int]*corePathState // per-core warm-started path solvers
 
-	// simPool recycles transient simulators across benchmark runs: the
-	// banded Cholesky factorization in NewSimulator dominates short runs,
-	// and Run re-settles all state, so reuse is exact.
-	simPool sync.Pool
+	// simPools recycles BatchSimulators across benchmark runs, one
+	// *sync.Pool per width: the factorization dominates short runs, and
+	// RunAll re-settles every column, so reuse is exact.
+	simPools sync.Map
 
 	thermalOnce sync.Once
 	thermalM    *thermal.Model
@@ -147,38 +148,6 @@ func (p *Pipeline) thermalModel() (*thermal.Model, error) {
 	return p.thermalM, p.thermalErr
 }
 
-// simulate runs one benchmark for warmup+steps and invokes onStep for every
-// post-warmup step with the node voltages.
-func (p *Pipeline) simulate(bench workload.Benchmark, run, steps int, onStep func(t int, v []float64)) error {
-	total := p.Cfg.Warmup + steps
-	tr := p.generateTrace(bench, total, run)
-	scale, err := p.leakScaleFor(tr)
-	if err != nil {
-		return fmt.Errorf("experiments: %s: %w", bench.Name, err)
-	}
-	ct := p.Power.CurrentsScaledLeakage(tr, scale)
-	sim, err := p.acquireSim()
-	if err != nil {
-		return fmt.Errorf("experiments: %s: %w", bench.Name, err)
-	}
-	defer p.simPool.Put(sim)
-	cur := make([]float64, p.Chip.NumBlocks())
-	err = sim.Run(total, func(t int) []float64 {
-		for b := range cur {
-			cur[b] = ct.Currents[b][t]
-		}
-		return cur
-	}, func(t int, v []float64) {
-		if t >= p.Cfg.Warmup {
-			onStep(t-p.Cfg.Warmup, v)
-		}
-	})
-	if err != nil {
-		return fmt.Errorf("experiments: %s: %w", bench.Name, err)
-	}
-	return nil
-}
-
 // workers returns the configured outer-loop parallelism: Config.Workers, or
 // GOMAXPROCS when unset.
 func (p *Pipeline) workers() int {
@@ -186,6 +155,32 @@ func (p *Pipeline) workers() int {
 		return p.Cfg.Workers
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// forEachIndex runs fn(i) for every i in [0, n) on the mat worker pool,
+// bounded by Config.Workers. Each share takes the next index from a shared
+// counter until none is left, so one slow item never strands the rest of a
+// contiguous range behind it. The shares run inside mat.ParallelFor, so a
+// nested parallel section still degrades to inline work when the pool is
+// saturated. fn must write only to index-owned slots; results then do not
+// depend on scheduling.
+func (p *Pipeline) forEachIndex(n int, fn func(i int)) {
+	var next atomic.Int64
+	mat.ParallelFor(n, 1, p.workers(), func(int, int) {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			fn(i)
+		}
+	})
+}
+
+// firstError returns the first non-nil error by index.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // simOpts maps the Config's solver knobs onto pdn.SimOptions.
@@ -196,55 +191,93 @@ func (p *Pipeline) simOpts() pdn.SimOptions {
 	}
 }
 
-// useBatch resolves Config.BatchTraces: batch on explicit request, and under
-// BatchAuto exactly when the backend resolves to Sparse — the multi-RHS PCG
-// amortizes matrix and factor streaming there, while banded triangular
-// sweeps gain nothing over the per-benchmark simulator pool.
-func (p *Pipeline) useBatch() bool {
-	switch p.Cfg.BatchTraces {
-	case BatchOn:
-		return true
-	case BatchOff:
-		return false
+// batchWidth resolves Config.BatchTraces into the number of benchmarks one
+// BatchSimulator steps together, out of n: all n when batching (BatchOn,
+// or BatchAuto on a mesh that resolves to Sparse, where the multi-RHS PCG
+// amortizes matrix and factor streaming), one under BatchOff, and two
+// under BatchAuto on Banded, where a pair shares every walk of the factor's
+// rows while the pairs still spread across workers.
+func (p *Pipeline) batchWidth(n int) int {
+	switch {
+	case p.Cfg.BatchTraces == BatchOff:
+		return min(n, 1)
+	case p.Cfg.BatchTraces == BatchOn, pdn.ResolveBackend(p.Grid, p.Cfg.Backend) == pdn.Sparse:
+		return n
 	}
-	return pdn.ResolveBackend(p.Grid, p.Cfg.Backend) == pdn.Sparse
+	return min(n, 2)
 }
 
-// acquireSim takes a transient simulator from the pool, building (and
-// factoring) a fresh one only when the pool is empty. Return it with
-// simPool.Put when the run completes.
-func (p *Pipeline) acquireSim() (*pdn.Simulator, error) {
-	if s, ok := p.simPool.Get().(*pdn.Simulator); ok {
-		return s, nil
-	}
-	return pdn.NewSimulatorOpts(p.Grid, p.Cfg.DT, p.simOpts())
+// simPool returns the pool of BatchSimulators of the given width.
+func (p *Pipeline) simPool(width int) *sync.Pool {
+	pool, _ := p.simPools.LoadOrStore(width, new(sync.Pool))
+	return pool.(*sync.Pool)
 }
 
-// simulateAll advances every benchmark's run in lock step through one shared
-// multi-RHS BatchSimulator, invoking onStep(bi, t, v) for each post-warmup
-// step of benchmark bi. Voltages are bitwise identical to per-benchmark
-// simulate calls with the same options; callbacks arrive interleaved across
-// benchmarks (ascending bi within each step).
-func (p *Pipeline) simulateAll(run, steps int, onStep func(bi, t int, v []float64)) error {
-	total := p.Cfg.Warmup + steps
-	cts := make([]*power.CurrentTrace, len(p.Bench))
-	err := p.forEachBenchmark(func(bi int, b workload.Benchmark) error {
+// acquireSim takes a BatchSimulator of the given width from its pool,
+// building (and factoring) a fresh one only when the pool is empty. Return
+// it with simPool(width).Put when the run completes.
+func (p *Pipeline) acquireSim(width int) (*pdn.BatchSimulator, error) {
+	if bs, ok := p.simPool(width).Get().(*pdn.BatchSimulator); ok {
+		return bs, nil
+	}
+	return pdn.NewBatchSimulator(p.Grid, p.Cfg.DT, width, p.simOpts())
+}
+
+// runBenchmarks delivers the run-`run` post-warmup voltages of the given
+// benchmarks (indices into Bench; nil means every benchmark) to
+// onStep(bi, t, v). It is the pipeline's one trace-collection path: the
+// benchmarks run in fixed index groups of batchWidth, each group stepped in
+// lock step through a pooled BatchSimulator, and the groups are handed to
+// the workers one at a time. Voltages are bitwise identical to one
+// Simulator per benchmark at every width. Callbacks for different
+// benchmarks may arrive interleaved or concurrently, so collectors must
+// write only to benchmark-indexed slots; within one benchmark, t is
+// ascending.
+func (p *Pipeline) runBenchmarks(run, steps int, benches []int, onStep func(bi, t int, v []float64)) error {
+	if benches == nil {
+		benches = make([]int, len(p.Bench))
+		for bi := range benches {
+			benches[bi] = bi
+		}
+	}
+	width := p.batchWidth(len(benches))
+	if width == 0 {
+		return nil
+	}
+	groups := (len(benches) + width - 1) / width
+	errs := make([]error, groups)
+	p.forEachIndex(groups, func(gi int) {
+		group := benches[gi*width : min((gi+1)*width, len(benches))]
+		errs[gi] = p.runGroup(run, p.Cfg.Warmup+steps, group, onStep)
+	})
+	return firstError(errs)
+}
+
+// runGroup simulates one group of benchmarks for total steps through one
+// BatchSimulator, column c carrying benchmark group[c], and forwards every
+// post-warmup step to onStep.
+func (p *Pipeline) runGroup(run, total int, group []int, onStep func(bi, t int, v []float64)) error {
+	cts := make([]*power.CurrentTrace, len(group))
+	errs := make([]error, len(group))
+	p.forEachIndex(len(group), func(c int) {
+		b := p.Bench[group[c]]
 		tr := p.generateTrace(b, total, run)
 		scale, err := p.leakScaleFor(tr)
 		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", b.Name, err)
+			errs[c] = fmt.Errorf("experiments: %s: %w", b.Name, err)
+			return
 		}
-		cts[bi] = p.Power.CurrentsScaledLeakage(tr, scale)
-		return nil
+		cts[c] = p.Power.CurrentsScaledLeakage(tr, scale)
 	})
-	if err != nil {
+	if err := firstError(errs); err != nil {
 		return err
 	}
-	bs, err := pdn.NewBatchSimulator(p.Grid, p.Cfg.DT, len(p.Bench), p.simOpts())
+	bs, err := p.acquireSim(len(group))
 	if err != nil {
-		return fmt.Errorf("experiments: batch simulator: %w", err)
+		return fmt.Errorf("experiments: %s: %w", p.Bench[group[0]].Name, err)
 	}
-	cur := make([][]float64, len(p.Bench))
+	defer p.simPool(len(group)).Put(bs)
+	cur := make([][]float64, len(group))
 	for c := range cur {
 		cur[c] = make([]float64, p.Chip.NumBlocks())
 	}
@@ -256,48 +289,11 @@ func (p *Pipeline) simulateAll(run, steps int, onStep func(bi, t int, v []float6
 		return buf
 	}, func(c, t int, v []float64) {
 		if t >= p.Cfg.Warmup {
-			onStep(c, t-p.Cfg.Warmup, v)
+			onStep(group[c], t-p.Cfg.Warmup, v)
 		}
 	})
 	if err != nil {
-		return fmt.Errorf("experiments: batch run: %w", err)
-	}
-	return nil
-}
-
-// runBenchmarks delivers every benchmark's run-`run` post-warmup voltages to
-// onStep(bi, t, v), either batched through one lock-stepped multi-RHS
-// simulator or fanned across pooled per-benchmark simulators, per
-// Config.BatchTraces. Callbacks for different benchmarks may arrive
-// interleaved (batched) or concurrently (fan-out), so collectors must write
-// only to benchmark-indexed slots; within one benchmark, t is ascending
-// either way.
-func (p *Pipeline) runBenchmarks(run, steps int, onStep func(bi, t int, v []float64)) error {
-	if p.useBatch() {
-		return p.simulateAll(run, steps, onStep)
-	}
-	return p.forEachBenchmark(func(bi int, b workload.Benchmark) error {
-		return p.simulate(b, run, steps, func(t int, v []float64) { onStep(bi, t, v) })
-	})
-}
-
-// forEachBenchmark runs fn(bi, bench) for every benchmark concurrently on
-// the mat worker pool, bounded by Config.Workers (default: GOMAXPROCS).
-// Benchmarks are mutually independent — each fn gets its own pooled
-// simulator — and every result lands in a benchmark-indexed slot, so output
-// is identical to the sequential order regardless of scheduling. The first
-// error (by benchmark index) wins.
-func (p *Pipeline) forEachBenchmark(fn func(bi int, b workload.Benchmark) error) error {
-	errs := make([]error, len(p.Bench))
-	mat.ParallelFor(len(p.Bench), 1, p.workers(), func(lo, hi int) {
-		for bi := lo; bi < hi; bi++ {
-			errs[bi] = fn(bi, p.Bench[bi])
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+		return fmt.Errorf("experiments: %s: %w", p.Bench[group[0]].Name, err)
 	}
 	return nil
 }
@@ -310,7 +306,7 @@ func (p *Pipeline) calibrateCriticalNodes() error {
 	for bi := range droops {
 		droops[bi] = pdn.NewWorstDroop(p.Grid.NumNodes())
 	}
-	err := p.runBenchmarks(runCalib, p.Cfg.CalibSteps, func(bi, _ int, v []float64) {
+	err := p.runBenchmarks(runCalib, p.Cfg.CalibSteps, nil, func(bi, _ int, v []float64) {
 		droops[bi].Observe(v)
 	})
 	if err != nil {
@@ -362,7 +358,7 @@ func (p *Pipeline) collectTraining() error {
 		}
 		picks[bi] = pick
 	}
-	err := p.runBenchmarks(runTrain, p.Cfg.TrainSteps, func(bi, t int, v []float64) {
+	err := p.runBenchmarks(runTrain, p.Cfg.TrainSteps, nil, func(bi, t int, v []float64) {
 		c, ok := picks[bi][t]
 		if !ok {
 			return
@@ -395,7 +391,7 @@ func (p *Pipeline) collectTest() error {
 		}
 	}
 	steps := p.Cfg.TestSteps * p.Cfg.TestStride
-	return p.runBenchmarks(runTest, steps, func(bi, t int, v []float64) {
+	return p.runBenchmarks(runTest, steps, nil, func(bi, t int, v []float64) {
 		if t%p.Cfg.TestStride != 0 || cols[bi] >= p.Cfg.TestSteps {
 			return
 		}

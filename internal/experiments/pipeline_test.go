@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 
 	"voltsense/internal/floorplan"
@@ -256,68 +257,85 @@ func TestConfigValidationErrors(t *testing.T) {
 }
 
 // TestBatchedCollectionBitwiseMatchesFanout pins the pipeline-level batching
-// contract: with the sparse backend forced, collecting calibration, training
-// and test traces through one lock-stepped multi-RHS BatchSimulator yields
-// exactly the samples the per-benchmark simulator fan-out produces.
+// contract: calibration, training and test traces collected one benchmark
+// per simulator (BatchOff) equal, bitwise, those collected with the sparse
+// backend forced and every benchmark in one lock-stepped multi-RHS
+// BatchSimulator (BatchOn), and those collected on the banded backend in
+// the paired groups BatchAuto resolves to.
 func TestBatchedCollectionBitwiseMatchesFanout(t *testing.T) {
 	base := tinyConfig()
-	base.Backend = pdn.Sparse
 	base.CalibSteps = 40
 	base.TrainSteps = 80
 	base.TrainMaps = 190
 	base.TestSteps = 15
 
-	cfgOff := base
-	cfgOff.BatchTraces = BatchOff
-	cfgOn := base
-	cfgOn.BatchTraces = BatchOn
+	for _, backend := range []pdn.Backend{pdn.Sparse, pdn.Banded} {
+		cfgOff := base
+		cfgOff.Backend = backend
+		cfgOff.BatchTraces = BatchOff
+		cfgOn := cfgOff
+		cfgOn.BatchTraces = BatchOn
+		if backend == pdn.Banded {
+			cfgOn.BatchTraces = BatchAuto
+		}
+		pOff, err := New(cfgOff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pOn, err := New(cfgOn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := pOn.batchWidth(len(pOn.Bench)); backend == pdn.Banded && w != 2 {
+			t.Fatalf("banded BatchAuto resolved to width %d, want 2", w)
+		}
+		samePipelineSamples(t, fmt.Sprintf("%v %v vs off", backend, cfgOn.BatchTraces), pOff, pOn)
+	}
+}
 
-	pOff, err := New(cfgOff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pOn, err := New(cfgOn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b := range pOff.CritNodes {
-		if pOff.CritNodes[b] != pOn.CritNodes[b] {
-			t.Fatalf("critical node %d differs: fan-out %d, batched %d", b, pOff.CritNodes[b], pOn.CritNodes[b])
+// samePipelineSamples requires two pipelines to hold bitwise-equal critical
+// nodes, training maps and test maps.
+func samePipelineSamples(t *testing.T, what string, a, b *Pipeline) {
+	t.Helper()
+	for blk := range a.CritNodes {
+		if a.CritNodes[blk] != b.CritNodes[blk] {
+			t.Fatalf("%s: critical node %d differs: %d vs %d", what, blk, a.CritNodes[blk], b.CritNodes[blk])
 		}
 	}
-	if !mat.Equalish(pOff.Train.CandV, pOn.Train.CandV, 0) {
-		t.Fatal("training candidate maps differ between batched and fan-out collection")
+	if !mat.Equalish(a.Train.CandV, b.Train.CandV, 0) || !mat.Equalish(a.Train.CritV, b.Train.CritV, 0) {
+		t.Fatalf("%s: training maps differ", what)
 	}
-	if !mat.Equalish(pOff.Train.CritV, pOn.Train.CritV, 0) {
-		t.Fatal("training critical maps differ between batched and fan-out collection")
-	}
-	for bi := range pOff.TestByBench {
-		if !mat.Equalish(pOff.TestByBench[bi].CandV, pOn.TestByBench[bi].CandV, 0) ||
-			!mat.Equalish(pOff.TestByBench[bi].CritV, pOn.TestByBench[bi].CritV, 0) {
-			t.Fatalf("test set %d differs between batched and fan-out collection", bi)
+	for bi := range a.TestByBench {
+		if !mat.Equalish(a.TestByBench[bi].CandV, b.TestByBench[bi].CandV, 0) ||
+			!mat.Equalish(a.TestByBench[bi].CritV, b.TestByBench[bi].CritV, 0) {
+			t.Fatalf("%s: test set %d differs", what, bi)
 		}
 	}
 }
 
-// TestUseBatchResolution pins the BatchAuto rule: batch exactly when the
-// backend resolves to Sparse.
+// TestUseBatchResolution pins how Config.BatchTraces resolves into the
+// number of benchmarks one simulator steps together: pairs under BatchAuto
+// on a banded-resolved mesh, every benchmark when batching (BatchOn, or
+// BatchAuto with the sparse backend), one under BatchOff, and never more
+// than the benchmarks at hand.
 func TestUseBatchResolution(t *testing.T) {
 	cfg := tinyConfig() // 26x12 mesh resolves to Banded under Auto
 	p := &Pipeline{Cfg: cfg, Grid: grid.Build(floorplan.New(cfg.Chip), cfg.Grid)}
-	if p.useBatch() {
-		t.Fatal("BatchAuto batched on a banded-resolved mesh")
+	check := func(what string, n, want int) {
+		t.Helper()
+		if got := p.batchWidth(n); got != want {
+			t.Fatalf("%s: width %d for %d benchmarks, want %d", what, got, n, want)
+		}
 	}
+	check("auto on banded", 19, 2)
+	check("auto on banded, one benchmark", 1, 1)
 	p.Cfg.Backend = pdn.Sparse
-	if !p.useBatch() {
-		t.Fatal("BatchAuto did not batch with the sparse backend forced")
-	}
+	check("auto on sparse", 19, 19)
 	p.Cfg.BatchTraces = BatchOff
-	if p.useBatch() {
-		t.Fatal("BatchOff ignored")
-	}
+	check("off on sparse", 19, 1)
 	p.Cfg.Backend = pdn.Auto
+	check("off on banded", 19, 1)
 	p.Cfg.BatchTraces = BatchOn
-	if !p.useBatch() {
-		t.Fatal("BatchOn ignored")
-	}
+	check("on on banded", 19, 19)
+	check("on, no benchmarks", 0, 0)
 }

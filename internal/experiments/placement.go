@@ -168,25 +168,16 @@ func (p *Pipeline) PlaceCoreCount(c, q int) (*CorePlacement, error) {
 	return out, nil
 }
 
-// forEachCore runs fn(c) for every core concurrently on the mat worker pool
-// (bounded by Config.Workers), collecting per-core errors into an indexed
-// slice so the first-error rule is deterministic. Each core's placement
-// state has its own lock, so cores proceed independently; the nested lasso
-// kernels degrade to serial when the pool is saturated.
+// forEachCore runs fn(c) for every core concurrently, one core at a time
+// per worker (forEachIndex, bounded by Config.Workers), collecting per-core
+// errors into an indexed slice so the first-error rule is deterministic.
+// Each core's placement state has its own lock, so cores proceed
+// independently; the nested lasso kernels degrade to serial when the pool
+// is saturated.
 func (p *Pipeline) forEachCore(fn func(c int) error) error {
-	nc := len(p.Chip.Cores)
-	errs := make([]error, nc)
-	mat.ParallelFor(nc, 1, p.workers(), func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			errs[c] = fn(c)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	errs := make([]error, len(p.Chip.Cores))
+	p.forEachIndex(len(errs), func(c int) { errs[c] = fn(c) })
+	return firstError(errs)
 }
 
 // unionOf merges per-core global candidate selections, ascending.

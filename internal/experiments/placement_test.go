@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -150,5 +151,66 @@ func TestConcurrentPlacementConsistent(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)
+	}
+}
+
+// TestPlacementDeterministicAcrossWorkerCounts: collection and both
+// placement paths give equal outputs with Workers 1, 2 and 8, at
+// GOMAXPROCS 1 and 2 — the benchmark groups and the cores are handed out
+// one at a time from a shared counter, so which worker runs which item
+// changes from run to run, but every result lands in its index slot.
+func TestPlacementDeterministicAcrossWorkerCounts(t *testing.T) {
+	lambdas := []float64{3}
+	var ref *Pipeline
+	var refPath [][]*CorePlacement
+	var refCount []*CorePlacement
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, workers := range []int{1, 2, 8} {
+			cfg := tinyConfig()
+			cfg.Grid.NX, cfg.Grid.NY = 52, 23 // every core holds candidates
+			cfg.CalibSteps, cfg.TrainSteps, cfg.TrainMaps, cfg.TestSteps = 40, 80, 190, 15
+			cfg.Workers = workers
+			p, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path, err := p.ChipPlacementPath(lambdas)
+			if err != nil {
+				t.Fatal(err)
+			}
+			count, _, err := p.ChipPlacementCount(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref, refPath, refCount = p, path, count
+				continue
+			}
+			what := fmt.Sprintf("procs %d workers %d", procs, workers)
+			samePipelineSamples(t, what, ref, p)
+			for li := range lambdas {
+				for c := range path[li] {
+					samePlacement(t, fmt.Sprintf("%s λ=%v core %d", what, lambdas[li], c), refPath[li][c], path[li][c])
+				}
+			}
+			for c := range count {
+				samePlacement(t, fmt.Sprintf("%s count core %d", what, c), refCount[c], count[c])
+			}
+		}
+	}
+}
+
+// samePlacement requires equal selections and equal group norms.
+func samePlacement(t *testing.T, what string, want, got *CorePlacement) {
+	t.Helper()
+	if !intsEqual(got.CandIdx, want.CandIdx) {
+		t.Fatalf("%s: selected %v, want %v", what, got.CandIdx, want.CandIdx)
+	}
+	for j := range want.GroupNorms {
+		if got.GroupNorms[j] != want.GroupNorms[j] {
+			t.Fatalf("%s: group norm %d is %v, want %v", what, j, got.GroupNorms[j], want.GroupNorms[j])
+		}
 	}
 }

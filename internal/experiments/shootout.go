@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"voltsense/internal/basis"
@@ -53,9 +52,9 @@ type ShootoutData struct {
 
 // CriteriaShootout runs every named criterion on one shared chip-joint
 // placement problem — one standardization + candidate POD fit, q sensors
-// each — plus, when budget > 0, the mixed-class placement under spec. All
-// criteria run concurrently (Select never mutates the shared Problem).
-// Homogeneous selections are refit with the paper's dense OLS so the
+// each — plus, when budget > 0, the mixed-class placement under spec. The
+// criteria run one at a time, so the Place column times each selection
+// alone. Homogeneous selections are refit with the paper's dense OLS so the
 // comparison isolates the selection; the mixed row uses the GLS refit its
 // per-class noise model requires. Passing criteria == nil runs place.Names().
 func (p *Pipeline) CriteriaShootout(q int, criteria []string, spec place.ClassSpec, budget float64) (*ShootoutData, error) {
@@ -92,39 +91,25 @@ func (p *Pipeline) CriteriaShootout(q int, criteria []string, spec place.ClassSp
 		row.Rates = detect.Score(truth, detect.AlarmsFromPredictions(p.PredictTest(pred, test), p.Cfg.Vth))
 	}
 
+	// Selections run one after another, so each Place time is that
+	// criterion's own cost rather than its share of contended cores.
 	rows := make([]ShootoutRow, len(criteria))
-	errs := make([]error, len(criteria))
-	var wg sync.WaitGroup
 	for i, name := range criteria {
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			crit, err := place.ParseCriterion(name)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			start := time.Now()
-			sel, err := crit.Select(prob, q)
-			elapsed := time.Since(start)
-			if err != nil {
-				errs[i] = fmt.Errorf("experiments: %s: %w", name, err)
-				return
-			}
-			rows[i] = ShootoutRow{
-				Criterion: crit.Name(), Sensors: len(sel), RefCount: len(sel),
-				Place: elapsed, Selected: sel,
-			}
-		}(i, name)
-	}
-	wg.Wait()
-	for _, err := range errs {
+		crit, err := place.ParseCriterion(name)
 		if err != nil {
 			return nil, err
 		}
+		start := time.Now()
+		sel, err := crit.Select(prob, q)
+		elapsed := time.Since(start)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", name, err)
+		}
+		rows[i] = ShootoutRow{
+			Criterion: crit.Name(), Sensors: len(sel), RefCount: len(sel),
+			Place: elapsed, Selected: sel,
+		}
 	}
-	// Refits run sequentially: BuildPredictor parallelizes internally, and the
-	// selections above are where the wall-clock comparison lives.
 	for i := range rows {
 		pred, err := core.BuildPredictor(full, rows[i].Selected)
 		if err != nil {

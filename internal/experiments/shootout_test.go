@@ -7,10 +7,9 @@ import (
 	"voltsense/internal/place"
 )
 
-// TestCriteriaShootoutRanksAllMethods runs the full parallel shootout — all
-// six criteria concurrently on one shared problem, plus the mixed-class
-// row — on the shared quick pipeline. Run with -race to exercise the
-// concurrent Select path.
+// TestCriteriaShootoutRanksAllMethods runs the full shootout — all six
+// criteria, one after another, on one shared problem, plus the mixed-class
+// row — on the shared quick pipeline.
 func TestCriteriaShootoutRanksAllMethods(t *testing.T) {
 	p := quick(t)
 	const q = 6

@@ -109,7 +109,10 @@ func (p *Pipeline) AblationTransfer(q int, sigma float64, goldens int, counts []
 		if err != nil {
 			return nil, fmt.Errorf("experiments: building golden sibling %d: %w", g, err)
 		}
-		set := p.resampleTrainOnNodes(sibling, p.CritNodes)
+		set, err := p.resampleTrainOnNodes(sibling, p.CritNodes)
+		if err != nil {
+			return nil, err
+		}
 		ds := &core.Dataset{X: set.CandV, F: set.CritV}
 		pred, err := core.BuildPredictor(ds, union)
 		if err != nil {
@@ -133,8 +136,14 @@ func (p *Pipeline) AblationTransfer(q int, sigma float64, goldens int, counts []
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building fielded die: %w", err)
 	}
-	fieldedTest := p.resampleOnNodes(fielded, p.CritNodes)
-	feed := p.resampleTrainOnNodes(fielded, p.CritNodes)
+	fieldedTest, err := p.resampleOnNodes(fielded, p.CritNodes)
+	if err != nil {
+		return nil, err
+	}
+	feed, err := p.resampleTrainOnNodes(fielded, p.CritNodes)
+	if err != nil {
+		return nil, err
+	}
 	n := feed.N()
 
 	out := &TransferResult{

@@ -60,7 +60,10 @@ func (p *Pipeline) AblationProcessVariation(q int, sigma float64) (*VariationRes
 	}
 	// Keep the NOMINAL critical nodes: the monitoring targets were chosen
 	// at design time and do not move with fabrication.
-	variedTest := p.resampleOnNodes(varied, p.CritNodes)
+	variedTest, err := p.resampleOnNodes(varied, p.CritNodes)
+	if err != nil {
+		return nil, err
+	}
 
 	out := &VariationResult{SegRSigma: sigma, SensorsPerCore: q}
 
@@ -74,7 +77,10 @@ func (p *Pipeline) AblationProcessVariation(q int, sigma float64) (*VariationRes
 
 	// Recalibration: same sensors, coefficients refit on the varied die's
 	// training run (which post-silicon bring-up would measure).
-	variedTrain := p.resampleTrainOnNodes(varied, p.CritNodes)
+	variedTrain, err := p.resampleTrainOnNodes(varied, p.CritNodes)
+	if err != nil {
+		return nil, err
+	}
 	recal, err := core.BuildPredictor(&core.Dataset{X: variedTrain.CandV, F: variedTrain.CritV}, union)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: recalibration: %w", err)
@@ -87,86 +93,51 @@ func (p *Pipeline) AblationProcessVariation(q int, sigma float64) (*VariationRes
 
 // resampleOnNodes re-extracts the varied pipeline's pooled test set with the
 // nominal critical nodes (the varied pipeline recorded its own worst-droop
-// nodes, which post-fabrication monitoring cannot know).
-func (p *Pipeline) resampleOnNodes(varied *Pipeline, critNodes []int) *SampleSet {
-	// The varied pipeline's recorded CritV used varied.CritNodes; rebuild
-	// the rows by re-simulating is expensive, so instead exploit that the
-	// candidate geometry is identical and re-record via a dedicated run.
-	m := len(varied.Grid.Candidates)
-	k := len(critNodes)
-	total := 0
-	for _, s := range varied.TestByBench {
-		total += s.N()
-	}
-	cand := mat.Zeros(m, total)
-	crit := mat.Zeros(k, total)
-	bench := make([]int, 0, total)
-	col := 0
-	for bi, b := range varied.Bench {
-		steps := varied.Cfg.TestSteps * varied.Cfg.TestStride
-		recorded := 0
-		_ = varied.simulate(b, runTest, steps, func(t int, v []float64) {
-			if t%varied.Cfg.TestStride != 0 || recorded >= varied.Cfg.TestSteps {
-				return
-			}
-			for i, nd := range varied.Grid.Candidates {
-				cand.Set(i, col, v[nd])
-			}
-			for i, nd := range critNodes {
-				crit.Set(i, col, v[nd])
-			}
-			bench = append(bench, bi)
-			col++
-			recorded++
-		})
-	}
-	return &SampleSet{CandV: cand, CritV: crit, Bench: bench}
+// nodes, which post-fabrication monitoring cannot know): a dedicated run
+// over the identical candidate geometry, benchmark after benchmark in the
+// column order of TestAll.
+func (p *Pipeline) resampleOnNodes(varied *Pipeline, critNodes []int) (*SampleSet, error) {
+	per := varied.Cfg.TestSteps
+	stride := varied.Cfg.TestStride
+	return varied.recordOnNodes(runTest, per*stride, per, critNodes, func(t int) bool { return t%stride == 0 })
 }
 
-// resampleTrainOnNodes records a varied-die training set (run index
-// runCalib reused as an independent stream) on the nominal critical nodes.
-func (p *Pipeline) resampleTrainOnNodes(varied *Pipeline, critNodes []int) *SampleSet {
-	m := len(varied.Grid.Candidates)
-	k := len(critNodes)
-	perBench := varied.Cfg.TrainMaps / len(varied.Bench)
-	if perBench > varied.Cfg.TrainSteps {
-		perBench = varied.Cfg.TrainSteps
-	}
-	total := perBench * len(varied.Bench)
-	cand := mat.Zeros(m, total)
-	crit := mat.Zeros(k, total)
-	bench := make([]int, 0, total)
-	col := 0
-	for bi, b := range varied.Bench {
-		recorded := 0
-		_ = varied.simulate(b, runTrain, varied.Cfg.TrainSteps, func(t int, v []float64) {
-			if recorded >= perBench {
-				return
-			}
-			// Deterministic stride keeps coverage across the run.
-			if t%(varied.Cfg.TrainSteps/perBench) != 0 {
-				return
-			}
-			for i, nd := range varied.Grid.Candidates {
-				cand.Set(i, col, v[nd])
-			}
-			for i, nd := range critNodes {
-				crit.Set(i, col, v[nd])
-			}
-			bench = append(bench, bi)
-			col++
-			recorded++
-		})
-	}
-	if col < total {
-		cols := make([]int, col)
-		for i := range cols {
-			cols[i] = i
+// resampleTrainOnNodes records a varied-die training set on the nominal
+// critical nodes: an even stride over every benchmark's training run.
+func (p *Pipeline) resampleTrainOnNodes(varied *Pipeline, critNodes []int) (*SampleSet, error) {
+	per := min(varied.Cfg.TrainMaps/len(varied.Bench), varied.Cfg.TrainSteps)
+	stride := varied.Cfg.TrainSteps / per
+	return varied.recordOnNodes(runTrain, varied.Cfg.TrainSteps, per, critNodes, func(t int) bool { return t%stride == 0 })
+}
+
+// recordOnNodes simulates run `run` of every benchmark for steps steps and
+// records the first per post-warmup maps whose step keep accepts, on the
+// candidates and the given critical nodes: benchmark bi fills columns
+// bi·per onward.
+func (p *Pipeline) recordOnNodes(run, steps, per int, critNodes []int, keep func(t int) bool) (*SampleSet, error) {
+	total := per * len(p.Bench)
+	cand := mat.Zeros(len(p.Grid.Candidates), total)
+	crit := mat.Zeros(len(critNodes), total)
+	bench := make([]int, total)
+	recorded := make([]int, len(p.Bench))
+	err := p.runBenchmarks(run, steps, nil, func(bi, t int, v []float64) {
+		if recorded[bi] >= per || !keep(t) {
+			return
 		}
-		cand = cand.SelectCols(cols)
-		crit = crit.SelectCols(cols)
+		col := bi*per + recorded[bi]
+		for i, nd := range p.Grid.Candidates {
+			cand.Set(i, col, v[nd])
+		}
+		for i, nd := range critNodes {
+			crit.Set(i, col, v[nd])
+		}
+		bench[col] = bi
+		recorded[bi]++
+	})
+	if err != nil {
+		return nil, err
 	}
-	return &SampleSet{CandV: cand, CritV: crit, Bench: bench}
+	return &SampleSet{CandV: cand, CritV: crit, Bench: bench}, nil
 }
 
 func scoreSet(pred *core.Predictor, s *SampleSet, vth float64) detect.Rates {

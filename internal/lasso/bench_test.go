@@ -43,6 +43,50 @@ func BenchmarkFistaIterate(b *testing.B) {
 	}
 }
 
+// table1Fista is a Table-1-shaped constrained solve (K = 30 outputs, M = 38
+// candidates, 8 of them driving the outputs) advanced 200 iterations, to
+// where the iterate's support has settled on about 8 groups.
+func table1Fista(b *testing.B) (*gram, *mat.Matrix, float64, float64) {
+	z, g := sparseProblem(rand.New(rand.NewSource(8)), 30, 38, 800, 8)
+	gr := newGram(z, g)
+	st := newFistaState(gr, mat.Zeros(30, 38), 12, 1/gr.lipschitz())
+	for i := 0; i < 200; i++ {
+		st.iterate()
+	}
+	if n := len(st.bSup); n < 6 || n > 10 {
+		b.Fatalf("fixture support has %d groups, want about 8", n)
+	}
+	return gr, st.beta.Clone(), st.lambda, st.step
+}
+
+// BenchmarkFistaIterateSupport vs BenchmarkFistaIterateReference: one FISTA
+// iteration on the Table-1-shaped fixture, sized to the support versus the
+// dense oracle (full y·ZZᵀ and dense passes). benchreport reports the
+// pair's speedup; both run serial kernels.
+func BenchmarkFistaIterateSupport(b *testing.B) {
+	defer mat.SetParallelism(mat.SetParallelism(1))
+	gr, beta, lambda, step := table1Fista(b)
+	st := newFistaState(gr, beta, lambda, step)
+	st.iterate()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.iterate()
+	}
+}
+
+func BenchmarkFistaIterateReference(b *testing.B) {
+	defer mat.SetParallelism(mat.SetParallelism(1))
+	gr, beta, lambda, step := table1Fista(b)
+	st := newReferenceFista(gr, beta, lambda, step)
+	st.iterate()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.iterate()
+	}
+}
+
 func BenchmarkSolvePenalized(b *testing.B) {
 	z, g := benchProblem(8, 60, 600)
 	opt := Options{MaxIter: 300, Tol: 1e-8}

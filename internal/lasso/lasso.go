@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"voltsense/internal/mat"
 )
@@ -126,7 +125,7 @@ func ProjectL1(v []float64, radius float64) []float64 {
 
 // projectL1Into is the allocation-free core of ProjectL1: it fills out with
 // the projection of the non-negative vector v, using scratch (same length)
-// as sort workspace. out may alias v.
+// as heap workspace. out may alias v.
 func projectL1Into(out, scratch, v []float64, radius float64) {
 	if radius < 0 {
 		panic(fmt.Sprintf("lasso: negative radius %v", radius))
@@ -139,41 +138,68 @@ func projectL1Into(out, scratch, v []float64, radius float64) {
 		copy(out, v)
 		return
 	}
-	// Find θ with Σ max(v_i − θ, 0) = radius via the sorted prefix rule,
-	// walking the ascending sort from the back for descending order.
-	copy(scratch, v)
-	slices.Sort(scratch)
-	var cum, theta float64
-	rho := -1
-	for i := len(scratch) - 1; i >= 0; i-- {
-		x := scratch[i]
-		cnt := len(scratch) - i
-		cum += x
-		if x-(cum-radius)/float64(cnt) <= 0 {
-			break // the active set is a prefix of the descending order
-		}
-		rho = cnt - 1
-		theta = (cum - radius) / float64(cnt)
-	}
-	if rho < 0 {
-		for i := range out {
-			out[i] = 0 // radius == 0
-		}
-		return
-	}
+	theta, ok := l1Threshold(scratch, v, radius)
 	for i, x := range v {
-		if d := x - theta; d > 0 {
+		if d := x - theta; ok && d > 0 {
 			out[i] = d
 		} else {
-			out[i] = 0
+			out[i] = 0 // radius == 0 leaves nothing active
 		}
 	}
 }
 
+// l1Threshold finds θ with Σ max(v_i − θ, 0) = radius for a non-negative v
+// whose sum exceeds radius, by the sorted prefix rule: walk v in descending
+// order while the next value stays above the running threshold. The
+// descending order comes from a max-heap built in scratch (same length as
+// v), so only the active values and one more are ever ordered; equal values
+// are interchangeable, so the walk adds the same numbers in the same order a
+// full sort would. ok is false when no value is active (radius 0).
+func l1Threshold(scratch, v []float64, radius float64) (theta float64, ok bool) {
+	h := scratch[:len(v)]
+	copy(h, v)
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	cum := 0.0
+	for cnt := 1; len(h) > 0; cnt++ {
+		x := h[0]
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		siftDown(h, 0)
+		cum += x
+		if x-(cum-radius)/float64(cnt) <= 0 {
+			break // the active set is a prefix of the descending order
+		}
+		theta, ok = (cum-radius)/float64(cnt), true
+	}
+	return theta, ok
+}
+
+// siftDown restores the max-heap order of h below index i.
+func siftDown(h []float64, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1] > h[c] {
+			c++
+		}
+		if h[c] <= h[i] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
 // projWS holds the scratch vectors of the group-ball projection so the FISTA
-// loop can project every iterate without allocating.
+// loop can project every iterate without allocating, and the ascending
+// column support of the last projection.
 type projWS struct {
 	norms, proj, scratch []float64
+	support              []int
 }
 
 func newProjWS(m int) *projWS {
@@ -181,6 +207,7 @@ func newProjWS(m int) *projWS {
 		norms:   make([]float64, m),
 		proj:    make([]float64, m),
 		scratch: make([]float64, m),
+		support: make([]int, 0, m),
 	}
 }
 
@@ -188,21 +215,37 @@ func newProjWS(m int) *projWS {
 // using the workspace buffers.
 func (w *projWS) projectGroupBall(beta *mat.Matrix, radius float64) {
 	groupNormsInto(w.norms, beta)
+	w.scaleOntoBall(beta, radius)
+}
+
+// scaleOntoBall finishes projectGroupBall once w.norms holds beta's column
+// norms: beta is scaled in place onto the ball, and w.support receives the
+// ascending columns that may hold a nonzero afterwards. Every column
+// outside it is exactly zero.
+func (w *projWS) scaleOntoBall(beta *mat.Matrix, radius float64) {
 	sum := 0.0
 	for _, n := range w.norms {
 		sum += n
 	}
+	w.support = w.support[:0]
 	if sum <= radius {
-		return // already inside the ball: projection is the identity
+		// Inside the ball: the projection is the identity. A column whose
+		// entries are too small to square to a nonzero still counts.
+		for j, n := range w.norms {
+			if n != 0 || columnNonzero(beta, j) {
+				w.support = append(w.support, j)
+			}
+		}
+		return
 	}
-	projectL1Into(w.proj, w.scratch, w.norms, radius)
+	theta, ok := l1Threshold(w.scratch, w.norms, radius)
 	k, m := beta.Rows(), beta.Cols()
 	scale := w.proj
-	for j := range scale {
-		if w.norms[j] == 0 {
-			scale[j] = 0
-		} else {
-			scale[j] /= w.norms[j]
+	for j, n := range w.norms {
+		scale[j] = 0
+		if d := n - theta; ok && d > 0 && n != 0 {
+			scale[j] = d / n
+			w.support = append(w.support, j)
 		}
 	}
 	for i := 0; i < k; i++ {
@@ -211,6 +254,16 @@ func (w *projWS) projectGroupBall(beta *mat.Matrix, radius float64) {
 			row[j] *= scale[j]
 		}
 	}
+}
+
+// columnNonzero reports whether column j of beta holds a nonzero entry.
+func columnNonzero(beta *mat.Matrix, j int) bool {
+	for i := 0; i < beta.Rows(); i++ {
+		if beta.At(i, j) != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // gram holds the sufficient statistics of a group-lasso instance: both
@@ -277,6 +330,13 @@ func (gr *gram) lipschitz() float64 {
 // fistaState is the preallocated workspace of one constrained solve: the
 // iterate, momentum and gradient buffers are created once and reused every
 // iteration, so the steady-state loop performs zero heap allocations.
+//
+// It also keeps the ascending column supports of the iterate and the
+// momentum point. After the first few iterations only a handful of the M
+// groups are nonzero, and an iteration touches the zero ones only where
+// the answer needs them: the gradient y·ZZᵀ is built from y's support
+// alone, and the momentum and convergence pass runs over the union of
+// supports. Every result equals the dense computation's.
 type fistaState struct {
 	gr     *gram
 	lambda float64
@@ -286,8 +346,11 @@ type fistaState struct {
 	beta *mat.Matrix // current iterate β_k
 	next *mat.Matrix // scratch for β_{k+1}; swapped with beta each step
 	y    *mat.Matrix // momentum point
-	grad *mat.Matrix // y·ZZᵀ scratch
+	grad []float64   // one row of y·ZZᵀ
 	proj *projWS
+
+	bSup, ySup, union []int     // supports of beta and y; scratch
+	groups            []zzGroup // mulZZt's plan for y's support
 }
 
 // newFistaState starts FISTA from beta (taken over as the first iterate) with
@@ -302,10 +365,16 @@ func newFistaState(gr *gram, beta *mat.Matrix, lambda, step float64) *fistaState
 		tk:     1,
 		beta:   beta,
 		next:   mat.Zeros(k, m),
-		grad:   mat.Zeros(k, m),
+		grad:   make([]float64, m),
 		proj:   newProjWS(m),
+		bSup:   make([]int, 0, m),
+		ySup:   make([]int, 0, m),
+		union:  make([]int, 0, m),
+		groups: make([]zzGroup, 0, m),
 	}
 	st.proj.projectGroupBall(beta, lambda)
+	st.bSup = append(st.bSup, st.proj.support...)
+	st.ySup = append(st.ySup, st.proj.support...)
 	st.y = beta.Clone()
 	return st
 }
@@ -314,26 +383,56 @@ func newFistaState(gr *gram, beta *mat.Matrix, lambda, step float64) *fistaState
 // relative change ‖β_{k+1} − β_k‖_F / ‖β_{k+1}‖_F of the iterate. It does
 // not allocate: every buffer lives in the workspace.
 func (f *fistaState) iterate() float64 {
-	// Gradient step at y: next = y − step·(y·ZZᵀ − GZᵀ), fused elementwise.
-	mat.MulInto(f.grad, f.y, f.gr.zzt)
-	gd, gzd := f.grad.Data(), f.gr.gzt.Data()
+	k, m := f.y.Rows(), f.y.Cols()
 	yd, nd, bd := f.y.Data(), f.next.Data(), f.beta.Data()
-	for i, gv := range gd {
-		nd[i] = yd[i] - f.step*(gv-gzd[i])
+	gzd := f.gr.gzt.Data()
+	// Gradient step at y, next = y − step·(y·ZZᵀ − GZᵀ), one row at a time,
+	// fused with the column norms of next in groupNormsInto's row order.
+	norms := f.proj.norms
+	for j := range norms {
+		norms[j] = 0
 	}
-	f.proj.projectGroupBall(f.next, f.lambda)
+	f.planZZt()
+	step, grad := f.step, f.grad
+	norms = norms[:len(grad)]
+	for i := 0; i < k; i++ {
+		yrow := yd[i*m : (i+1)*m]
+		f.mulZZt(grad, yrow)
+		nrow, gzrow := nd[i*m:i*m+len(grad)], gzd[i*m:i*m+len(grad)]
+		yrow = yrow[:len(grad)]
+		for j, gv := range grad {
+			v := yrow[j] - step*(gv-gzrow[j])
+			nrow[j] = v
+			norms[j] += v * v
+		}
+	}
+	for j, n := range norms {
+		norms[j] = math.Sqrt(n)
+	}
+	f.proj.scaleOntoBall(f.next, f.lambda)
+	nSup := f.proj.support
 
 	tNext := (1 + math.Sqrt(1+4*f.tk*f.tk)) / 2
 	mom := (f.tk - 1) / tNext
 	// y = next + mom*(next − beta), fused with the convergence statistics
-	// ‖next − beta‖_F and ‖next‖_F.
+	// ‖next − beta‖_F and ‖next‖_F. Outside the union of the three supports
+	// next, beta and y are all zero and stay so, and every skipped term of
+	// the sums is an exact zero.
+	f.union = unionInto(f.union, nSup, f.bSup, f.ySup)
 	var diffSq, baseSq float64
-	for i, nv := range nd {
-		d := nv - bd[i]
-		yd[i] = nv + mom*d
-		diffSq += d * d
-		baseSq += nv * nv
+	for i := 0; i < k; i++ {
+		for _, j := range f.union {
+			e := i*m + j
+			nv := nd[e]
+			d := nv - bd[e]
+			yd[e] = nv + mom*d
+			diffSq += d * d
+			baseSq += nv * nv
+		}
 	}
+	// y's new support is next's and beta's together.
+	f.ySup = unionInto(f.ySup, nSup, f.bSup, nil)
+	f.bSup = append(f.bSup[:0], nSup...)
 	f.beta, f.next = f.next, f.beta
 	f.tk = tNext
 
@@ -342,6 +441,128 @@ func (f *fistaState) iterate() float64 {
 		base = 1
 	}
 	return math.Sqrt(diffSq) / base
+}
+
+// zzGroup is one term of mulZZt's sum: up to four columns of y's support
+// that share an aligned group of four candidate indices, or one trailing
+// index past the last such group.
+type zzGroup struct {
+	n   int
+	col [4]int
+}
+
+// planZZt splits y's support into the groups mulZZt adds, in ascending
+// order. It runs once per iteration; every row of y shares the plan.
+func (f *fistaState) planZZt() {
+	m := f.y.Cols()
+	tail := m - m%4
+	f.groups = f.groups[:0]
+	for s := 0; s < len(f.ySup); {
+		g := zzGroup{}
+		if f.ySup[s] >= tail {
+			g.n, g.col[0] = 1, f.ySup[s]
+			s++
+		} else {
+			for end := f.ySup[s]&^3 + 4; s < len(f.ySup) && f.ySup[s] < end; s++ {
+				g.col[g.n] = f.ySup[s]
+				g.n++
+			}
+		}
+		f.groups = append(f.groups, g)
+	}
+}
+
+// mulZZt writes one row of y·ZZᵀ into out from the row yrow, adding only
+// the rows of ZZᵀ that y's support selects, per the plan of planZZt. It
+// keeps mat.MulInto's per-element arithmetic: mat's kernel adds one
+// four-term sum per aligned group of four candidate indices, skips a group
+// whose four coefficients are all zero, and adds the M mod 4 trailing
+// indices one product at a time. Here a group's sum leaves out the
+// coefficients outside y's support, which are zero; adding a zero product
+// changes at most the sign of an exact zero.
+func (f *fistaState) mulZZt(out, yrow []float64) {
+	m := len(out)
+	zz := f.gr.zzt.Data()
+	for j := range out {
+		out[j] = 0
+	}
+	for gi := range f.groups {
+		g := &f.groups[gi]
+		c0 := g.col[0]
+		r0 := zz[c0*m : (c0+1)*m]
+		a0 := yrow[c0]
+		switch g.n {
+		case 1:
+			if a0 == 0 {
+				continue
+			}
+			for j, v := range r0 {
+				out[j] += a0 * v
+			}
+		case 2:
+			c1 := g.col[1]
+			a1 := yrow[c1]
+			if a0 == 0 && a1 == 0 {
+				continue
+			}
+			r1 := zz[c1*m : c1*m+len(r0)]
+			for j, v := range r0 {
+				out[j] += a0*v + a1*r1[j]
+			}
+		case 3:
+			c1, c2 := g.col[1], g.col[2]
+			a1, a2 := yrow[c1], yrow[c2]
+			if a0 == 0 && a1 == 0 && a2 == 0 {
+				continue
+			}
+			r1, r2 := zz[c1*m:c1*m+len(r0)], zz[c2*m:c2*m+len(r0)]
+			for j, v := range r0 {
+				out[j] += a0*v + a1*r1[j] + a2*r2[j]
+			}
+		default:
+			c1, c2, c3 := g.col[1], g.col[2], g.col[3]
+			a1, a2, a3 := yrow[c1], yrow[c2], yrow[c3]
+			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+				continue
+			}
+			r1, r2, r3 := zz[c1*m:c1*m+len(r0)], zz[c2*m:c2*m+len(r0)], zz[c3*m:c3*m+len(r0)]
+			for j, v := range r0 {
+				out[j] += a0*v + a1*r1[j] + a2*r2[j] + a3*r3[j]
+			}
+		}
+	}
+}
+
+// unionInto writes the ascending union of the ascending index lists a, b
+// and c into dst (reusing its storage) and returns it. dst must not alias
+// any of them.
+func unionInto(dst, a, b, c []int) []int {
+	dst = dst[:0]
+	for {
+		j := math.MaxInt
+		if len(a) > 0 {
+			j = a[0]
+		}
+		if len(b) > 0 && b[0] < j {
+			j = b[0]
+		}
+		if len(c) > 0 && c[0] < j {
+			j = c[0]
+		}
+		if j == math.MaxInt {
+			return dst
+		}
+		dst = append(dst, j)
+		if len(a) > 0 && a[0] == j {
+			a = a[1:]
+		}
+		if len(b) > 0 && b[0] == j {
+			b = b[1:]
+		}
+		if len(c) > 0 && c[0] == j {
+			c = c[1:]
+		}
+	}
 }
 
 // SolvePenalized solves the Lagrangian form

@@ -1,8 +1,10 @@
 package lasso
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"voltsense/internal/mat"
@@ -47,6 +49,230 @@ func referenceSolveConstrained(z, g *mat.Matrix, lambda float64, opt Options) *R
 		}
 	}
 	return &Result{Beta: beta, GroupNorms: groupNorms(beta), Objective: gr.objective(beta)}
+}
+
+// sortedProjectL1Into is the ℓ₁-ball projection with a full sort of v,
+// walked from the back for descending order: the oracle of the heap walk in
+// projectL1Into.
+func sortedProjectL1Into(out, scratch, v []float64, radius float64) {
+	sum := 0.0
+	for _, x := range v {
+		sum += x
+	}
+	if sum <= radius {
+		copy(out, v)
+		return
+	}
+	copy(scratch, v)
+	slices.Sort(scratch)
+	var cum, theta float64
+	rho := -1
+	for i := len(scratch) - 1; i >= 0; i-- {
+		x := scratch[i]
+		cnt := len(scratch) - i
+		cum += x
+		if x-(cum-radius)/float64(cnt) <= 0 {
+			break
+		}
+		rho = cnt - 1
+		theta = (cum - radius) / float64(cnt)
+	}
+	if rho < 0 {
+		for i := range out {
+			out[i] = 0
+		}
+		return
+	}
+	for i, x := range v {
+		if d := x - theta; d > 0 {
+			out[i] = d
+		} else {
+			out[i] = 0
+		}
+	}
+}
+
+// referenceFista is the dense FISTA iteration the support-sized
+// fistaState.iterate replaced, kept as its oracle: the full product y·ZZᵀ
+// through mat.MulInto, a separate group-norm pass and the sort-based
+// projection, then a dense momentum and convergence pass.
+type referenceFista struct {
+	gr                   *gram
+	lambda, step, tk     float64
+	beta, next, y, grad  *mat.Matrix
+	norms, proj, scratch []float64
+}
+
+func newReferenceFista(gr *gram, beta *mat.Matrix, lambda, step float64) *referenceFista {
+	k, m := beta.Rows(), beta.Cols()
+	f := &referenceFista{gr: gr, lambda: lambda, step: step, tk: 1, beta: beta,
+		next: mat.Zeros(k, m), grad: mat.Zeros(k, m),
+		norms: make([]float64, m), proj: make([]float64, m), scratch: make([]float64, m)}
+	f.project(beta)
+	f.y = beta.Clone()
+	return f
+}
+
+func (f *referenceFista) project(beta *mat.Matrix) {
+	groupNormsInto(f.norms, beta)
+	sum := 0.0
+	for _, n := range f.norms {
+		sum += n
+	}
+	if sum <= f.lambda {
+		return
+	}
+	sortedProjectL1Into(f.proj, f.scratch, f.norms, f.lambda)
+	for j := range f.proj {
+		if f.norms[j] == 0 {
+			f.proj[j] = 0
+		} else {
+			f.proj[j] /= f.norms[j]
+		}
+	}
+	for i := 0; i < beta.Rows(); i++ {
+		row := beta.Row(i)
+		for j := range row {
+			row[j] *= f.proj[j]
+		}
+	}
+}
+
+func (f *referenceFista) iterate() float64 {
+	mat.MulInto(f.grad, f.y, f.gr.zzt)
+	gd, gzd := f.grad.Data(), f.gr.gzt.Data()
+	yd, nd, bd := f.y.Data(), f.next.Data(), f.beta.Data()
+	for i, gv := range gd {
+		nd[i] = yd[i] - f.step*(gv-gzd[i])
+	}
+	f.project(f.next)
+	tNext := (1 + math.Sqrt(1+4*f.tk*f.tk)) / 2
+	mom := (f.tk - 1) / tNext
+	var diffSq, baseSq float64
+	for i, nv := range nd {
+		d := nv - bd[i]
+		yd[i] = nv + mom*d
+		diffSq += d * d
+		baseSq += nv * nv
+	}
+	f.beta, f.next = f.next, f.beta
+	f.tk = tNext
+	base := math.Sqrt(baseSq)
+	if base == 0 {
+		base = 1
+	}
+	return math.Sqrt(diffSq) / base
+}
+
+// sparseProblem draws a K-output, M-candidate instance whose outputs depend
+// on `active` candidates plus noise, so a budget-constrained solve settles
+// on a small support.
+func sparseProblem(rng *rand.Rand, k, m, n, active int) (*mat.Matrix, *mat.Matrix) {
+	z := randn(rng, m, n)
+	b := mat.Zeros(k, m)
+	for _, j := range rng.Perm(m)[:active] {
+		for i := 0; i < k; i++ {
+			b.Set(i, j, rng.NormFloat64())
+		}
+	}
+	g := mat.Add(mat.Mul(b, z), mat.Scale(0.3, randn(rng, k, n)))
+	return z, g
+}
+
+// TestFistaIterateMatchesReference runs the support-sized iteration beside
+// the dense oracle and requires equal iterates, momentum points and
+// convergence statistics after every one of 80 steps: M mod 4 = 0, 1, 2
+// and 3, M past mat's 256-wide k-tile, a warm start outside the ball, a
+// budget so large that the projection is the identity, and cold starts
+// whose support first grows and then shrinks.
+func TestFistaIterateMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	cases := []struct {
+		name              string
+		k, m, n, active   int
+		lambda, warmScale float64
+	}{
+		{"m%4=0", 30, 36, 200, 8, 24, 0},
+		{"m%4=1", 30, 37, 200, 8, 24, 0},
+		{"m%4=2", 12, 38, 150, 6, 16, 0},
+		{"m%4=3", 7, 39, 150, 5, 12, 0},
+		{"m>256", 3, 263, 300, 12, 10, 0},
+		{"warm outside ball", 10, 41, 150, 6, 2, 3},
+		{"identity projection", 6, 22, 120, 4, 1e9, 0.5},
+	}
+	for _, c := range cases {
+		z, g := sparseProblem(rng, c.k, c.m, c.n, c.active)
+		gr := newGram(z, g)
+		step := 1 / gr.lipschitz()
+		warm := mat.Zeros(c.k, c.m)
+		if c.warmScale > 0 {
+			warm = mat.Scale(c.warmScale, randn(rng, c.k, c.m))
+		}
+		got := newFistaState(gr, warm.Clone(), c.lambda, step)
+		want := newReferenceFista(gr, warm.Clone(), c.lambda, step)
+		sameMatrix(t, c.name+" start", got.beta, want.beta)
+		grew, shrank, prev := false, false, len(got.bSup)
+		for it := 1; it <= 80; it++ {
+			dg, dw := got.iterate(), want.iterate()
+			what := fmt.Sprintf("%s iteration %d", c.name, it)
+			if dg != dw {
+				t.Fatalf("%s: relative change %v, reference %v", what, dg, dw)
+			}
+			sameMatrix(t, what+" β", got.beta, want.beta)
+			sameMatrix(t, what+" y", got.y, want.y)
+			grew = grew || len(got.bSup) > prev
+			shrank = shrank || len(got.bSup) < prev
+			prev = len(got.bSup)
+		}
+		if c.warmScale == 0 && (!grew || !shrank) {
+			t.Errorf("%s: support never both grew and shrank (grew %v, shrank %v)", c.name, grew, shrank)
+		}
+		if c.lambda < 1e9 && len(got.bSup) == c.m {
+			t.Errorf("%s: support stayed dense; the sparse path went untested", c.name)
+		}
+	}
+}
+
+// sameMatrix requires a == b elementwise.
+func sameMatrix(t *testing.T, what string, a, b *mat.Matrix) {
+	t.Helper()
+	ad, bd := a.Data(), b.Data()
+	for i := range ad {
+		if ad[i] != bd[i] {
+			t.Fatalf("%s: element %d is %v, reference %v", what, i, ad[i], bd[i])
+		}
+	}
+}
+
+// TestProjectL1HeapMatchesSort: the heap walk of projectL1Into returns what
+// the full sort returns, ties and zeros included.
+func TestProjectL1HeapMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(40)
+		v := make([]float64, n)
+		for i := range v {
+			switch rng.Intn(4) {
+			case 0: // zero
+			case 1:
+				v[i] = float64(rng.Intn(3)) // ties
+			default:
+				v[i] = rng.ExpFloat64()
+			}
+		}
+		radius := rng.Float64() * 3
+		if trial%10 == 0 {
+			radius = 0
+		}
+		got, want := make([]float64, n), make([]float64, n)
+		projectL1Into(got, make([]float64, n), v, radius)
+		sortedProjectL1Into(want, make([]float64, n), v, radius)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: v=%v radius %v: heap %v, sort %v", trial, v, radius, got, want)
+			}
+		}
+	}
 }
 
 // TestWorkspaceSolverMatchesReference pins the zero-allocation FISTA rewrite

@@ -13,11 +13,13 @@ import (
 // (sparse.BatchCGSolver), so the matrix and IC factor stream through memory
 // once per iteration instead of once per transient: that amortization is
 // the dominant win at mesh sizes past cache. On the banded backend columns
-// share the one Cholesky factorization and loop its triangular solves.
+// share the one Cholesky factorization and are solved two at a time, each
+// pair in one walk of the factor's rows (an odd last column alone).
 //
 // Column results are bitwise identical to running len-many independent
 // Simulators with the same options: the batch PCG freezes converged
-// columns exactly where the single-RHS solve would return, and the rhs and
+// columns exactly where the single-RHS solve would return, the paired
+// banded sweep keeps each column's single-solve arithmetic, and the rhs and
 // pad-state updates are per-column scalar code either way.
 type BatchSimulator struct {
 	g       *grid.Grid
@@ -39,7 +41,7 @@ type BatchSimulator struct {
 	perm   []int
 	xI, bI []float64
 
-	// banded path: the step factor
+	// banded path: the step factor, with a buffer per column of a pair
 	chol *bandedSolver
 
 	dc dcSolver // one DC system for every column's settle
@@ -167,7 +169,11 @@ func (s *BatchSimulator) Step(loads [][]float64) [][]float64 {
 		}
 	}
 	if s.chol != nil {
-		for c := 0; c < s.m; c++ {
+		c := 0
+		for ; c+1 < s.m; c += 2 {
+			s.chol.solvePairInto(s.vCols[c], s.vCols[c+1], s.rhsCols[c], s.rhsCols[c+1])
+		}
+		if c < s.m {
 			_ = s.chol.solveInto(s.vCols[c], s.rhsCols[c]) // a banded solve cannot fail
 		}
 	} else {

@@ -65,6 +65,59 @@ func TestBatchMatchesLoopedSimulators(t *testing.T) {
 	}
 }
 
+// TestBatchBandedPairsMatchSimulators: on the banded backend the batch
+// solves columns two at a time (an odd last column alone); at widths 1, 2,
+// 3 and 19 every settled column and every stepped column equals an
+// independent Simulator's bitwise.
+func TestBatchBandedPairsMatchSimulators(t *testing.T) {
+	g := smallGrid()
+	n := g.NumNodes()
+	const steps = 15
+	opts := SimOptions{Backend: Banded}
+	for _, m := range []int{1, 2, 3, 19} {
+		loads := benchLoads(n, m, steps, int64(20+m))
+		bs, err := NewBatchSimulator(g, testDT, m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sims := make([]*Simulator, m)
+		for c := range sims {
+			if sims[c], err = NewSimulatorOpts(g, testDT, opts); err != nil {
+				t.Fatal(err)
+			}
+			if err := sims[c].Settle(loads[c][0]); err != nil {
+				t.Fatal(err)
+			}
+			if err := bs.SettleColumn(c, loads[c][0]); err != nil {
+				t.Fatal(err)
+			}
+			sameSettle(t, fmt.Sprintf("width %d column %d", m, c), sims[c], bs.vCols[c], bs.padCurCols[c])
+		}
+		stepLoads := make([][]float64, m)
+		for step := 0; step < steps; step++ {
+			for c := range stepLoads {
+				stepLoads[c] = loads[c][step]
+			}
+			vs := bs.Step(stepLoads)
+			for c, sim := range sims {
+				want := sim.Step(stepLoads[c])
+				for i := range want {
+					if vs[c][i] != want[i] {
+						t.Fatalf("width %d step %d col %d node %d: batch %v, single %v (not bitwise identical)",
+							m, step, c, i, vs[c][i], want[i])
+					}
+				}
+				for p := range sim.padCur {
+					if bs.padCurCols[c][p] != sim.padCur[p] {
+						t.Fatalf("width %d step %d col %d pad %d: batch %v, single %v",
+							m, step, c, p, bs.padCurCols[c][p], sim.padCur[p])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestBatchSettleMatchesSimulator: SettleColumn reproduces Simulator.Settle
 // bitwise on both backends, and a settle after stepping reproduces a fresh
 // simulator's settle bitwise: the DC solve never starts from the history.

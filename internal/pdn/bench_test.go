@@ -305,25 +305,92 @@ func BenchmarkStepLooped512(b *testing.B) {
 }
 
 // TestStepBatchZeroAllocs extends the zero-alloc invariant to the batched
-// sparse step.
+// step: the sparse multi-RHS PCG, and the banded pair sweep with an odd
+// last column.
 func TestStepBatchZeroAllocs(t *testing.T) {
 	g := smallGrid()
-	bs, err := NewBatchSimulator(g, testDT, 4, SimOptions{Backend: Sparse})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		backend Backend
+		m       int
+	}{{Sparse, 4}, {Banded, 3}} {
+		bs, err := NewBatchSimulator(g, testDT, tc.m, SimOptions{Backend: tc.backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		loadCols := make([][]float64, tc.m)
+		for c := range loadCols {
+			loads := make([]float64, g.NumNodes())
+			for _, nodes := range g.BlockNodes {
+				for _, nd := range nodes {
+					loads[nd] = 0.1 * float64(c+1)
+				}
+			}
+			loadCols[c] = loads
+		}
+		bs.Step(loadCols)
+		if a := testing.AllocsPerRun(20, func() { bs.Step(loadCols) }); a != 0 {
+			t.Fatalf("%v batch Step allocates %v times per run, want 0", tc.backend, a)
+		}
 	}
-	loadCols := make([][]float64, 4)
-	for c := range loadCols {
+}
+
+// stepPairFixture is two distinct load columns on the quick pipeline's
+// 52×23 mesh (banded half-bandwidth 23).
+func stepPairFixture() (*grid.Grid, [][]float64) {
+	g := scaledGrid(52, 23)
+	cols := make([][]float64, 2)
+	for c := range cols {
 		loads := make([]float64, g.NumNodes())
 		for _, nodes := range g.BlockNodes {
 			for _, nd := range nodes {
-				loads[nd] = 0.1 * float64(c+1)
+				loads[nd] = 0.1 * float64(c+1) / float64(len(nodes))
 			}
 		}
-		loadCols[c] = loads
+		cols[c] = loads
 	}
-	bs.Step(loadCols)
-	if a := testing.AllocsPerRun(20, func() { bs.Step(loadCols) }); a != 0 {
-		t.Fatalf("batch Step allocates %v times per run, want 0", a)
+	return g, cols
+}
+
+// BenchmarkStepPairBanded vs BenchmarkStepLoopedBanded: two transients
+// advanced one step on the 52×23 mesh, through one width-2 BatchSimulator
+// (one walk of the factor for both columns) or two Simulators (one walk
+// each). benchreport reports the pair's speedup.
+func BenchmarkStepPairBanded(b *testing.B) {
+	g, cols := stepPairFixture()
+	bs, err := NewBatchSimulator(g, 5e-10, 2, SimOptions{Backend: Banded})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for c, loads := range cols {
+		if err := bs.SettleColumn(c, loads); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bs.Step(cols)
+	}
+}
+
+func BenchmarkStepLoopedBanded(b *testing.B) {
+	g, cols := stepPairFixture()
+	sims := make([]*Simulator, len(cols))
+	for c, loads := range cols {
+		s, err := NewSimulatorBackend(g, 5e-10, Banded)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Settle(loads); err != nil {
+			b.Fatal(err)
+		}
+		sims[c] = s
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for c, s := range sims {
+			s.Step(cols[c])
+		}
 	}
 }

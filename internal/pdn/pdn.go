@@ -107,9 +107,9 @@ type meshSolver interface {
 // min(NX, NY) rather than NX. The renumbering is transparent: callers stay
 // in row-major node order and solveInto maps through pos at the boundary.
 type bandedSolver struct {
-	chol *banded.CholFactor
-	pos  []int     // pos[node] = row of node in the banded system
-	buf  []float64 // right-hand side in banded order, solved in place
+	chol      *banded.CholFactor
+	pos       []int     // pos[node] = row of node in the banded system
+	buf, buf2 []float64 // right-hand sides in banded order, solved in place
 }
 
 // newBandedSolver assembles and factors the symmetric mesh system with the
@@ -141,7 +141,8 @@ func newBandedSolver(g *grid.Grid, diag []float64) (*bandedSolver, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pdn: system matrix not SPD: %w", err)
 	}
-	return &bandedSolver{chol: chol, pos: pos, buf: make([]float64, len(pos))}, nil
+	return &bandedSolver{chol: chol, pos: pos,
+		buf: make([]float64, len(pos)), buf2: make([]float64, len(pos))}, nil
 }
 
 func (b *bandedSolver) solveInto(dst, rhs []float64) error {
@@ -153,6 +154,18 @@ func (b *bandedSolver) solveInto(dst, rhs []float64) error {
 		dst[node] = b.buf[p]
 	}
 	return nil
+}
+
+// solvePairInto solves two right-hand sides at once with the factor's
+// two-column sweep; each result equals its own solveInto bitwise.
+func (b *bandedSolver) solvePairInto(dst0, dst1, rhs0, rhs1 []float64) {
+	for node, p := range b.pos {
+		b.buf[p], b.buf2[p] = rhs0[node], rhs1[node]
+	}
+	b.chol.SolvePairInPlace(b.buf, b.buf2)
+	for node, p := range b.pos {
+		dst0[node], dst1[node] = b.buf[p], b.buf2[p]
+	}
 }
 
 // sparseSystem is the RCM-permuted CSR mesh system shared by the single and
