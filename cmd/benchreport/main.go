@@ -56,8 +56,9 @@ var benchPackages = []string{
 }
 
 // speedupPairs maps each parallel/blocked/warm-started/factorization-reusing
-// /paired/support-sized benchmark to the serial, cold, refit-from-scratch,
-// looped or dense baseline it is measured against. Names are as reported by `go test -bench`, without the
+// /paired/support-sized/single-RHS benchmark to the serial, cold,
+// refit-from-scratch, looped, dense or one-column-batch baseline it is
+// measured against. Names are as reported by `go test -bench`, without the
 // -GOMAXPROCS suffix.
 var speedupPairs = []struct{ Kernel, Baseline string }{
 	{"BenchmarkMul128", "BenchmarkMulSerial128"},
@@ -70,6 +71,7 @@ var speedupPairs = []struct{ Kernel, Baseline string }{
 	{"BenchmarkNewSimulator512Sparse", "BenchmarkNewSimulator512Banded"},
 	{"BenchmarkSpMVParallel", "BenchmarkSpMVSerial"},
 	{"BenchmarkSolveBatch", "BenchmarkSolveLooped"},
+	{"BenchmarkSolveSingle", "BenchmarkSolveBatchWidth1"},
 	{"BenchmarkStepSparse1024Parallel", "BenchmarkStepSparse1024Serial"},
 	{"BenchmarkStepBatch512", "BenchmarkStepLooped512"},
 	{"BenchmarkPlaceChipReduced", "BenchmarkPlaceChipDense"},

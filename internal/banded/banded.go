@@ -41,12 +41,6 @@ func NewSymBanded(n, bw int) *SymBanded {
 	return &SymBanded{n: n, bw: bw, data: make([]float64, n*(bw+1))}
 }
 
-// Order returns n.
-func (s *SymBanded) Order() int { return s.n }
-
-// Bandwidth returns the half-bandwidth.
-func (s *SymBanded) Bandwidth() int { return s.bw }
-
 // At returns element (i, j). Entries outside the band are zero.
 func (s *SymBanded) At(i, j int) float64 {
 	s.check(i, j)
@@ -81,40 +75,6 @@ func (s *SymBanded) check(i, j int) {
 	if i < 0 || i >= s.n || j < 0 || j >= s.n {
 		panic(fmt.Sprintf("banded: index (%d,%d) out of range %d", i, j, s.n))
 	}
-}
-
-// Clone returns a deep copy.
-func (s *SymBanded) Clone() *SymBanded {
-	d := make([]float64, len(s.data))
-	copy(d, s.data)
-	return &SymBanded{n: s.n, bw: s.bw, data: d}
-}
-
-// MulVec returns s * x using the symmetric band structure.
-func (s *SymBanded) MulVec(x []float64) []float64 {
-	if len(x) != s.n {
-		panic(fmt.Sprintf("banded: MulVec length %d, want %d", len(x), s.n))
-	}
-	y := make([]float64, s.n)
-	w := s.bw + 1
-	for i := 0; i < s.n; i++ {
-		// Diagonal.
-		y[i] += s.data[i*w] * x[i]
-		// Sub-diagonal entries (i, i-d) contribute to rows i and i-d.
-		lo := i - s.bw
-		if lo < 0 {
-			lo = 0
-		}
-		for j := lo; j < i; j++ {
-			v := s.data[i*w+(i-j)]
-			if v == 0 {
-				continue
-			}
-			y[i] += v * x[j]
-			y[j] += v * x[i]
-		}
-	}
-	return y
 }
 
 // CholFactor is the banded Cholesky factor L of a symmetric positive
@@ -168,30 +128,6 @@ func (c *CholFactor) at(i, j int) float64 {
 		return 1 / c.rdiag[i]
 	}
 	return c.data[i*c.bw+(j-i+c.bw)]
-}
-
-// Solve returns x with A x = b, overwriting nothing; b is not modified.
-func (c *CholFactor) Solve(b []float64) []float64 {
-	if len(b) != c.n {
-		panic(fmt.Sprintf("banded: Solve length %d, want %d", len(b), c.n))
-	}
-	x := make([]float64, c.n)
-	copy(x, b)
-	c.SolveInPlace(x)
-	return x
-}
-
-// SolveInto writes the solution of A x = b into dst without touching b.
-// dst and b must have length n and must not alias. Like SolveInPlace it
-// allocates nothing; it exists so a caller with separate state and
-// right-hand-side buffers (the transient engine's step) avoids the extra
-// copy a Solve call would force.
-func (c *CholFactor) SolveInto(dst, b []float64) {
-	if len(b) != c.n || len(dst) != c.n {
-		panic(fmt.Sprintf("banded: SolveInto lengths %d, %d, want %d", len(dst), len(b), c.n))
-	}
-	copy(dst, b)
-	c.SolveInPlace(dst)
 }
 
 // SolveInPlace overwrites b with the solution of A x = b. It allocates

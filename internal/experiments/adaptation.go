@@ -80,21 +80,14 @@ func (p *Pipeline) AblationOnlineAdaptation(q int, sigma float64, acfg online.Co
 	// The drifted die: identical geometry, perturbed electricals — the same
 	// construction as AblationProcessVariation, so the two studies describe
 	// the same deployment scenario with and without the feedback loop.
-	cfg := p.Cfg
-	cfg.Grid.SegRSigma = sigma
-	cfg.Grid.PadRSigma = sigma / 2
-	cfg.Grid.VariationSeed = p.Cfg.Seed + 77
-	drifted, err := New(cfg)
+	drifted := p.variant(sigma, sigma/2, p.Cfg.Seed+77)
+	driftedTest, err := drifted.heldOut()
 	if err != nil {
-		return nil, fmt.Errorf("experiments: building drifted die: %w", err)
+		return nil, fmt.Errorf("experiments: drifted die: %w", err)
 	}
-	driftedTest, err := p.resampleOnNodes(drifted, p.CritNodes)
+	feed, err := drifted.stridedTraining()
 	if err != nil {
-		return nil, err
-	}
-	feed, err := p.resampleTrainOnNodes(drifted, p.CritNodes)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: drifted die: %w", err)
 	}
 	n := feed.N()
 

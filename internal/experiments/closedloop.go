@@ -36,8 +36,10 @@ const throttleHold = 6
 
 // ClosedLoop simulates benchIdx's held-out run twice: once unmanaged and
 // once with the q-sensors-per-core monitor throttling the cores whose
-// blocks alarm. Because throttling changes the currents, this runs its own
-// step-by-step simulation rather than reusing recorded samples.
+// blocks alarm. Both start from the currents the pipeline's own held-out
+// run draws (thermal leakage scale included). Because throttling changes
+// the currents, this runs its own step-by-step simulation rather than
+// reusing recorded samples.
 func (p *Pipeline) ClosedLoop(benchIdx, q, steps int) (*ClosedLoopResult, error) {
 	if benchIdx < 0 || benchIdx >= len(p.Bench) {
 		return nil, fmt.Errorf("experiments: benchmark index %d out of range", benchIdx)
@@ -53,13 +55,15 @@ func (p *Pipeline) ClosedLoop(benchIdx, q, steps int) (*ClosedLoopResult, error)
 
 	bench := p.Bench[benchIdx]
 	total := p.Cfg.Warmup + steps
-	tr := p.generateTrace(bench, total, runTest)
-	ct := p.Power.Currents(tr)
+	ct, err := p.benchCurrents(bench, total, runTest)
+	if err != nil {
+		return nil, err
+	}
 
 	res := &ClosedLoopResult{Bench: bench.Name, SensorsPerCore: q, Steps: steps}
 
 	// Open loop.
-	open, err := p.countEmergencies(ct.Currents, total, nil, nil)
+	open, err := p.countEmergencies(ct.Currents, total, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +100,7 @@ func (p *Pipeline) ClosedLoop(benchIdx, q, steps int) (*ClosedLoopResult, error)
 				cur[b.ID] *= throttleFactor
 			}
 		}
-	}, nil)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -107,9 +111,8 @@ func (p *Pipeline) ClosedLoop(benchIdx, q, steps int) (*ClosedLoopResult, error)
 // countEmergencies integrates the grid under the given block currents and
 // counts post-warmup steps with any critical node below Vth. control, when
 // non-nil, may mutate the current vector each step (throttling) based on
-// the previous step's voltages. onStep, when non-nil, observes voltages.
-func (p *Pipeline) countEmergencies(currents [][]float64, total int,
-	control func(t int, prevV []float64, cur []float64), onStep func(t int, v []float64)) (int, error) {
+// the previous step's voltages.
+func (p *Pipeline) countEmergencies(currents [][]float64, total int, control func(t int, prevV []float64, cur []float64)) (int, error) {
 	sim, err := pdn.NewSimulatorBackend(p.Grid, p.Cfg.DT, p.Cfg.Backend)
 	if err != nil {
 		return 0, err
@@ -145,9 +148,6 @@ func (p *Pipeline) countEmergencies(currents [][]float64, total int,
 			}
 		}
 		copy(prevV, v)
-		if onStep != nil {
-			onStep(t, v)
-		}
 	}
 	return emergencies, nil
 }

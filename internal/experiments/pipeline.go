@@ -97,14 +97,23 @@ func New(cfg Config) (*Pipeline, error) {
 	return p, nil
 }
 
-// generateTrace produces the activity trace from the configured source.
-func (p *Pipeline) generateTrace(bench workload.Benchmark, steps, run int) *workload.Trace {
+// benchCurrents returns the block currents of run `run` of bench over steps
+// steps: the activity trace from the configured source, through the power
+// model, with the thermal leakage scale when ThermalFeedback is on. Every
+// simulation of a benchmark takes its currents from here.
+func (p *Pipeline) benchCurrents(bench workload.Benchmark, steps, run int) (*power.CurrentTrace, error) {
+	var tr *workload.Trace
 	switch p.Cfg.TraceSource {
 	case TraceUarch:
-		return &uarch.Generate(p.Chip, bench, steps, run).Trace
+		tr = &uarch.Generate(p.Chip, bench, steps, run).Trace
 	default:
-		return workload.Generate(p.Chip, bench, steps, run)
+		tr = workload.Generate(p.Chip, bench, steps, run)
 	}
+	scale, err := p.leakScaleFor(tr)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", bench.Name, err)
+	}
+	return p.Power.CurrentsScaledLeakage(tr, scale), nil
 }
 
 // leakScaleFor runs the thermal fixed point on the trace's average power
@@ -260,14 +269,7 @@ func (p *Pipeline) runGroup(run, total int, group []int, onStep func(bi, t int, 
 	cts := make([]*power.CurrentTrace, len(group))
 	errs := make([]error, len(group))
 	p.forEachIndex(len(group), func(c int) {
-		b := p.Bench[group[c]]
-		tr := p.generateTrace(b, total, run)
-		scale, err := p.leakScaleFor(tr)
-		if err != nil {
-			errs[c] = fmt.Errorf("experiments: %s: %w", b.Name, err)
-			return
-		}
-		cts[c] = p.Power.CurrentsScaledLeakage(tr, scale)
+		cts[c], errs[c] = p.benchCurrents(p.Bench[group[c]], total, run)
 	})
 	if err := firstError(errs); err != nil {
 		return err

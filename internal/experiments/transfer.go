@@ -101,17 +101,9 @@ func (p *Pipeline) AblationTransfer(q int, sigma float64, goldens int, counts []
 	stamp(nominal, &core.Dataset{X: p.Train.CandV, F: p.Train.CritV})
 	goldPreds = append(goldPreds, nominal)
 	for g := 1; g < goldens; g++ {
-		cfg := p.Cfg
-		cfg.Grid.SegRSigma = sigma / 4
-		cfg.Grid.PadRSigma = sigma / 8
-		cfg.Grid.VariationSeed = p.Cfg.Seed + 101 + int64(g)
-		sibling, err := New(cfg)
+		set, err := p.variant(sigma/4, sigma/8, p.Cfg.Seed+101+int64(g)).stridedTraining()
 		if err != nil {
-			return nil, fmt.Errorf("experiments: building golden sibling %d: %w", g, err)
-		}
-		set, err := p.resampleTrainOnNodes(sibling, p.CritNodes)
-		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiments: golden sibling %d: %w", g, err)
 		}
 		ds := &core.Dataset{X: set.CandV, F: set.CritV}
 		pred, err := core.BuildPredictor(ds, union)
@@ -128,21 +120,14 @@ func (p *Pipeline) AblationTransfer(q int, sigma float64, goldens int, counts []
 
 	// The fielded chip: full-σ drift, same construction and seed offset as
 	// the adaptation ablation, so the two studies describe the same chip.
-	cfg := p.Cfg
-	cfg.Grid.SegRSigma = sigma
-	cfg.Grid.PadRSigma = sigma / 2
-	cfg.Grid.VariationSeed = p.Cfg.Seed + 77
-	fielded, err := New(cfg)
+	fielded := p.variant(sigma, sigma/2, p.Cfg.Seed+77)
+	fieldedTest, err := fielded.heldOut()
 	if err != nil {
-		return nil, fmt.Errorf("experiments: building fielded die: %w", err)
+		return nil, fmt.Errorf("experiments: fielded die: %w", err)
 	}
-	fieldedTest, err := p.resampleOnNodes(fielded, p.CritNodes)
+	feed, err := fielded.stridedTraining()
 	if err != nil {
-		return nil, err
-	}
-	feed, err := p.resampleTrainOnNodes(fielded, p.CritNodes)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: fielded die: %w", err)
 	}
 	n := feed.N()
 

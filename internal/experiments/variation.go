@@ -5,6 +5,7 @@ import (
 
 	"voltsense/internal/core"
 	"voltsense/internal/detect"
+	"voltsense/internal/grid"
 	"voltsense/internal/mat"
 	"voltsense/internal/ols"
 )
@@ -48,21 +49,10 @@ func (p *Pipeline) AblationProcessVariation(q int, sigma float64) (*VariationRes
 		return nil, err
 	}
 
-	// The varied die: identical geometry (so candidate/critical node
-	// indices transfer), perturbed electricals.
-	cfg := p.Cfg
-	cfg.Grid.SegRSigma = sigma
-	cfg.Grid.PadRSigma = sigma / 2
-	cfg.Grid.VariationSeed = p.Cfg.Seed + 77
-	varied, err := New(cfg)
+	varied := p.variant(sigma, sigma/2, p.Cfg.Seed+77)
+	variedTest, err := varied.heldOut()
 	if err != nil {
-		return nil, fmt.Errorf("experiments: building varied die: %w", err)
-	}
-	// Keep the NOMINAL critical nodes: the monitoring targets were chosen
-	// at design time and do not move with fabrication.
-	variedTest, err := p.resampleOnNodes(varied, p.CritNodes)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: varied die: %w", err)
 	}
 
 	out := &VariationResult{SegRSigma: sigma, SensorsPerCore: q}
@@ -77,9 +67,9 @@ func (p *Pipeline) AblationProcessVariation(q int, sigma float64) (*VariationRes
 
 	// Recalibration: same sensors, coefficients refit on the varied die's
 	// training run (which post-silicon bring-up would measure).
-	variedTrain, err := p.resampleTrainOnNodes(varied, p.CritNodes)
+	variedTrain, err := varied.stridedTraining()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: varied die: %w", err)
 	}
 	recal, err := core.BuildPredictor(&core.Dataset{X: variedTrain.CandV, F: variedTrain.CritV}, union)
 	if err != nil {
@@ -91,46 +81,49 @@ func (p *Pipeline) AblationProcessVariation(q int, sigma float64) (*VariationRes
 	return out, nil
 }
 
-// resampleOnNodes re-extracts the varied pipeline's pooled test set with the
-// nominal critical nodes (the varied pipeline recorded its own worst-droop
-// nodes, which post-fabrication monitoring cannot know): a dedicated run
-// over the identical candidate geometry, benchmark after benchmark in the
-// column order of TestAll.
-func (p *Pipeline) resampleOnNodes(varied *Pipeline, critNodes []int) (*SampleSet, error) {
-	per := varied.Cfg.TestSteps
-	stride := varied.Cfg.TestStride
-	return varied.recordOnNodes(runTest, per*stride, per, critNodes, func(t int) bool { return t%stride == 0 })
+// variant returns p's die as fabrication might return it: the same
+// geometry, so candidate and critical node indices transfer, with segment
+// and pad resistances varied lognormally by segSigma and padSigma from
+// seed. It keeps p's critical nodes, which were chosen at design time and
+// do not move with fabrication, shares Chip, Power and Bench with p, and
+// simulates nothing until a collector runs on it.
+func (p *Pipeline) variant(segSigma, padSigma float64, seed int64) *Pipeline {
+	cfg := p.Cfg
+	cfg.Grid.SegRSigma = segSigma
+	cfg.Grid.PadRSigma = padSigma
+	cfg.Grid.VariationSeed = seed
+	return &Pipeline{
+		Cfg: cfg, Chip: p.Chip, Grid: grid.Build(p.Chip, cfg.Grid),
+		Power: p.Power, Bench: p.Bench, CritNodes: p.CritNodes,
+	}
 }
 
-// resampleTrainOnNodes records a varied-die training set on the nominal
-// critical nodes: an even stride over every benchmark's training run.
-func (p *Pipeline) resampleTrainOnNodes(varied *Pipeline, critNodes []int) (*SampleSet, error) {
-	per := min(varied.Cfg.TrainMaps/len(varied.Bench), varied.Cfg.TrainSteps)
-	stride := varied.Cfg.TrainSteps / per
-	return varied.recordOnNodes(runTrain, varied.Cfg.TrainSteps, per, critNodes, func(t int) bool { return t%stride == 0 })
+// heldOut records the held-out run on p's critical nodes (collectTest) and
+// returns it pooled in TestAll's column order.
+func (p *Pipeline) heldOut() (*SampleSet, error) {
+	if err := p.collectTest(); err != nil {
+		return nil, err
+	}
+	return p.TestAll(), nil
 }
 
-// recordOnNodes simulates run `run` of every benchmark for steps steps and
-// records the first per post-warmup maps whose step keep accepts, on the
-// candidates and the given critical nodes: benchmark bi fills columns
+// stridedTraining records a training set on p's critical nodes: an even
+// stride over every benchmark's training run, benchmark bi filling columns
 // bi·per onward.
-func (p *Pipeline) recordOnNodes(run, steps, per int, critNodes []int, keep func(t int) bool) (*SampleSet, error) {
+func (p *Pipeline) stridedTraining() (*SampleSet, error) {
+	per := min(p.Cfg.TrainMaps/len(p.Bench), p.Cfg.TrainSteps)
+	stride := p.Cfg.TrainSteps / per
 	total := per * len(p.Bench)
 	cand := mat.Zeros(len(p.Grid.Candidates), total)
-	crit := mat.Zeros(len(critNodes), total)
+	crit := mat.Zeros(len(p.CritNodes), total)
 	bench := make([]int, total)
 	recorded := make([]int, len(p.Bench))
-	err := p.runBenchmarks(run, steps, nil, func(bi, t int, v []float64) {
-		if recorded[bi] >= per || !keep(t) {
+	err := p.runBenchmarks(runTrain, p.Cfg.TrainSteps, nil, func(bi, t int, v []float64) {
+		if recorded[bi] >= per || t%stride != 0 {
 			return
 		}
 		col := bi*per + recorded[bi]
-		for i, nd := range p.Grid.Candidates {
-			cand.Set(i, col, v[nd])
-		}
-		for i, nd := range critNodes {
-			crit.Set(i, col, v[nd])
-		}
+		p.recordColumn(cand, crit, col, v)
 		bench[col] = bi
 		recorded[bi]++
 	})

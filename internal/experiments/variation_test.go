@@ -1,6 +1,11 @@
 package experiments
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"voltsense/internal/mat"
+)
 
 func TestAblationProcessVariation(t *testing.T) {
 	p := quick(t)
@@ -31,5 +36,48 @@ func TestAblationProcessVariationBadSigma(t *testing.T) {
 	p := quick(t)
 	if _, err := p.AblationProcessVariation(2, 0); err == nil {
 		t.Fatal("expected error for zero sigma")
+	}
+}
+
+// TestVariantMatchesFullPipeline: a variant records exactly what a full New
+// of the same varied config records once that pipeline's critical nodes are
+// set to the nominal ones — the held-out set and the strided training set,
+// equal under ==. So New's discarded calibration, training and test runs,
+// and the simulators they leave in its pools, leave nothing behind.
+func TestVariantMatchesFullPipeline(t *testing.T) {
+	p, err := New(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := p.variant(0.15, 0.075, p.Cfg.Seed+77)
+	full, err := New(v.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full.CritNodes = p.CritNodes
+	for _, tc := range []struct {
+		name   string
+		record func(*Pipeline) (*SampleSet, error)
+	}{
+		{"held-out", (*Pipeline).heldOut},
+		{"strided training", (*Pipeline).stridedTraining},
+	} {
+		got, err := tc.record(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := tc.record(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !mat.Equalish(got.CandV, want.CandV, 0) || !mat.Equalish(got.CritV, want.CritV, 0) {
+			t.Fatalf("%s: variant maps differ from the full pipeline's", tc.name)
+		}
+		if !slices.Equal(got.Bench, want.Bench) {
+			t.Fatalf("%s: benchmark columns %v, full pipeline %v", tc.name, got.Bench, want.Bench)
+		}
+	}
+	if mat.Equalish(p.TestAll().CandV, v.TestAll().CandV, 0) {
+		t.Fatal("the variant recorded the nominal die")
 	}
 }

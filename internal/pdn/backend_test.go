@@ -188,7 +188,7 @@ func TestSettleMatchesStaticSolve(t *testing.T) {
 		}
 		worst := 0.0
 		for i := range want {
-			worst = math.Max(worst, math.Abs(s.v[i]-want[i]))
+			worst = math.Max(worst, math.Abs(s.b.vCols[0][i]-want[i]))
 		}
 		if worst > 1e-9 {
 			t.Fatalf("%dx%d %v: settle %g away from StaticSolve", g.Cfg.NX, g.Cfg.NY, s.Backend(), worst)
@@ -236,7 +236,7 @@ func TestSettlePadCurrentsCarryLoad(t *testing.T) {
 				name      string
 				v, padCur []float64
 			}{
-				{"Settle", s.v, s.padCur},
+				{"Settle", s.b.vCols[0], s.b.padCurCols[0]},
 				{"SettleColumn", bs.vCols[1], bs.padCurCols[1]},
 			} {
 				pads, vmax := 0.0, math.Inf(-1)

@@ -8,22 +8,26 @@ import (
 )
 
 // BatchSimulator integrates many independent transients — same grid, same
-// time step, different load sequences — in lock step. On the sparse backend
-// every time step solves all columns with one blocked multi-RHS PCG
-// (sparse.BatchCGSolver), so the matrix and IC factor stream through memory
-// once per iteration instead of once per transient: that amortization is
-// the dominant win at mesh sizes past cache. On the banded backend columns
-// share the one Cholesky factorization and are solved two at a time, each
-// pair in one walk of the factor's rows (an odd last column alone).
+// time step, different load sequences — in lock step, and holds the
+// package's one copy of the backward-Euler step; a Simulator is a batch of
+// width 1. On the sparse backend every time step solves all columns with
+// one blocked multi-RHS PCG (sparse.BatchCGSolver), so the matrix and IC
+// factor stream through memory once per iteration instead of once per
+// transient: that amortization is the dominant win at mesh sizes past
+// cache. A single column instead steps through the single-RHS PCG the DC
+// settle uses, which solves in under half the time a one-column batch PCG
+// takes (sparse's BenchmarkSolveSingle vs BenchmarkSolveBatchWidth1). On
+// the banded backend columns share the one Cholesky factorization and are
+// solved two at a time, each pair in one walk of the factor's rows (an odd
+// last column alone).
 //
-// Column results are bitwise identical to running len-many independent
-// Simulators with the same options: the batch PCG freezes converged
-// columns exactly where the single-RHS solve would return, the paired
-// banded sweep keeps each column's single-solve arithmetic, and the rhs and
-// pad-state updates are per-column scalar code either way.
+// Column results are bitwise identical at every width: the batch PCG
+// freezes converged columns exactly where the single-RHS solve would
+// return, the paired banded sweep keeps each column's single-solve
+// arithmetic, and the rhs and pad-state updates are per-column scalar code
+// either way.
 type BatchSimulator struct {
 	g       *grid.Grid
-	dt      float64
 	m       int
 	backend Backend
 
@@ -34,15 +38,18 @@ type BatchSimulator struct {
 	vCols      [][]float64 // node voltages per column (state)
 	padCurCols [][]float64 // pad branch currents per column (state)
 	rhsCols    [][]float64 // scratch
-	t          int
-
-	// sparse path: interleaved permuted buffers for the batch solver
-	batch  *sparse.BatchCGSolver
-	perm   []int
-	xI, bI []float64
 
 	// banded path: the step factor, with a buffer per column of a pair
 	chol *bandedSolver
+
+	// sparse path, one column: the single-RHS PCG
+	single *sparseSolver
+
+	// sparse path, two or more columns: interleaved permuted buffers for
+	// the batch solver
+	batch  *sparse.BatchCGSolver
+	perm   []int
+	xI, bI []float64
 
 	dc dcSolver // one DC system for every column's settle
 }
@@ -59,7 +66,7 @@ func NewBatchSimulator(g *grid.Grid, dt float64, nrhs int, opts SimOptions) (*Ba
 	}
 	n := g.NumNodes()
 	s := &BatchSimulator{
-		g: g, dt: dt, m: nrhs,
+		g: g, m: nrhs,
 		cOverH:  make([]float64, n),
 		padGeff: make([]float64, len(g.Pads)),
 		padLh:   make([]float64, len(g.Pads)),
@@ -98,6 +105,12 @@ func NewBatchSimulator(g *grid.Grid, dt float64, nrhs int, opts SimOptions) (*Ba
 		if err != nil {
 			return nil, err
 		}
+		if nrhs == 1 {
+			if s.single, err = newSparseSolver(sys, stepCGTol, opts.Workers); err != nil {
+				return nil, err
+			}
+			break
+		}
 		batch, err := sparse.NewBatchCGSolver(sys.a, nrhs, sparse.CGOptions{
 			Tol: stepCGTol, Precond: sys.pre, Workers: opts.Workers,
 		})
@@ -115,17 +128,8 @@ func NewBatchSimulator(g *grid.Grid, dt float64, nrhs int, opts SimOptions) (*Ba
 	return s, nil
 }
 
-// NRHS returns the number of lock-stepped transients.
-func (s *BatchSimulator) NRHS() int { return s.m }
-
 // Backend reports the resolved solver path.
 func (s *BatchSimulator) Backend() Backend { return s.backend }
-
-// DT returns the simulation time step in seconds.
-func (s *BatchSimulator) DT() float64 { return s.dt }
-
-// StepCount returns the number of steps taken since the last Reset.
-func (s *BatchSimulator) StepCount() int { return s.t }
 
 // Reset returns every column to the quiescent state.
 func (s *BatchSimulator) Reset() {
@@ -137,11 +141,10 @@ func (s *BatchSimulator) Reset() {
 			s.padCurCols[c][i] = 0
 		}
 	}
-	s.t = 0
 }
 
 // SettleColumn initializes column c at the DC operating point of the given
-// node loads, exactly like Simulator.Settle: the columns share one DC
+// node loads, as Simulator.Settle describes: the columns share one DC
 // system, built on the first settle.
 func (s *BatchSimulator) SettleColumn(c int, loads []float64) error {
 	return s.dc.settleInto(loads, s.vCols[c], s.padCurCols[c], s.rhsCols[c])
@@ -168,7 +171,8 @@ func (s *BatchSimulator) Step(loads [][]float64) [][]float64 {
 			rhs[pad.Node] += s.padGeff[p] * (vdd + s.padLh[p]*s.padCurCols[c][p])
 		}
 	}
-	if s.chol != nil {
+	switch {
+	case s.chol != nil:
 		c := 0
 		for ; c+1 < s.m; c += 2 {
 			s.chol.solvePairInto(s.vCols[c], s.vCols[c+1], s.rhsCols[c], s.rhsCols[c+1])
@@ -176,7 +180,14 @@ func (s *BatchSimulator) Step(loads [][]float64) [][]float64 {
 		if c < s.m {
 			_ = s.chol.solveInto(s.vCols[c], s.rhsCols[c]) // a banded solve cannot fail
 		}
-	} else {
+	case s.single != nil:
+		if err := s.single.solveInto(s.vCols[0], s.rhsCols[0]); err != nil {
+			// The system matrix is constant and SPD with a preconditioner
+			// built for it; failure here means the simulator was
+			// mis-assembled, a programming error like the shape panics.
+			panic(fmt.Sprintf("pdn: step solve failed: %v", err))
+		}
+	default:
 		m := s.m
 		for newI, oldI := range s.perm {
 			for c := 0; c < m; c++ {
@@ -198,7 +209,6 @@ func (s *BatchSimulator) Step(loads [][]float64) [][]float64 {
 			s.padCurCols[c][p] = s.padGeff[p] * (vdd - s.vCols[c][pad.Node] + s.padLh[p]*s.padCurCols[c][p])
 		}
 	}
-	s.t++
 	return s.vCols
 }
 
@@ -219,7 +229,6 @@ func (s *BatchSimulator) RunAll(steps int, currentAt func(c, t int) []float64, o
 				return err
 			}
 		}
-		s.t = 0
 	}
 	for t := 0; t < steps; t++ {
 		for c := 0; c < s.m; c++ {

@@ -28,7 +28,8 @@ func benchLoads(n, m, steps int, seed int64) [][][]float64 {
 
 // TestBatchMatchesLoopedSimulators: the core batch contract — a
 // BatchSimulator's columns are bitwise identical to independent Simulators
-// stepped with the same loads, on both backends.
+// (batches of width 1) stepped with the same loads, on both backends: on
+// sparse the batch PCG against the single-RHS PCG.
 func TestBatchMatchesLoopedSimulators(t *testing.T) {
 	g := smallGrid()
 	n := g.NumNodes()
@@ -66,15 +67,15 @@ func TestBatchMatchesLoopedSimulators(t *testing.T) {
 }
 
 // TestBatchBandedPairsMatchSimulators: on the banded backend the batch
-// solves columns two at a time (an odd last column alone); at widths 1, 2,
-// 3 and 19 every settled column and every stepped column equals an
-// independent Simulator's bitwise.
+// solves columns two at a time (an odd last column alone); at widths 2, 3
+// and 19 every settled column and every stepped column equals an
+// independent Simulator's (width 1, one column alone) bitwise.
 func TestBatchBandedPairsMatchSimulators(t *testing.T) {
 	g := smallGrid()
 	n := g.NumNodes()
 	const steps = 15
 	opts := SimOptions{Backend: Banded}
-	for _, m := range []int{1, 2, 3, 19} {
+	for _, m := range []int{2, 3, 19} {
 		loads := benchLoads(n, m, steps, int64(20+m))
 		bs, err := NewBatchSimulator(g, testDT, m, opts)
 		if err != nil {
@@ -107,10 +108,10 @@ func TestBatchBandedPairsMatchSimulators(t *testing.T) {
 							m, step, c, i, vs[c][i], want[i])
 					}
 				}
-				for p := range sim.padCur {
-					if bs.padCurCols[c][p] != sim.padCur[p] {
+				for p := range sim.b.padCurCols[0] {
+					if bs.padCurCols[c][p] != sim.b.padCurCols[0][p] {
 						t.Fatalf("width %d step %d col %d pad %d: batch %v, single %v",
-							m, step, c, p, bs.padCurCols[c][p], sim.padCur[p])
+							m, step, c, p, bs.padCurCols[c][p], sim.b.padCurCols[0][p])
 					}
 				}
 			}
@@ -169,7 +170,7 @@ func TestBatchSettleMatchesSimulator(t *testing.T) {
 		if err := bs.SettleColumn(0, loads); err != nil {
 			t.Fatal(err)
 		}
-		sameSettle(t, fmt.Sprintf("%v simulator after %d steps", backend, steps), fresh, s.v, s.padCur)
+		sameSettle(t, fmt.Sprintf("%v simulator after %d steps", backend, steps), fresh, s.b.vCols[0], s.b.padCurCols[0])
 		sameSettle(t, fmt.Sprintf("%v batch column after %d steps", backend, steps), fresh, bs.vCols[0], bs.padCurCols[0])
 	}
 }
@@ -177,14 +178,14 @@ func TestBatchSettleMatchesSimulator(t *testing.T) {
 // sameSettle requires v and padCur to equal want's settled state bitwise.
 func sameSettle(t *testing.T, what string, want *Simulator, v, padCur []float64) {
 	t.Helper()
-	for i := range want.v {
-		if v[i] != want.v[i] {
-			t.Fatalf("%s node %d: %v, fresh settle %v", what, i, v[i], want.v[i])
+	for i := range want.b.vCols[0] {
+		if v[i] != want.b.vCols[0][i] {
+			t.Fatalf("%s node %d: %v, fresh settle %v", what, i, v[i], want.b.vCols[0][i])
 		}
 	}
-	for p := range want.padCur {
-		if padCur[p] != want.padCur[p] {
-			t.Fatalf("%s pad %d: current %v, fresh settle %v", what, p, padCur[p], want.padCur[p])
+	for p := range want.b.padCurCols[0] {
+		if padCur[p] != want.b.padCurCols[0][p] {
+			t.Fatalf("%s pad %d: current %v, fresh settle %v", what, p, padCur[p], want.b.padCurCols[0][p])
 		}
 	}
 }
@@ -211,7 +212,7 @@ func TestStepInvariantUnderSparseWorkers(t *testing.T) {
 			if err := s.Settle(loads[0]); err != nil {
 				t.Fatal(err)
 			}
-			got := [][]float64{append([]float64(nil), s.v...)}
+			got := [][]float64{append([]float64(nil), s.b.vCols[0]...)}
 			for step := 0; step < steps; step++ {
 				got = append(got, append([]float64(nil), s.Step(loads[step])...))
 			}
@@ -232,7 +233,7 @@ func TestStepInvariantUnderSparseWorkers(t *testing.T) {
 }
 
 // TestBatchRunAllMatchesRun: RunAll (settle + step + callbacks) reproduces
-// per-column Simulator.Run bitwise.
+// a hand-stepped Simulator per column bitwise.
 func TestBatchRunAllMatchesRun(t *testing.T) {
 	g := smallGrid()
 	nb := len(g.BlockNodes)
@@ -269,22 +270,17 @@ func TestBatchRunAllMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		step := 0
-		err = s.Run(steps,
-			func(t int) []float64 { return currents[c][t] },
-			func(t int, v []float64) {
-				for i := range v {
-					if gotV[c][t][i] != v[i] {
-						panic("mismatch")
-					}
+		compared := 0
+		run(t, s, g, steps, func(step int) []float64 { return currents[c][step] }, func(step int, v []float64) {
+			for i := range v {
+				if gotV[c][step][i] != v[i] {
+					t.Fatalf("col %d step %d node %d: RunAll %v, hand-stepped %v", c, step, i, gotV[c][step][i], v[i])
 				}
-				step++
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if step != steps {
-			t.Fatalf("col %d: compared %d steps, want %d", c, step, steps)
+			}
+			compared++
+		})
+		if compared != steps {
+			t.Fatalf("col %d: compared %d steps, want %d", c, compared, steps)
 		}
 	}
 }

@@ -305,14 +305,14 @@ func BenchmarkStepLooped512(b *testing.B) {
 }
 
 // TestStepBatchZeroAllocs extends the zero-alloc invariant to the batched
-// step: the sparse multi-RHS PCG, and the banded pair sweep with an odd
-// last column.
+// step: the sparse multi-RHS PCG, the single-RHS PCG a sparse batch of
+// width 1 steps through, and the banded pair sweep with an odd last column.
 func TestStepBatchZeroAllocs(t *testing.T) {
 	g := smallGrid()
 	for _, tc := range []struct {
 		backend Backend
 		m       int
-	}{{Sparse, 4}, {Banded, 3}} {
+	}{{Sparse, 4}, {Sparse, 1}, {Banded, 3}} {
 		bs, err := NewBatchSimulator(g, testDT, tc.m, SimOptions{Backend: tc.backend})
 		if err != nil {
 			t.Fatal(err)

@@ -38,7 +38,7 @@ func TestTransientConservesCharge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prev := append([]float64(nil), s.v...)
+		prev := append([]float64(nil), s.b.vCols[0]...)
 		worst := 0.0
 		for step := 0; step < 600; step++ {
 			loads := load
@@ -47,14 +47,14 @@ func TestTransientConservesCharge(t *testing.T) {
 			}
 			v := s.Step(loads)
 			var pads, draw, charge float64
-			for _, c := range s.padCur {
+			for _, c := range s.b.padCurCols[0] {
 				pads += c
 			}
 			for _, ld := range loads {
 				draw += ld
 			}
 			for i, x := range v {
-				charge += s.cOverH[i] * (x - prev[i])
+				charge += s.b.cOverH[i] * (x - prev[i])
 			}
 			rel := math.Abs(pads-draw-charge) / amps
 			if rel > 1e-9 {
@@ -92,7 +92,7 @@ func TestConstantLoadDecaysOntoSettle(t *testing.T) {
 		}
 		worst := 0.0
 		for i, x := range v {
-			worst = math.Max(worst, math.Abs(x-dc.v[i]))
+			worst = math.Max(worst, math.Abs(x-dc.b.vCols[0][i]))
 		}
 		if worst > 1e-9 {
 			t.Fatalf("%s: after 20000 steps the transient is %g V from the settled solution", what, worst)

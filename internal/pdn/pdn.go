@@ -24,9 +24,12 @@
 // its SpMV and vector kernels in parallel on the mat worker pool with
 // bitwise-deterministic results at any worker count; SimOptions bounds the
 // workers. BatchSimulator steps many independent transients on the same
-// grid through one matrix traversal per step. NewSimulator picks the
-// backend automatically by bandwidth and storage; use NewSimulatorBackend
-// or NewSimulatorOpts to force a choice.
+// grid through one matrix traversal per step, and is the one
+// implementation of the step: a Simulator is a one-column batch, which on
+// the sparse backend steps through the single-RHS PCG its settle uses
+// rather than a one-column batch PCG. NewSimulator picks the backend
+// automatically by bandwidth and storage; use NewSimulatorBackend or
+// NewSimulatorOpts to force a choice.
 // Pad inductors use the standard
 // backward-Euler companion model: an effective conductance 1/(R + L/h)
 // plus a history current source tracking the previous branch current.
@@ -284,23 +287,11 @@ func ResolveBackend(g *grid.Grid, b Backend) Backend {
 	return b
 }
 
-// Simulator integrates one grid with a fixed time step.
+// Simulator integrates one grid with a fixed time step: a one-column
+// BatchSimulator behind a single-transient API.
 type Simulator struct {
-	g  *grid.Grid
-	dt float64
-
-	solver  meshSolver
-	backend Backend
-	dc      dcSolver
-
-	cOverH  []float64 // C/h per node
-	padGeff []float64 // effective pad conductance 1/(R + L/h)
-	padLh   []float64 // L/h per pad
-
-	v      []float64 // node voltages (state)
-	padCur []float64 // pad branch currents (state)
-	rhs    []float64 // scratch
-	t      int
+	b     *BatchSimulator
+	loads [][]float64 // Step's one-column argument, reused
 }
 
 // NewSimulator assembles and factors the backward-Euler system for the grid
@@ -316,62 +307,39 @@ func NewSimulatorBackend(g *grid.Grid, dt float64, backend Backend) (*Simulator,
 
 // NewSimulatorOpts is NewSimulator with full backend and worker control.
 func NewSimulatorOpts(g *grid.Grid, dt float64, opts SimOptions) (*Simulator, error) {
-	backend := opts.Backend
-	if dt <= 0 {
-		return nil, fmt.Errorf("pdn: non-positive time step %g", dt)
+	b, err := NewBatchSimulator(g, dt, 1, opts)
+	if err != nil {
+		return nil, err
 	}
-	n := g.NumNodes()
-	s := &Simulator{
-		g:       g,
-		dt:      dt,
-		cOverH:  make([]float64, n),
-		padGeff: make([]float64, len(g.Pads)),
-		padLh:   make([]float64, len(g.Pads)),
-		v:       make([]float64, n),
-		padCur:  make([]float64, len(g.Pads)),
-		rhs:     make([]float64, n),
-	}
-	for i, c := range g.Caps {
-		s.cOverH[i] = c / dt
-	}
-	for p, pad := range g.Pads {
-		lh := pad.L / dt
-		s.padLh[p] = lh
-		s.padGeff[p] = 1 / (pad.R + lh)
-	}
-	if backend == Auto {
-		backend = chooseBackend(g)
-	}
-	s.backend = backend
-	s.dc = dcSolver{g: g, backend: backend, workers: opts.Workers}
-	diag := stepDiag(g, s.cOverH, s.padGeff)
-	switch backend {
-	case Banded:
-		solver, err := newBandedSolver(g, diag)
-		if err != nil {
-			return nil, err
-		}
-		s.solver = solver
-	case Sparse:
-		sys, err := newSparseSystem(g, diag)
-		if err != nil {
-			return nil, err
-		}
-		solver, err := newSparseSolver(sys, stepCGTol, opts.Workers)
-		if err != nil {
-			return nil, err
-		}
-		s.solver = solver
-	default:
-		return nil, fmt.Errorf("pdn: unknown backend %v", backend)
-	}
-	s.Reset()
-	return s, nil
+	return &Simulator{b: b, loads: make([][]float64, 1)}, nil
 }
 
 // Backend reports which solver path Step uses (never Auto: the automatic
 // choice is resolved at construction).
-func (s *Simulator) Backend() Backend { return s.backend }
+func (s *Simulator) Backend() Backend { return s.b.backend }
+
+// Reset returns the simulator to the quiescent state: every node at VDD,
+// no pad current flowing.
+func (s *Simulator) Reset() { s.b.Reset() }
+
+// Step advances one time step with loads[i] amps drawn from node i, and
+// returns the node voltages. The returned slice is the simulator's internal
+// state: it is valid only until the next Step or Reset call, and must not be
+// modified.
+func (s *Simulator) Step(loads []float64) []float64 {
+	s.loads[0] = loads
+	return s.b.Step(s.loads)[0]
+}
+
+// Settle initializes the simulator state to the DC operating point for the
+// given node loads: node voltages from the resistive solve (inductors
+// shorted) and pad currents carrying their steady-state share. The first
+// call builds the DC system on the simulator's backend; every call then
+// solves it from the same fixed start, so the result depends only on loads
+// and allocates nothing after the first call. Starting a transient from
+// Settle avoids the unphysical inrush collapse of switching a fully loaded
+// chip onto an unenergized package.
+func (s *Simulator) Settle(loads []float64) error { return s.b.SettleColumn(0, loads) }
 
 // stepDiag accumulates the fully summed diagonal of the backward-Euler
 // system matrix: C/h + mesh conductance degree + effective pad conductance.
@@ -527,54 +495,6 @@ func assembleSystemCSR(g *grid.Grid, diag []float64) *sparse.CSR {
 	return sparse.NewCSR(n, n, rowPtr, colIdx, val)
 }
 
-// DT returns the simulation time step in seconds.
-func (s *Simulator) DT() float64 { return s.dt }
-
-// StepCount returns the number of steps taken since the last Reset.
-func (s *Simulator) StepCount() int { return s.t }
-
-// Reset returns the simulator to the quiescent state: every node at VDD,
-// no pad current flowing.
-func (s *Simulator) Reset() {
-	for i := range s.v {
-		s.v[i] = s.g.Cfg.VDD
-	}
-	for i := range s.padCur {
-		s.padCur[i] = 0
-	}
-	s.t = 0
-}
-
-// Step advances one time step with loads[i] amps drawn from node i, and
-// returns the node voltages. The returned slice is the simulator's internal
-// state: it is valid only until the next Step or Reset call, and must not be
-// modified.
-func (s *Simulator) Step(loads []float64) []float64 {
-	n := len(s.v)
-	if len(loads) != n {
-		panic(fmt.Sprintf("pdn: loads length %d, want %d", len(loads), n))
-	}
-	vdd := s.g.Cfg.VDD
-	for i := 0; i < n; i++ {
-		s.rhs[i] = s.cOverH[i]*s.v[i] - loads[i]
-	}
-	for p, pad := range s.g.Pads {
-		s.rhs[pad.Node] += s.padGeff[p] * (vdd + s.padLh[p]*s.padCur[p])
-	}
-	if err := s.solver.solveInto(s.v, s.rhs); err != nil {
-		// The system matrix is constant and SPD with a preconditioner built
-		// for it; failure here means the simulator was mis-assembled, which
-		// is a programming error like the shape panics elsewhere in this
-		// package.
-		panic(fmt.Sprintf("pdn: step solve failed: %v", err))
-	}
-	for p, pad := range s.g.Pads {
-		s.padCur[p] = s.padGeff[p] * (vdd - s.v[pad.Node] + s.padLh[p]*s.padCur[p])
-	}
-	s.t++
-	return s.v
-}
-
 // BlockLoader spreads per-block currents onto mesh nodes: block b's draw
 // divides equally among grid.BlockNodes[b].
 type BlockLoader struct {
@@ -604,43 +524,6 @@ func (l *BlockLoader) Loads(blockCurrents []float64) []float64 {
 		}
 	}
 	return l.loads
-}
-
-// Settle initializes the simulator state to the DC operating point for the
-// given node loads: node voltages from the resistive solve (inductors
-// shorted) and pad currents carrying their steady-state share. The first
-// call builds the DC system on the simulator's backend; every call then
-// solves it from the same fixed start, so the result depends only on loads
-// and allocates nothing after the first call. Starting a transient from
-// Settle avoids the unphysical inrush collapse of switching a fully loaded
-// chip onto an unenergized package.
-func (s *Simulator) Settle(loads []float64) error {
-	if err := s.dc.settleInto(loads, s.v, s.padCur, s.rhs); err != nil {
-		return err
-	}
-	s.t = 0
-	return nil
-}
-
-// Run integrates steps time steps, settling first at the DC operating point
-// of the first step's currents. For each step it calls currentAt(t) to get
-// per-block currents, then onStep(t, v) with the resulting node voltages
-// (the slice obeys the same aliasing rule as Step). onStep may be nil when
-// only final state matters.
-func (s *Simulator) Run(steps int, currentAt func(t int) []float64, onStep func(t int, v []float64)) error {
-	loader := NewBlockLoader(s.g)
-	if steps > 0 {
-		if err := s.Settle(loader.Loads(currentAt(0))); err != nil {
-			return err
-		}
-	}
-	for t := 0; t < steps; t++ {
-		v := s.Step(loader.Loads(currentAt(t)))
-		if onStep != nil {
-			onStep(t, v)
-		}
-	}
-	return nil
 }
 
 // StaticSolve computes the DC operating point for constant node loads

@@ -22,6 +22,20 @@ func smallGrid() *grid.Grid {
 
 const testDT = 5e-10
 
+// run settles s at the first step's block currents and steps it steps
+// times, handing each step's voltages to onStep: the transient loop the
+// experiments drive through BatchSimulator.RunAll, for one Simulator.
+func run(t *testing.T, s *Simulator, g *grid.Grid, steps int, currentAt func(step int) []float64, onStep func(step int, v []float64)) {
+	t.Helper()
+	loader := NewBlockLoader(g)
+	if err := s.Settle(loader.Loads(currentAt(0))); err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < steps; step++ {
+		onStep(step, s.Step(loader.Loads(currentAt(step))))
+	}
+}
+
 func TestQuiescentStaysAtVDD(t *testing.T) {
 	g := smallGrid()
 	s, err := NewSimulator(g, testDT)
@@ -112,7 +126,7 @@ func TestVoltagesBoundedDuringRealWorkload(t *testing.T) {
 	tr := workload.Generate(chip, workload.Benchmarks()[0], 400, 0)
 	ct := power.DefaultModel(chip).Currents(tr)
 	cur := make([]float64, chip.NumBlocks())
-	err = s.Run(400, func(step int) []float64 {
+	run(t, s, g, 400, func(step int) []float64 {
 		for b := range cur {
 			cur[b] = ct.Currents[b][step]
 		}
@@ -124,9 +138,6 @@ func TestVoltagesBoundedDuringRealWorkload(t *testing.T) {
 			}
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestSpatialCorrelationDecaysWithDistance(t *testing.T) {
@@ -150,7 +161,7 @@ func TestSpatialCorrelationDecaysWithDistance(t *testing.T) {
 
 	var refV, nearV, farV []float64
 	cur := make([]float64, chip.NumBlocks())
-	err = s.Run(600, func(step int) []float64 {
+	run(t, s, g, 600, func(step int) []float64 {
 		for b := range cur {
 			cur[b] = ct.Currents[b][step]
 		}
@@ -163,9 +174,6 @@ func TestSpatialCorrelationDecaysWithDistance(t *testing.T) {
 		nearV = append(nearV, v[near])
 		farV = append(farV, v[far])
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cNear := mat.Correlation(refV, nearV)
 	cFar := mat.Correlation(refV, farV)
 	if cNear <= cFar {
@@ -211,8 +219,10 @@ func TestResetRestoresQuiescence(t *testing.T) {
 	loads[g.BlockNodes[0][0]] = 1
 	s.Step(loads)
 	s.Reset()
-	if s.StepCount() != 0 {
-		t.Fatal("StepCount not reset")
+	for p, c := range s.b.padCurCols[0] {
+		if c != 0 {
+			t.Fatalf("pad %d carries %v A after Reset", p, c)
+		}
 	}
 	v := s.Step(make([]float64, g.NumNodes()))
 	for nd, x := range v {

@@ -313,3 +313,59 @@ func BenchmarkSolveLooped(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSolveSingle vs BenchmarkSolveBatchWidth1: one cold-started solve
+// of the same 288×24 mesh system at the DC settle's tolerance, through the
+// single-RHS PCG and through a one-column batch PCG. The pair is why a pdn
+// BatchSimulator of width 1 on the sparse backend steps through CGSolver.
+func benchWidth1System(b *testing.B) (*CSR, Preconditioner, []float64) {
+	a := gridLaplacianCSR(288, 24, 0.05)
+	ic, err := NewICModified(a, 1.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(51))
+	rhs := make([]float64, a.Rows())
+	for i := range rhs {
+		rhs[i] = rng.NormFloat64()
+	}
+	return a, ic, rhs
+}
+
+func BenchmarkSolveSingle(b *testing.B) {
+	a, ic, rhs := benchWidth1System(b)
+	cg, err := NewCGSolver(a, CGOptions{Tol: 1e-12, Precond: ic})
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := make([]float64, len(rhs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range x {
+			x[j] = 0
+		}
+		if _, err := cg.Solve(x, rhs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSolveBatchWidth1(b *testing.B) {
+	a, ic, rhs := benchWidth1System(b)
+	bs, err := NewBatchCGSolver(a, 1, CGOptions{Tol: 1e-12, Precond: ic})
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := make([]float64, len(rhs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range x {
+			x[j] = 0
+		}
+		if _, err := bs.SolveBatch(x, rhs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

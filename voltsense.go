@@ -12,7 +12,7 @@
 //
 // Two levels of API are exposed:
 //
-//   - The turn-key pipeline (NewPipeline with DefaultConfig/QuickConfig):
+//   - The turn-key pipeline (NewPipeline with QuickConfig):
 //     builds the 8-core chip model, synthesizes the 19 PARSEC-like
 //     workloads, runs power-grid transient simulation, and regenerates every
 //     table and figure of the paper (Table1, Table2, Figure1..Figure4
@@ -37,31 +37,19 @@ import (
 	"voltsense/internal/eagleeye"
 	"voltsense/internal/experiments"
 	"voltsense/internal/faults"
-	"voltsense/internal/floorplan"
 	"voltsense/internal/grid"
-	"voltsense/internal/lasso"
 	"voltsense/internal/mat"
 	"voltsense/internal/monitor"
 	"voltsense/internal/online"
-	"voltsense/internal/pdn"
 	"voltsense/internal/place"
-	"voltsense/internal/power"
-	"voltsense/internal/sensor"
-	"voltsense/internal/thermal"
-	"voltsense/internal/traceio"
 	"voltsense/internal/transfer"
-	"voltsense/internal/uarch"
 	"voltsense/internal/vmap"
-	"voltsense/internal/workload"
 )
 
 // Matrix is the dense row-major matrix type used throughout the API.
 // Data matrices follow the paper's layout: rows are variables (sensor
 // candidates or monitored nodes), columns are samples.
 type Matrix = mat.Matrix
-
-// NewMatrix wraps a row-major data slice as an r-by-c matrix (aliasing it).
-func NewMatrix(r, c int, data []float64) *Matrix { return mat.New(r, c, data) }
 
 // ZeroMatrix allocates an r-by-c zero matrix.
 func ZeroMatrix(r, c int) *Matrix { return mat.Zeros(r, c) }
@@ -88,12 +76,6 @@ type Predictor = core.Predictor
 
 // SweepPoint is one λ of a placement/accuracy tradeoff sweep.
 type SweepPoint = core.SweepPoint
-
-// DefaultThreshold is the paper's T = 1e-3 group-norm selection cut.
-const DefaultThreshold = core.DefaultThreshold
-
-// SolverOptions tunes the group-lasso solvers.
-type SolverOptions = lasso.Options
 
 // PlaceSensors selects sensors from ds.X's candidates via group lasso
 // (paper Eq. 12, Steps 0-5).
@@ -147,11 +129,6 @@ func PlaceEagleEye(x, f *Matrix, vth float64, q int) *EagleEyePlacement {
 
 // --- Pluggable placement criteria and heterogeneous sensor classes ---
 
-// PlacementCriterion is one sensor-selection strategy: the paper's group
-// lasso, the Eagle-Eye baseline, or any of the basis-driven optimality
-// criteria (see DESIGN.md §13).
-type PlacementCriterion = place.Criterion
-
 // CriterionConfig parameterizes criterion-driven placement: candidate POD
 // basis sizing, emergency threshold, and group-lasso solver options.
 type CriterionConfig = core.CriterionConfig
@@ -171,15 +148,6 @@ type MixedSensorPlacement = place.MixedPlacement
 // DefaultSensorClassSpec is the default mixed-network pricing: a reference
 // sensor is 16× quieter and 4× the cost of a low-cost sensor.
 var DefaultSensorClassSpec = place.DefaultClassSpec
-
-// PlacementCriteria lists every registered criterion name.
-func PlacementCriteria() []string { return place.Names() }
-
-// ParsePlacementCriterion resolves a criterion by name (see
-// PlacementCriteria), the same registry behind `sensorplace -criterion`.
-func ParsePlacementCriterion(name string) (PlacementCriterion, error) {
-	return place.ParseCriterion(name)
-}
 
 // PlaceWithCriterion selects q sensors with the named criterion — the
 // pluggable counterpart of PlaceSensors.
@@ -219,49 +187,10 @@ func TrainMapGenerator(sensorX, nodeV *Matrix) (*MapGenerator, error) {
 // scale.
 func RenderMap(g *Grid, v []float64, lo, hi float64) string { return vmap.Render(g, v, lo, hi) }
 
-// --- Substrate types for callers who build their own data ---
-
-// Chip is a floorplan: cores, function blocks, FA/BA partition.
-type Chip = floorplan.Chip
-
-// FloorplanConfig parameterizes chip construction.
-type FloorplanConfig = floorplan.Config
-
-// NewChip builds a chip floorplan.
-func NewChip(cfg FloorplanConfig) *Chip { return floorplan.New(cfg) }
-
-// DefaultFloorplan returns the 8-core Xeon-E5-like chip of the experiments.
-func DefaultFloorplan() FloorplanConfig { return floorplan.DefaultConfig() }
-
 // Grid is a power-delivery mesh over a chip.
 type Grid = grid.Grid
 
-// GridConfig parameterizes the mesh.
-type GridConfig = grid.Config
-
-// BuildGrid constructs the mesh.
-func BuildGrid(chip *Chip, cfg GridConfig) *Grid { return grid.Build(chip, cfg) }
-
-// DefaultGrid returns the experiments' mesh parameters.
-func DefaultGrid() GridConfig { return grid.DefaultConfig() }
-
-// Simulator integrates the power grid through time.
-type Simulator = pdn.Simulator
-
-// NewSimulator assembles and factors the transient system at step dt.
-func NewSimulator(g *Grid, dt float64) (*Simulator, error) { return pdn.NewSimulator(g, dt) }
-
-// Benchmark is one synthetic workload.
-type Benchmark = workload.Benchmark
-
-// Benchmarks returns the 19 PARSEC-like workloads.
-func Benchmarks() []Benchmark { return workload.Benchmarks() }
-
-// PowerModel converts activity to block supply currents.
-type PowerModel = power.Model
-
-// DefaultPowerModel builds the 22 nm-class per-block power model.
-func DefaultPowerModel(chip *Chip) *PowerModel { return power.DefaultModel(chip) }
+// --- Predictor persistence ---
 
 // SavePredictor writes a fitted runtime model as versioned JSON for
 // deployment; LoadPredictor reads it back.
@@ -279,9 +208,6 @@ type Monitor = monitor.Monitor
 // MonitorConfig tunes the alarm state machine.
 type MonitorConfig = monitor.Config
 
-// MonitorEvent is one emergency state transition.
-type MonitorEvent = monitor.Event
-
 // ThrottleFunc adapts a function to the monitor's throttle hook.
 type ThrottleFunc = monitor.ThrottleFunc
 
@@ -292,13 +218,6 @@ func NewMonitor(pred monitor.Predictor, k int, cfg MonitorConfig, th monitor.Thr
 }
 
 // --- Fault tolerance: surviving failed sensors at runtime ---
-
-// FallbackSet is the fault-tolerance section of a predictor: per-sensor
-// training statistics plus precomputed leave-k-out submodels.
-type FallbackSet = core.FallbackSet
-
-// FallbackModel is one leave-k-out submodel excluding specific sensors.
-type FallbackModel = core.FallbackModel
 
 // BuildPredictorWithFallbacks fits the Eq. 17 model plus leave-k-out
 // fallback submodels tolerating up to budget failed sensors; the fallbacks
@@ -311,16 +230,9 @@ func BuildPredictorWithFallbacks(ds *Dataset, selected []int, budget int) (*Pred
 // injection harnesses.
 type Fault = faults.Fault
 
-// FaultKind classifies a sensor fault.
-type FaultKind = faults.Kind
-
-// Fault kinds, for injection specs and detector diagnoses.
-const (
-	FaultNone    = faults.None
-	FaultStuck   = faults.Stuck
-	FaultDropout = faults.Dropout
-	FaultDrift   = faults.Drift
-)
+// FaultStuck is the stuck-at fault kind, for injection specs and detector
+// diagnoses.
+const FaultStuck = faults.Stuck
 
 // FaultDetector classifies sensors as healthy or faulty from streaming
 // readings judged against their training distribution.
@@ -337,25 +249,8 @@ type FaultGuard = faults.Guard
 // primary model, or a fallback that ignores its Excluded positions.
 type FaultRoute = faults.Route
 
-// FaultStatus reports the guard's state after each Process call.
-type FaultStatus = faults.Status
-
 // FaultInjector corrupts reading vectors per a fault spec.
 type FaultInjector = faults.Injector
-
-// SensorStats is one sensor's training-time reading distribution — the
-// detector's reference.
-type SensorStats = faults.SensorStats
-
-// SensorTrainingStats summarizes each selected sensor's training readings
-// (mean, std) — the detector's reference distribution.
-func SensorTrainingStats(ds *Dataset, selected []int) []SensorStats {
-	return core.SensorTrainingStats(ds, selected)
-}
-
-// ParseFaultSpec parses the JSON fault-spec format used by voltserved's
-// -fault-spec flag.
-func ParseFaultSpec(data []byte) ([]Fault, error) { return faults.ParseSpec(data) }
 
 // NewFaultInjector validates a fault list against q sensors.
 func NewFaultInjector(fl []Fault, q int) (*FaultInjector, error) { return faults.NewInjector(fl, q) }
@@ -379,24 +274,13 @@ func NewFaultGuard(det *FaultDetector, primary FaultRoute, lookup func([]int) (F
 // optional "lineage" section.
 type Lineage = core.Lineage
 
-// Lineage sources.
-const (
-	LineageSourceTrain  = core.LineageSourceTrain
-	LineageSourceOnline = core.LineageSourceOnline
-)
+// LineageSourceTrain marks a predictor fit offline on a training campaign.
+const LineageSourceTrain = core.LineageSourceTrain
 
 // OnlineConfig tunes the adaptation loop: the shadow refit's forgetting
 // factor, the promotion guardrails (minimum scored samples, TE margin),
 // and the drift baseline.
 type OnlineConfig = online.Config
-
-// OnlineResult reports what one ingested labeled sample did to the loop —
-// including whether it triggered a promotion.
-type OnlineResult = online.Result
-
-// OnlineStatus is a point-in-time snapshot of the adaptation loop: model
-// version, drift score, live/shadow total error, promotion counts.
-type OnlineStatus = online.Status
 
 // OnlineApplyFunc, when non-nil, gates every promotion and rollback: it
 // receives the candidate model and may veto the swap by returning an error
@@ -412,16 +296,6 @@ type OnlineAdapter = online.Adapter
 // NewOnlineAdapter builds the adaptation loop around the live predictor.
 func NewOnlineAdapter(live *Predictor, cfg OnlineConfig, apply OnlineApplyFunc) (*OnlineAdapter, error) {
 	return online.NewAdapter(live, cfg, apply)
-}
-
-// RecursiveOLS is the incremental least-squares fitter behind the shadow:
-// rank-1 Sherman–Morrison updates with exponential forgetting, exactly
-// matching a batch OLS refit after warmup.
-type RecursiveOLS = online.RecursiveOLS
-
-// NewRecursiveOLS creates an incremental fitter for q inputs and k outputs.
-func NewRecursiveOLS(q, k int, forgetting float64) *RecursiveOLS {
-	return online.NewRecursiveOLS(q, k, forgetting)
 }
 
 // --- Fleet transfer calibration: golden-chip prior + few-shot alignment ---
@@ -443,11 +317,6 @@ type AlignConfig = transfer.AlignConfig
 // normal-equation state for warm-starting online adaptation.
 type ChipAlignment = transfer.Alignment
 
-// PredictorDelta is the thin per-chip artifact a fleet store keeps instead
-// of a full predictor: sparse coefficient deviations pinned to a prior
-// fingerprint. Serialized as voltsense-delta/v1.
-type PredictorDelta = transfer.Delta
-
 // FitSharedPrior pools golden-chip predictors (same sensor selection) into
 // the fleet's shared prior.
 func FitSharedPrior(goldens []*Predictor, cfg SharedPriorConfig) (*SharedPrior, error) {
@@ -462,67 +331,8 @@ func AlignChip(prior *SharedPrior, x, f *Matrix, cfg AlignConfig) (*ChipAlignmen
 }
 
 // SaveSharedPrior writes a prior as versioned JSON (voltsense-prior/v1,
-// the format voltserved's -prior flag loads); LoadSharedPrior reads it back.
+// the format voltserved's -prior flag loads).
 func SaveSharedPrior(w io.Writer, p *SharedPrior) error { return p.Save(w) }
-
-// LoadSharedPrior reads a prior written by SaveSharedPrior.
-func LoadSharedPrior(r io.Reader) (*SharedPrior, error) { return transfer.LoadPrior(r) }
-
-// --- Dataset persistence ---
-
-// WriteDatasetCSV persists a dataset as two CSV streams (one row per
-// sample), for interchange with external tools.
-func WriteDatasetCSV(xw, fw io.Writer, ds *Dataset, xNames, fNames []string) error {
-	return traceio.WriteDataset(xw, fw, &traceio.Dataset{X: ds.X, F: ds.F}, xNames, fNames)
-}
-
-// ReadDatasetCSV loads a dataset written by WriteDatasetCSV (or any
-// header-plus-row-per-sample CSV pair with matching sample counts).
-func ReadDatasetCSV(xr, fr io.Reader) (*Dataset, error) {
-	d, err := traceio.ReadDataset(xr, fr)
-	if err != nil {
-		return nil, err
-	}
-	return &Dataset{X: d.X, F: d.F}, nil
-}
-
-// --- Physical extensions: sensors, heat, microarchitecture ---
-
-// SensorModel describes a physical sensor's transfer characteristic:
-// offset, gain, noise, ADC quantization.
-type SensorModel = sensor.Model
-
-// SensorArray applies per-instance sensor models (with fabrication spread)
-// to reading vectors.
-type SensorArray = sensor.Array
-
-// IdealSensor returns a perfect sensor model.
-func IdealSensor() SensorModel { return sensor.Ideal() }
-
-// NewSensorArray instantiates n sensors from a base model plus fabrication
-// variation, deterministically from seed.
-func NewSensorArray(n int, base SensorModel, v sensor.Variation, seed int64) (*SensorArray, error) {
-	return sensor.NewArray(n, base, v, seed)
-}
-
-// ThermalModel is the block-granularity temperature network with leakage
-// feedback.
-type ThermalModel = thermal.Model
-
-// NewThermalModel assembles the thermal network for a chip.
-func NewThermalModel(chip *Chip, cfg thermal.Config) (*ThermalModel, error) {
-	return thermal.New(chip, cfg)
-}
-
-// DefaultThermal returns 22 nm-plausible packaging parameters.
-func DefaultThermal() thermal.Config { return thermal.DefaultConfig() }
-
-// GenerateUarchTrace synthesizes a workload trace from the
-// microarchitectural performance model (instruction mix, issue limits,
-// cache misses) instead of the default phase generator.
-func GenerateUarchTrace(chip *Chip, bench Benchmark, steps, run int) *uarch.Trace {
-	return uarch.Generate(chip, bench, steps, run)
-}
 
 // --- The turn-key experimental pipeline ---
 
@@ -532,9 +342,6 @@ type Pipeline = experiments.Pipeline
 
 // PipelineConfig sizes the pipeline.
 type PipelineConfig = experiments.Config
-
-// DefaultConfig mirrors the paper's experimental scale (minutes to build).
-func DefaultConfig() PipelineConfig { return experiments.DefaultConfig() }
 
 // QuickConfig is the reduced pipeline for exploration (seconds to build).
 func QuickConfig() PipelineConfig { return experiments.QuickConfig() }
