@@ -6,9 +6,15 @@
 //
 // Usage:
 //
-//	go run ./cmd/benchreport [-out BENCH_PR10.json] [-benchtime 100ms] [-bench .]
+//	go run ./cmd/benchreport [-out BENCH_PR10.json] [-benchtime 100ms] [-bench .] [-count 1] [-cpu 1,2]
 //	go run ./cmd/benchreport -compare old.json new.json [-tolerance 0.25]
 //	go run ./cmd/benchreport -trajectory [dir]
+//
+// -count N runs every benchmark N times and reports the median ns/op with
+// the min and max beside it. -cpu passes a GOMAXPROCS list through to go
+// test: every result records the cpu value it ran at, and each speedup pair
+// is computed within one cpu value. A benchmark run at cpu N > 1 is listed
+// under go test's own name for it, e.g. BenchmarkStepScanBatch-2.
 //
 // Compare mode never fails the build: micro-benchmarks on shared CI runners
 // are noisy, so regressions beyond the tolerance are reported as warnings
@@ -29,6 +35,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -83,18 +90,38 @@ var speedupPairs = []struct{ Kernel, Baseline string }{
 	{"BenchmarkFistaIterateSupport", "BenchmarkFistaIterateReference"},
 }
 
+// benchResult is one benchmark at one cpu value. With -count N the values
+// are medians over the N runs, and ns_per_op_min/max give the spread.
+// Reports written before -count and -cpu existed carry none of cpu, runs,
+// min or max: they were recorded at the report's gomaxprocs.
 type benchResult struct {
 	Name        string  `json:"name"`
 	Package     string  `json:"package"`
+	CPU         int     `json:"cpu,omitempty"`
+	Runs        int     `json:"runs,omitempty"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
+	NsPerOpMin  float64 `json:"ns_per_op_min,omitempty"`
+	NsPerOpMax  float64 `json:"ns_per_op_max,omitempty"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
+}
+
+// label names the result as go test does: the benchmark name, with a -N
+// suffix when it ran at cpu N > 1.
+func (r benchResult) label() string { return cpuLabel(r.Name, r.CPU) }
+
+func cpuLabel(name string, cpu int) string {
+	if cpu > 1 {
+		return fmt.Sprintf("%s-%d", name, cpu)
+	}
+	return name
 }
 
 type speedup struct {
 	Kernel     string  `json:"kernel"`
 	Baseline   string  `json:"baseline"`
+	CPU        int     `json:"cpu,omitempty"`
 	KernelNs   float64 `json:"kernel_ns_per_op"`
 	BaselineNs float64 `json:"baseline_ns_per_op"`
 	Speedup    float64 `json:"speedup"`
@@ -105,6 +132,8 @@ type report struct {
 	GoVersion   string        `json:"go_version"`
 	GOMAXPROCS  int           `json:"gomaxprocs"`
 	BenchTime   string        `json:"benchtime"`
+	Count       int           `json:"count,omitempty"`
+	CPU         string        `json:"cpu,omitempty"`
 	Benchmarks  []benchResult `json:"benchmarks"`
 	Speedups    []speedup     `json:"speedups"`
 }
@@ -116,7 +145,13 @@ func main() {
 	compareWith := flag.String("compare", "", "baseline report JSON; compare the report named by the positional argument against it instead of running benchmarks")
 	tolerance := flag.Float64("tolerance", 0.25, "relative ns/op drift tolerated in -compare mode before a benchmark is flagged")
 	trajectory := flag.Bool("trajectory", false, "summarize every committed BENCH_*.json (in the optional positional dir) across PRs instead of running benchmarks")
+	count := flag.Int("count", 1, "runs per benchmark; the report gives the median ns/op with its min and max")
+	cpu := flag.String("cpu", "", "go test -cpu list, e.g. 1,2 (default: go test's, the current GOMAXPROCS)")
 	flag.Parse()
+	if *count < 1 {
+		fmt.Fprintf(os.Stderr, "benchreport: -count must be >= 1, got %d\n", *count)
+		os.Exit(2)
+	}
 
 	if *trajectory {
 		dir := "."
@@ -147,9 +182,11 @@ func main() {
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		BenchTime:   *benchTime,
+		Count:       *count,
+		CPU:         *cpu,
 	}
 	for _, pkg := range benchPackages {
-		results, err := runPackage(pkg, *pattern, *benchTime)
+		results, err := runPackage(pkg, *pattern, *benchTime, *count, *cpu)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchreport: %s: %v\n", pkg, err)
 			os.Exit(1)
@@ -157,23 +194,30 @@ func main() {
 		rep.Benchmarks = append(rep.Benchmarks, results...)
 	}
 
-	byName := make(map[string]benchResult, len(rep.Benchmarks))
+	byLabel := make(map[string]benchResult, len(rep.Benchmarks))
+	var cpus []int
 	for _, r := range rep.Benchmarks {
-		byName[r.Name] = r
-	}
-	for _, p := range speedupPairs {
-		k, okK := byName[p.Kernel]
-		b, okB := byName[p.Baseline]
-		if !okK || !okB || k.NsPerOp == 0 {
-			continue
+		byLabel[r.label()] = r
+		if !slices.Contains(cpus, r.CPU) {
+			cpus = append(cpus, r.CPU)
 		}
-		rep.Speedups = append(rep.Speedups, speedup{
-			Kernel:     p.Kernel,
-			Baseline:   p.Baseline,
-			KernelNs:   k.NsPerOp,
-			BaselineNs: b.NsPerOp,
-			Speedup:    b.NsPerOp / k.NsPerOp,
-		})
+	}
+	for _, c := range cpus {
+		for _, p := range speedupPairs {
+			k, okK := byLabel[cpuLabel(p.Kernel, c)]
+			b, okB := byLabel[cpuLabel(p.Baseline, c)]
+			if !okK || !okB || k.NsPerOp == 0 {
+				continue
+			}
+			rep.Speedups = append(rep.Speedups, speedup{
+				Kernel:     p.Kernel,
+				Baseline:   p.Baseline,
+				CPU:        c,
+				KernelNs:   k.NsPerOp,
+				BaselineNs: b.NsPerOp,
+				Speedup:    b.NsPerOp / k.NsPerOp,
+			})
+		}
 	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")
@@ -188,7 +232,7 @@ func main() {
 	}
 	fmt.Printf("wrote %s: %d benchmarks, %d speedup pairs\n", *out, len(rep.Benchmarks), len(rep.Speedups))
 	for _, s := range rep.Speedups {
-		fmt.Printf("  %-24s %.2fx over %s\n", strings.TrimPrefix(s.Kernel, "Benchmark"), s.Speedup, strings.TrimPrefix(s.Baseline, "Benchmark"))
+		fmt.Printf("  %-24s %.2fx over %s at cpu %d\n", strings.TrimPrefix(s.Kernel, "Benchmark"), s.Speedup, strings.TrimPrefix(s.Baseline, "Benchmark"), s.CPU)
 	}
 }
 
@@ -205,14 +249,21 @@ func compareReports(oldPath, newPath string, tol float64) error {
 	if err != nil {
 		return err
 	}
+	// A result without a cpu value (a report from before -cpu) is the
+	// baseline of its benchmark at every cpu value; one with a cpu value
+	// only of the same benchmark at the same cpu.
 	oldBy := make(map[string]benchResult, len(oldRep.Benchmarks))
 	for _, r := range oldRep.Benchmarks {
-		oldBy[r.Name] = r
+		oldBy[r.label()] = r
 	}
 	var slower, faster, missing int
 	fmt.Printf("comparing %s (new) against %s (baseline), tolerance ±%.0f%%\n", newPath, oldPath, 100*tol)
 	for _, nr := range newRep.Benchmarks {
-		or, ok := oldBy[nr.Name]
+		or, ok := oldBy[nr.label()]
+		if !ok {
+			or, ok = oldBy[nr.Name]
+			ok = ok && or.CPU == 0
+		}
 		if !ok || or.NsPerOp == 0 {
 			missing++
 			continue
@@ -221,10 +272,10 @@ func compareReports(oldPath, newPath string, tol float64) error {
 		switch {
 		case ratio > 1+tol:
 			slower++
-			fmt.Printf("  WARN %-36s %12.0f -> %12.0f ns/op (%.2fx slower)\n", nr.Name, or.NsPerOp, nr.NsPerOp, ratio)
+			fmt.Printf("  WARN %-36s %12.0f -> %12.0f ns/op (%.2fx slower)\n", nr.label(), or.NsPerOp, nr.NsPerOp, ratio)
 		case ratio < 1-tol:
 			faster++
-			fmt.Printf("  ok   %-36s %12.0f -> %12.0f ns/op (%.2fx faster)\n", nr.Name, or.NsPerOp, nr.NsPerOp, 1/ratio)
+			fmt.Printf("  ok   %-36s %12.0f -> %12.0f ns/op (%.2fx faster)\n", nr.label(), or.NsPerOp, nr.NsPerOp, 1/ratio)
 		}
 	}
 	fmt.Printf("%d benchmarks compared: %d slower beyond tolerance, %d faster, %d without baseline\n",
@@ -279,7 +330,7 @@ func trajectoryReport(dir string) error {
 	for i, e := range reports {
 		byReport[i] = make(map[string]benchResult, len(e.rep.Benchmarks))
 		for _, r := range e.rep.Benchmarks {
-			byReport[i][r.Name] = r
+			byReport[i][r.label()] = r
 		}
 	}
 	fmt.Printf("\n%-40s", "benchmark (ns/op)")
@@ -288,10 +339,10 @@ func trajectoryReport(dir string) error {
 	}
 	fmt.Println()
 	for _, r := range newest.Benchmarks {
-		fmt.Printf("%-40s", r.Name)
+		fmt.Printf("%-40s", r.label())
 		var first, last float64
 		for i := range reports {
-			if br, ok := byReport[i][r.Name]; ok {
+			if br, ok := byReport[i][r.label()]; ok {
 				fmt.Printf(" %12.0f", br.NsPerOp)
 				if first == 0 {
 					first = br.NsPerOp
@@ -315,16 +366,16 @@ func trajectoryReport(dir string) error {
 	seen := map[string]bool{}
 	for i := len(reports) - 1; i >= 0; i-- {
 		for _, s := range reports[i].rep.Speedups {
-			key := s.Kernel + "/" + s.Baseline
+			key := cpuLabel(s.Kernel, s.CPU) + "/" + s.Baseline
 			if seen[key] {
 				continue
 			}
 			seen[key] = true
-			fmt.Printf("%-56s", strings.TrimPrefix(s.Kernel, "Benchmark")+" vs "+strings.TrimPrefix(s.Baseline, "Benchmark"))
+			fmt.Printf("%-56s", strings.TrimPrefix(cpuLabel(s.Kernel, s.CPU), "Benchmark")+" vs "+strings.TrimPrefix(s.Baseline, "Benchmark"))
 			for j := range reports {
 				val := "-"
 				for _, sj := range reports[j].rep.Speedups {
-					if sj.Kernel == s.Kernel && sj.Baseline == s.Baseline {
+					if sj.Kernel == s.Kernel && sj.Baseline == s.Baseline && max(sj.CPU, 1) == max(s.CPU, 1) {
 						val = fmt.Sprintf("%.2fx", sj.Speedup)
 						break
 					}
@@ -363,13 +414,19 @@ func loadReport(path string) (*report, error) {
 	return &rep, nil
 }
 
-// runPackage runs one package's benchmarks and parses the textual results.
-func runPackage(pkg, pattern, benchTime string) ([]benchResult, error) {
+// runPackage runs one package's benchmarks count times, at each cpu value
+// when cpu is set, parses the textual results and folds each benchmark's
+// runs at one cpu value into one result.
+func runPackage(pkg, pattern, benchTime string, count int, cpu string) ([]benchResult, error) {
 	// -timeout 0: the suite's cost is bounded by -benchtime per benchmark,
 	// and the 10⁶-node transient fixtures alone exceed go test's default
 	// 10-minute package budget.
-	cmd := exec.Command("go", "test", "-run", "^$", "-timeout", "0",
-		"-bench", pattern, "-benchmem", "-benchtime", benchTime, pkg)
+	args := []string{"test", "-run", "^$", "-timeout", "0",
+		"-bench", pattern, "-benchmem", "-benchtime", benchTime, "-count", strconv.Itoa(count)}
+	if cpu != "" {
+		args = append(args, "-cpu", cpu)
+	}
+	cmd := exec.Command("go", append(args, pkg)...)
 	cmd.Stderr = os.Stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -394,26 +451,76 @@ func runPackage(pkg, pattern, benchTime string) ([]benchResult, error) {
 	if err := cmd.Wait(); err != nil {
 		return nil, fmt.Errorf("go test: %w", err)
 	}
-	return results, nil
+	return foldRuns(results), nil
+}
+
+// foldRuns merges the runs of each benchmark at each cpu value, in order of
+// first appearance: the median of every value, and the min and max ns/op.
+func foldRuns(runs []benchResult) []benchResult {
+	var order []string
+	byLabel := map[string][]benchResult{}
+	for _, r := range runs {
+		if _, ok := byLabel[r.label()]; !ok {
+			order = append(order, r.label())
+		}
+		byLabel[r.label()] = append(byLabel[r.label()], r)
+	}
+	out := make([]benchResult, 0, len(order))
+	for _, l := range order {
+		rs := byLabel[l]
+		field := func(get func(benchResult) float64) []float64 {
+			vs := make([]float64, len(rs))
+			for i, r := range rs {
+				vs[i] = get(r)
+			}
+			sort.Float64s(vs)
+			return vs
+		}
+		ns := field(func(r benchResult) float64 { return r.NsPerOp })
+		out = append(out, benchResult{
+			Name: rs[0].Name, Package: rs[0].Package, CPU: rs[0].CPU, Runs: len(rs),
+			Iterations:  int64(median(field(func(r benchResult) float64 { return float64(r.Iterations) }))),
+			NsPerOp:     median(ns),
+			NsPerOpMin:  ns[0],
+			NsPerOpMax:  ns[len(ns)-1],
+			BytesPerOp:  median(field(func(r benchResult) float64 { return r.BytesPerOp })),
+			AllocsPerOp: median(field(func(r benchResult) float64 { return r.AllocsPerOp })),
+		})
+	}
+	return out
+}
+
+// median returns the middle of sorted vs, or the mean of the middle two.
+func median(vs []float64) float64 {
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // parseBenchLine decodes one `go test -bench` result line, e.g.
 //
 //	BenchmarkMul128-4   2212   533776 ns/op   131072 B/op   1 allocs/op
+//
+// into a result at cpu 4.
 func parseBenchLine(pkg, line string) (benchResult, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 		return benchResult{}, false
 	}
-	name := fields[0]
+	// go test appends -GOMAXPROCS to the name unless it is 1.
+	name, cpu := fields[0], 1
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		name = name[:i] // strip the -GOMAXPROCS suffix
+		if n, err := strconv.Atoi(name[i+1:]); err == nil && n > 0 {
+			name, cpu = name[:i], n
+		}
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
 		return benchResult{}, false
 	}
-	r := benchResult{Name: name, Package: strings.Trim(pkg, "./"), Iterations: iters}
+	r := benchResult{Name: name, Package: strings.Trim(pkg, "./"), CPU: cpu, Iterations: iters}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {

@@ -74,7 +74,7 @@ func run(args []string) error {
 	useThermal := fs.Bool("thermal", false, "couple average power to temperature and scale leakage (hotter blocks leak more)")
 	budget := fs.Int("budget", 2, "fallback budget (max simultaneous failed sensors) for faults")
 	backend := fs.String("backend", "", "transient solver backend: auto (default), banded, or sparse")
-	sparseWorkers := fs.Int("sparse-workers", 0, "worker shares per sparse solve (0 = pool default, 1 = serial); results are bitwise identical either way")
+	sparseWorkers := fs.Int("sparse-workers", 0, "sparse engine workers: shares per solver kernel and column blocks stepped at once (0 = pool default, 1 = serial); results are bitwise identical either way")
 	batch := fs.String("batch", "auto", "benchmarks stepped together in trace collection: auto (all on sparse, pairs on banded), on (all), or off (one)")
 	rankLambda := fs.Float64("ranklambda", 12, "chip-joint λ for the rank experiment")
 	shootQ := fs.Int("shootq", 8, "chip-wide sensor count for the shootout experiment")
@@ -374,7 +374,7 @@ func doVariation(p *experiments.Pipeline, sensors int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("process variation σ=%.2f, %d sensors/core (builds a second die; slow)\n", d.SegRSigma, d.SensorsPerCore)
+	fmt.Printf("process variation σ=%.2f, %d sensors/core (simulates one held-out run and one training feed of the varied die)\n", d.SegRSigma, d.SensorsPerCore)
 	fmt.Printf("nominal die           : rel err %.4f%%, %v\n", 100*d.NominalRelErr, d.NominalRates)
 	fmt.Printf("varied die, no recal  : rel err %.4f%%, %v\n", 100*d.VariedRelErr, d.VariedRates)
 	fmt.Printf("varied die, recalib'd : rel err %.4f%%, %v\n", 100*d.RecalRelErr, d.RecalRates)

@@ -202,10 +202,11 @@ func (p *Pipeline) simOpts() pdn.SimOptions {
 
 // batchWidth resolves Config.BatchTraces into the number of benchmarks one
 // BatchSimulator steps together, out of n: all n when batching (BatchOn,
-// or BatchAuto on a mesh that resolves to Sparse, where the multi-RHS PCG
-// amortizes matrix and factor streaming), one under BatchOff, and two
-// under BatchAuto on Banded, where a pair shares every walk of the factor's
-// rows while the pairs still spread across workers.
+// or BatchAuto on a mesh that resolves to Sparse, where the simulator
+// splits its columns into one block per worker and every block's
+// multi-RHS PCG amortizes matrix and factor streaming), one under
+// BatchOff, and two under BatchAuto on Banded, where a pair shares every
+// walk of the factor's rows while the pairs spread across workers.
 func (p *Pipeline) batchWidth(n int) int {
 	switch {
 	case p.Cfg.BatchTraces == BatchOff:

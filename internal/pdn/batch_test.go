@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"voltsense/internal/mat"
 )
 
 // benchLoads synthesizes m distinct load sequences over steps time steps
@@ -115,6 +117,104 @@ func TestBatchBandedPairsMatchSimulators(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestSparseBlocksMatchSimulators: a sparse batch split into column
+// blocks — one per worker, stepped concurrently — matches width-1
+// Simulators under ==, voltages and pad currents, at Workers 0–3 and
+// GOMAXPROCS 1 and 2. Each batch settles every column through SettleColumn
+// first, then is reset and runs RunAll, which settles again inside the
+// blocks' shares and steps. At 2 workers width 3 has a one-column block, which steps
+// through the single-RHS PCG, and width 5 at 3 workers has blocks of
+// unequal width.
+func TestSparseBlocksMatchSimulators(t *testing.T) {
+	g := smallGrid()
+	nb := len(g.BlockNodes)
+	const steps = 20
+	old := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(old)
+	for _, m := range []int{2, 3, 5, 19} {
+		currents := make([][][]float64, m)
+		for c := range currents {
+			rng := rand.New(rand.NewSource(300 + int64(m*100+c)))
+			currents[c] = make([][]float64, steps)
+			for step := range currents[c] {
+				cur := make([]float64, nb)
+				for b := range cur {
+					cur[b] = 0.05 * rng.Float64()
+				}
+				currents[c][step] = cur
+			}
+		}
+		// want[c][0] is column c's settled state, want[c][t+1] its state
+		// after step t: node voltages followed by pad currents.
+		want := make([][][]float64, m)
+		for c := range want {
+			sim, err := NewSimulatorOpts(g, testDT, SimOptions{Backend: Sparse})
+			if err != nil {
+				t.Fatal(err)
+			}
+			loader := NewBlockLoader(g)
+			if err := sim.Settle(loader.Loads(currents[c][0])); err != nil {
+				t.Fatal(err)
+			}
+			want[c] = append(want[c], state(sim.b.vCols[0], sim.b.padCurCols[0]))
+			for step := 0; step < steps; step++ {
+				v := sim.Step(loader.Loads(currents[c][step]))
+				want[c] = append(want[c], state(v, sim.b.padCurCols[0]))
+			}
+		}
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			for _, w := range []int{0, 1, 2, 3} {
+				k := w
+				if k == 0 {
+					k = mat.Parallelism()
+				}
+				k = min(k, m)
+				what := fmt.Sprintf("width %d procs %d workers %d", m, procs, w)
+				bs, err := NewBatchSimulator(g, testDT, m, SimOptions{Backend: Sparse, Workers: w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(bs.blocks) != k {
+					t.Fatalf("%s: %d blocks, want %d", what, len(bs.blocks), k)
+				}
+				loader := NewBlockLoader(g)
+				for c := 0; c < m; c++ {
+					if err := bs.SettleColumn(c, loader.Loads(currents[c][0])); err != nil {
+						t.Fatal(err)
+					}
+					sameState(t, fmt.Sprintf("%s SettleColumn %d", what, c), want[c][0], bs.vCols[c], bs.padCurCols[c])
+				}
+				bs.Reset() // RunAll must settle every column itself
+				err = bs.RunAll(steps, func(c, step int) []float64 { return currents[c][step] }, func(c, step int, v []float64) {
+					sameState(t, fmt.Sprintf("%s RunAll column %d step %d", what, c, step), want[c][step+1], v, bs.padCurCols[c])
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// state copies node voltages followed by pad currents into one slice.
+func state(v, padCur []float64) []float64 {
+	return append(append([]float64(nil), v...), padCur...)
+}
+
+// sameState requires v followed by padCur to equal want bitwise.
+func sameState(t *testing.T, what string, want, v, padCur []float64) {
+	t.Helper()
+	for i, x := range state(v, padCur) {
+		if x != want[i] {
+			if i < len(v) {
+				t.Fatalf("%s node %d: %v, simulator %v (not bitwise identical)", what, i, x, want[i])
+			}
+			t.Fatalf("%s pad %d: current %v, simulator %v (not bitwise identical)", what, i-len(v), x, want[i])
 		}
 	}
 }

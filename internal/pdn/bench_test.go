@@ -1,6 +1,7 @@
 package pdn
 
 import (
+	"math/rand"
 	"testing"
 
 	"voltsense/internal/floorplan"
@@ -281,6 +282,42 @@ func BenchmarkStepBatch512(b *testing.B) {
 	}
 }
 
+// BenchmarkStepScanBatch is one sparse Step of 19 settled columns on the
+// 288×24 mesh of the critical-node scan (the scan-sparse workload), with
+// each column's block currents alternating between two random draws so
+// every step solves a real transient. At the pool default the columns
+// step in one block per worker.
+func BenchmarkStepScanBatch(b *testing.B) {
+	g := scaledGrid(288, 24)
+	const m = 19
+	rng := rand.New(rand.NewSource(19))
+	var draws [2][][]float64
+	for d := range draws {
+		draws[d] = make([][]float64, m)
+		for c := range draws[d] {
+			cur := make([]float64, len(g.BlockNodes))
+			for blk := range cur {
+				cur[blk] = 0.05 * rng.Float64()
+			}
+			draws[d][c] = append([]float64(nil), NewBlockLoader(g).Loads(cur)...)
+		}
+	}
+	bs, err := NewBatchSimulator(g, 5e-10, m, SimOptions{Backend: Sparse})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for c := 0; c < m; c++ {
+		if err := bs.SettleColumn(c, draws[0][c]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bs.Step(draws[1-i%2])
+	}
+}
+
 func BenchmarkStepLooped512(b *testing.B) {
 	g := scaledGrid(512, 256)
 	loadCols, _ := batchBenchFixture(b, g)
@@ -306,16 +343,21 @@ func BenchmarkStepLooped512(b *testing.B) {
 
 // TestStepBatchZeroAllocs extends the zero-alloc invariant to the batched
 // step: the sparse multi-RHS PCG, the single-RHS PCG a sparse batch of
-// width 1 steps through, and the banded pair sweep with an odd last column.
+// width 1 steps through, sparse batches split into two blocks that step as
+// pool jobs (width 3 at 2 workers has a one-column block), and the banded
+// pair sweep with an odd last column.
 func TestStepBatchZeroAllocs(t *testing.T) {
 	g := smallGrid()
 	for _, tc := range []struct {
-		backend Backend
-		m       int
-	}{{Sparse, 4}, {Sparse, 1}, {Banded, 3}} {
-		bs, err := NewBatchSimulator(g, testDT, tc.m, SimOptions{Backend: tc.backend})
+		backend    Backend
+		m, workers int
+	}{{Sparse, 4, 1}, {Sparse, 1, 0}, {Sparse, 3, 2}, {Sparse, 19, 2}, {Banded, 3, 0}} {
+		bs, err := NewBatchSimulator(g, testDT, tc.m, SimOptions{Backend: tc.backend, Workers: tc.workers})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want := min(tc.m, max(tc.workers, 1)); tc.backend == Sparse && len(bs.blocks) != want {
+			t.Fatalf("sparse width %d at %d workers: %d blocks, want %d", tc.m, tc.workers, len(bs.blocks), want)
 		}
 		loadCols := make([][]float64, tc.m)
 		for c := range loadCols {
@@ -329,7 +371,7 @@ func TestStepBatchZeroAllocs(t *testing.T) {
 		}
 		bs.Step(loadCols)
 		if a := testing.AllocsPerRun(20, func() { bs.Step(loadCols) }); a != 0 {
-			t.Fatalf("%v batch Step allocates %v times per run, want 0", tc.backend, a)
+			t.Fatalf("%v width %d batch Step allocates %v times per run, want 0", tc.backend, tc.m, a)
 		}
 	}
 }

@@ -24,13 +24,14 @@
 // its SpMV and vector kernels in parallel on the mat worker pool with
 // bitwise-deterministic results at any worker count; SimOptions bounds the
 // workers. BatchSimulator steps many independent transients on the same
-// grid through one matrix traversal per step, and is the one
-// implementation of the step: a Simulator is a one-column batch, which on
-// the sparse backend steps through the single-RHS PCG its settle uses
-// rather than a one-column batch PCG. NewSimulator picks the backend
-// automatically by bandwidth and storage; use NewSimulatorBackend or
-// NewSimulatorOpts to force a choice.
-// Pad inductors use the standard
+// grid in lock step and is the one implementation of the step: on the
+// sparse backend it splits its columns into one contiguous block per
+// worker, steps the blocks concurrently, and solves each block's columns
+// with one matrix traversal per PCG iteration. A Simulator is a one-column
+// batch, which on the sparse backend steps through the single-RHS PCG its
+// settle uses rather than a one-column batch PCG. NewSimulator picks the
+// backend automatically by bandwidth and storage; use NewSimulatorBackend
+// or NewSimulatorOpts to force a choice. Pad inductors use the standard
 // backward-Euler companion model: an effective conductance 1/(R + L/h)
 // plus a history current source tracking the previous branch current.
 package pdn
@@ -92,8 +93,11 @@ type SimOptions struct {
 	// Precond is ignored: the sparse backend has one preconditioner,
 	// modified IC(0) with a plain IC(0) fallback.
 	Precond sparse.Precond
-	// Workers bounds the sparse backend's parallel kernel shares; 0 tracks
-	// the mat pool default. Results are bitwise identical for any setting.
+	// Workers bounds the sparse backend's parallel work: the shares of
+	// each PCG kernel and, in a BatchSimulator, the number of column blocks
+	// stepped concurrently. 0 tracks the mat pool default (the block count
+	// reads it at construction). Results are bitwise identical for any
+	// setting.
 	Workers int
 }
 
@@ -171,6 +175,18 @@ func (b *bandedSolver) solvePairInto(dst0, dst1, rhs0, rhs1 []float64) {
 	}
 }
 
+// solveCols solves the columns two at a time, an odd last column alone.
+func (b *bandedSolver) solveCols(v, rhs [][]float64) error {
+	c := 0
+	for ; c+1 < len(v); c += 2 {
+		b.solvePairInto(v[c], v[c+1], rhs[c], rhs[c+1])
+	}
+	if c < len(v) {
+		return b.solveInto(v[c], rhs[c])
+	}
+	return nil
+}
+
 // sparseSystem is the RCM-permuted CSR mesh system shared by the single and
 // batch sparse solvers: the matrix P·A·Pᵀ, the permutation that built it,
 // and the preconditioner factored for the permuted matrix. Reordering is
@@ -236,6 +252,17 @@ func (s *sparseSolver) solveInto(dst, rhs []float64) error {
 	}
 	for newI, oldI := range s.perm {
 		dst[oldI] = s.xp[newI]
+	}
+	return nil
+}
+
+// solveCols solves the columns one after another; a one-column block steps
+// through it.
+func (s *sparseSolver) solveCols(v, rhs [][]float64) error {
+	for c := range v {
+		if err := s.solveInto(v[c], rhs[c]); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -385,62 +412,51 @@ func dcRHS(g *grid.Grid, loads, b []float64) {
 	}
 }
 
-// dcSolver settles a simulator at the DC operating point (inductors
-// shorted, capacitors open). It builds the DC system on the first settle,
-// so step-only simulators never pay for it, and keeps it: the banded
-// backend factors it, the sparse backend builds the RCM-ordered system with
-// its IC preconditioner and reuses one PCG solver at dcCGTol. Every solve
-// starts from VDD on every node, never from the simulator's state, so a
-// settle does not depend on what the simulator ran before.
-type dcSolver struct {
-	g       *grid.Grid
-	backend Backend
-	workers int
-	solver  meshSolver // nil until the first settle
-}
-
-// settleInto writes the DC operating point for loads into v and each pad's
-// steady-state current into padCur, using rhs as scratch. After the first
-// call it allocates nothing.
-func (d *dcSolver) settleInto(loads, v, padCur, rhs []float64) error {
-	if d.solver == nil {
-		var err error
-		if d.solver, err = newDCSolver(d.g, d.backend, d.workers); err != nil {
-			return err
-		}
-	}
-	vdd := d.g.Cfg.VDD
-	dcRHS(d.g, loads, rhs)
-	for i := range v {
-		v[i] = vdd
-	}
-	if err := d.solver.solveInto(v, rhs); err != nil {
-		return fmt.Errorf("pdn: DC settle: %w", err)
-	}
-	for p, pad := range d.g.Pads {
-		padCur[p] = (vdd - v[pad.Node]) / pad.R
-	}
-	return nil
-}
-
-// newDCSolver builds the DC system solver for the given backend.
-func newDCSolver(g *grid.Grid, backend Backend, workers int) (meshSolver, error) {
+// newDCSolvers builds the DC system (inductors shorted, capacitors open)
+// once and k solvers over it, one per column block: on banded its factor
+// (a banded simulator has one block), on sparse the RCM-ordered system with
+// its IC preconditioner, shared by k PCG workspaces at dcCGTol so blocks
+// can settle concurrently.
+func newDCSolvers(g *grid.Grid, backend Backend, workers, k int) ([]meshSolver, error) {
+	solvers := make([]meshSolver, k)
 	if backend == Banded {
 		b, err := newBandedSolver(g, dcDiag(g))
 		if err != nil {
 			return nil, err
 		}
-		return b, nil
+		solvers[0] = b
+		return solvers, nil
 	}
 	sys, err := newSparseSystem(g, dcDiag(g))
 	if err != nil {
 		return nil, err
 	}
-	s, err := newSparseSolver(sys, dcCGTol, workers)
-	if err != nil {
-		return nil, err
+	for i := range solvers {
+		if solvers[i], err = newSparseSolver(sys, dcCGTol, workers); err != nil {
+			return nil, err
+		}
 	}
-	return s, nil
+	return solvers, nil
+}
+
+// settleInto writes the DC operating point for loads into v and each pad's
+// steady-state current into padCur, solving with dc and using rhs as
+// scratch. The solve starts from VDD on every node, never from the
+// simulator's state, so a settle does not depend on what the simulator ran
+// before. It allocates nothing.
+func settleInto(g *grid.Grid, dc meshSolver, loads, v, padCur, rhs []float64) error {
+	vdd := g.Cfg.VDD
+	dcRHS(g, loads, rhs)
+	for i := range v {
+		v[i] = vdd
+	}
+	if err := dc.solveInto(v, rhs); err != nil {
+		return fmt.Errorf("pdn: DC settle: %w", err)
+	}
+	for p, pad := range g.Pads {
+		padCur[p] = (vdd - v[pad.Node]) / pad.R
+	}
+	return nil
 }
 
 // assembleSystemCSR builds the symmetric system matrix directly in CSR
