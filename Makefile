@@ -21,15 +21,18 @@ test:
 race:
 	$(GO) test -race ./...
 
-# stress reruns the solver packages under the race detector at one and two
-# procs, three times each, so the parallel kernels and the mat worker pool
-# are exercised at GOMAXPROCS 2 as well as serially. lasso, core and place
-# reach the pool through the path solver's Gram kernels; ols, core and
-# place through the QR's row-split right-hand-side sweep; banded holds the
-# paired triangular solve the batched pdn step runs.
+# stress reruns the solver and serving packages under the race detector at
+# one and two procs, three times each, so the parallel kernels and the mat
+# worker pool are exercised at GOMAXPROCS 2 as well as serially. lasso, core
+# and place reach the pool through the path solver's Gram kernels; ols, core
+# and place through the QR's row-split right-hand-side sweep; banded holds
+# the paired triangular solve the batched pdn step runs. serve, registry and
+# transfer hold the concurrent handlers, the pooled codec buffers, the
+# tenant cache and the calibration writes.
 stress:
 	$(GO) test -race -cpu 1,2 -count 3 ./internal/mat ./internal/sparse ./internal/banded ./internal/pdn \
-		./internal/lasso ./internal/ols ./internal/core ./internal/place
+		./internal/lasso ./internal/ols ./internal/core ./internal/place \
+		./internal/serve ./internal/registry ./internal/transfer
 
 vet:
 	$(GO) vet ./...

@@ -63,10 +63,10 @@ var benchPackages = []string{
 }
 
 // speedupPairs maps each parallel/blocked/warm-started/factorization-reusing
-// /paired/support-sized/single-RHS benchmark to the serial, cold,
-// refit-from-scratch, looped, dense or one-column-batch baseline it is
-// measured against. Names are as reported by `go test -bench`, without the
-// -GOMAXPROCS suffix.
+// /paired/support-sized/single-RHS benchmark and each serving codec to the
+// serial, cold, refit-from-scratch, looped, dense, one-column-batch or
+// encoding/json baseline it is measured against. Names are as reported by
+// `go test -bench`, without the -GOMAXPROCS suffix.
 var speedupPairs = []struct{ Kernel, Baseline string }{
 	{"BenchmarkMul128", "BenchmarkMulSerial128"},
 	{"BenchmarkMul256", "BenchmarkMulSerial256"},
@@ -88,6 +88,8 @@ var speedupPairs = []struct{ Kernel, Baseline string }{
 	{"BenchmarkFitFallbacks", "BenchmarkFitFallbacksRefit"},
 	{"BenchmarkStepPairBanded", "BenchmarkStepLoopedBanded"},
 	{"BenchmarkFistaIterateSupport", "BenchmarkFistaIterateReference"},
+	{"BenchmarkEncodePredict", "BenchmarkEncodePredictStdlib"},
+	{"BenchmarkDecodePredict", "BenchmarkDecodePredictStdlib"},
 }
 
 // benchResult is one benchmark at one cpu value. With -count N the values

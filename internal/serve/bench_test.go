@@ -110,3 +110,86 @@ func BenchmarkStreamCycle(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
 }
+
+// predictCodecFixture is the serve-predict request shape: a body of Q = 16
+// readings and the K = 240 voltages a paper-sized model answers for it.
+func predictCodecFixture(b *testing.B) (body []byte, out [][]float64) {
+	const q, k = 16, 240
+	pred := benchPredictor(q, k)
+	x := make([]float64, q)
+	for j := range x {
+		x[j] = 0.9 + 0.0137*float64(j) - 0.00071*float64(j*j)
+	}
+	body, err := json.Marshal(map[string][][]float64{"readings": {x}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body, [][]float64{pred.Predict(x)}
+}
+
+// BenchmarkEncodePredict appends a K = 240 /v1/predict answer into a reused
+// buffer; BenchmarkEncodePredictStdlib writes the same bytes the way
+// writeJSON does, through json.Encoder.
+func BenchmarkEncodePredict(b *testing.B) {
+	_, out := predictCodecFixture(b)
+	prefix := predictPrefix("default", 1, len(out[0]))
+	buf := appendPredictBody(nil, prefix, out)
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = appendPredictBody(buf[:0], prefix, out)
+	}
+}
+
+func BenchmarkEncodePredictStdlib(b *testing.B) {
+	_, out := predictCodecFixture(b)
+	resp := predictResponse{Tenant: "default", ModelGeneration: 1, Blocks: len(out[0]), Voltages: out}
+	var buf bytes.Buffer
+	json.NewEncoder(&buf).Encode(resp)
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		json.NewEncoder(&buf).Encode(resp)
+	}
+}
+
+// BenchmarkDecodePredict decodes a Q = 16 /v1/predict body with the
+// fixed-schema parser; BenchmarkDecodePredictStdlib decodes it with
+// encoding/json alone, json.Decoder with a nested json.Unmarshal per
+// reading, then copies the readings out as float64 rows.
+func BenchmarkDecodePredict(b *testing.B) {
+	body, _ := predictCodecFixture(b)
+	cb := getCodecBuf()
+	defer putCodecBuf(cb)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, rows, err := decodePredict(bytes.NewReader(body), cb); err != nil || len(rows) != 1 {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecodePredictStdlib(b *testing.B) {
+	body, _ := predictCodecFixture(b)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var req nestedPredictRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			b.Fatal(err)
+		}
+		rows := make([][]float64, len(req.Readings))
+		for j, rv := range req.Readings {
+			rows[j] = make([]float64, len(rv))
+			for n, v := range rv {
+				rows[j][n] = float64(v)
+			}
+		}
+	}
+}

@@ -540,11 +540,19 @@ func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 // non-finite reading.
 type reading float64
 
-// UnmarshalJSON implements the null-to-NaN decoding.
+// UnmarshalJSON implements the null-to-NaN decoding. A token that is a JSON
+// number ParseFloat takes is converted directly; anything else goes through
+// json.Unmarshal, which words the error.
 func (r *reading) UnmarshalJSON(b []byte) error {
 	if string(b) == "null" {
 		*r = reading(math.NaN())
 		return nil
+	}
+	if len(b) > 0 && numberEnd(b, 0) == len(b) {
+		if f, err := strconv.ParseFloat(string(b), 64); err == nil {
+			*r = reading(f)
+			return nil
+		}
 	}
 	var f float64
 	if err := json.Unmarshal(b, &f); err != nil {
@@ -608,29 +616,28 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	var req predictRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	cb := getCodecBuf()
+	defer putCodecBuf(cb)
+	tenant, batch, err := decodePredict(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), cb)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "malformed JSON: %v", err)
 		return
 	}
-	if len(req.Readings) == 0 {
+	if len(batch) == 0 {
 		httpError(w, http.StatusBadRequest, "empty batch: provide at least one readings vector")
 		return
 	}
-	if len(req.Readings) > s.cfg.MaxBatch {
-		httpError(w, http.StatusRequestEntityTooLarge, "batch of %d exceeds limit %d", len(req.Readings), s.cfg.MaxBatch)
+	if len(batch) > s.cfg.MaxBatch {
+		httpError(w, http.StatusRequestEntityTooLarge, "batch of %d exceeds limit %d", len(batch), s.cfg.MaxBatch)
 		return
 	}
-	tn, ok := s.resolveTenant(w, r, req.Tenant)
+	tn, ok := s.resolveTenant(w, r, tenant)
 	if !ok {
 		return
 	}
 	m := tn.cur.Load()
-	batch := make([][]float64, len(req.Readings))
-	for i, rv := range req.Readings {
-		batch[i] = toFloats(rv)
-		if err := checkVector(batch[i], m.q, m.guard != nil); err != nil {
+	for i, v := range batch {
+		if err := checkVector(v, m.q, m.guard != nil); err != nil {
 			httpError(w, http.StatusBadRequest, "readings[%d]: %v", i, err)
 			return
 		}
@@ -659,13 +666,19 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 		out[i] = f
 	}
+	for i, f := range out {
+		if !finite(f) {
+			httpError(w, http.StatusBadRequest, "readings[%d]: prediction is not finite", i)
+			return
+		}
+	}
 	tn.tm.AddPredictions(m.gen, uint64(len(batch)))
-	writeJSON(w, http.StatusOK, predictResponse{
-		Tenant:          tn.id,
-		ModelGeneration: m.gen,
-		Blocks:          m.k,
-		Voltages:        out,
-	})
+	// The answer is the bytes writeJSON would write for a predictResponse,
+	// in one Write.
+	cb.b = appendPredictBody(cb.b[:0], m.prefix, out)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(cb.b)
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
@@ -1130,6 +1143,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	flush := func() { rc.Flush() }
 	flush()
 
+	var line []byte // the emit_voltages line, written in one Write
 	dec := json.NewDecoder(r.Body)
 	cycle := -1
 	for {
@@ -1219,10 +1233,18 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
+		if !finite(f) {
+			// JSON cannot carry the prediction, and the monitor must not
+			// record it as the session's worst voltage.
+			enc.Encode(map[string]string{"error": "prediction is not finite"})
+			flush()
+			return
+		}
 		events := mon.ProcessPredicted(cycle, f)
 		tn.tm.AddPredictions(m.gen, 1)
 		if emitVoltages {
-			enc.Encode(streamVoltages{Cycle: cycle, Voltages: f})
+			line = appendStreamVoltages(line[:0], cycle, f)
+			w.Write(line)
 		}
 		for _, e := range events {
 			switch e.Kind {

@@ -33,6 +33,9 @@ type model struct {
 	pool     *sync.Pool       // of *monitor.Monitor with the server's default config
 	guard    *faults.Guard    // nil when the artifact has no fallbacks
 	injector *faults.Injector // nil without --fault-spec
+	// prefix is the head of this generation's /v1/predict answers, up to
+	// the voltages (predictPrefix).
+	prefix []byte
 	// adopt marks generations produced by an online promotion: in-flight
 	// streams of the same shape switch to them mid-session (hysteresis
 	// preserved via monitor.SetPredictor) instead of finishing on the old
@@ -97,7 +100,7 @@ func (tn *Tenant) Generation() uint64 { return tn.cur.Load().gen }
 // online adaptation loop.
 func (s *Server) newTenant(id string, pred *core.Predictor) (*Tenant, error) {
 	tn := &Tenant{id: id, srv: s}
-	m, err := s.newModel(pred)
+	m, err := s.newModel(id, pred)
 	if err != nil {
 		return nil, fmt.Errorf("tenant %s: %w", id, err)
 	}
@@ -122,7 +125,7 @@ func (s *Server) newTenant(id string, pred *core.Predictor) (*Tenant, error) {
 	return tn, nil
 }
 
-func (s *Server) newModel(pred *core.Predictor) (*model, error) {
+func (s *Server) newModel(id string, pred *core.Predictor) (*model, error) {
 	if pred == nil || pred.Model == nil {
 		return nil, errors.New("serve: loader returned nil predictor")
 	}
@@ -134,6 +137,7 @@ func (s *Server) newModel(pred *core.Predictor) (*model, error) {
 		return nil, err
 	}
 	m := &model{pred: pred, q: q, k: k, gen: s.gen.Add(1)}
+	m.prefix = predictPrefix(id, m.gen, k)
 	m.pool = &sync.Pool{New: func() any {
 		mon, err := monitor.New(pred, k, s.cfg.Monitor, nil)
 		if err != nil {
@@ -198,7 +202,7 @@ func (s *Server) applySwap(tn *Tenant, owner *adapterState) online.ApplyFunc {
 				return fmt.Errorf("serve: refusing promotion while sensors %v are faulty", st.Faulty)
 			}
 		}
-		m, err := s.newModel(p)
+		m, err := s.newModel(tn.id, p)
 		if err != nil {
 			return err
 		}
