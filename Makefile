@@ -26,7 +26,7 @@ race:
 # worker pool are exercised at GOMAXPROCS 2 as well as serially. lasso, core
 # and place reach the pool through the path solver's Gram kernels; ols, core
 # and place through the QR's row-split right-hand-side sweep; banded holds
-# the paired triangular solve the batched pdn step runs. serve, registry and
+# the interleaved column sweep the batched pdn step runs. serve, registry and
 # transfer hold the concurrent handlers, the pooled codec buffers, the
 # tenant cache and the calibration writes.
 stress:

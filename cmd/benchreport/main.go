@@ -63,10 +63,11 @@ var benchPackages = []string{
 }
 
 // speedupPairs maps each parallel/blocked/warm-started/factorization-reusing
-// /paired/support-sized/single-RHS benchmark and each serving codec to the
-// serial, cold, refit-from-scratch, looped, dense, one-column-batch or
-// encoding/json baseline it is measured against. Names are as reported by
-// `go test -bench`, without the -GOMAXPROCS suffix.
+// /batched/support-sized/single-RHS benchmark, each serving codec and each
+// AVX2 kernel to the serial, cold, refit-from-scratch, looped, dense,
+// one-column-batch, encoding/json or portable Go baseline it is measured
+// against. Names are as reported by `go test -bench`, without the
+// -GOMAXPROCS suffix.
 var speedupPairs = []struct{ Kernel, Baseline string }{
 	{"BenchmarkMul128", "BenchmarkMulSerial128"},
 	{"BenchmarkMul256", "BenchmarkMulSerial256"},
@@ -86,8 +87,12 @@ var speedupPairs = []struct{ Kernel, Baseline string }{
 	{"BenchmarkDOptSherman", "BenchmarkDOptNaive"},
 	{"BenchmarkOLSFit", "BenchmarkOLSFitRowMajor"},
 	{"BenchmarkFitFallbacks", "BenchmarkFitFallbacksRefit"},
-	{"BenchmarkStepPairBanded", "BenchmarkStepLoopedBanded"},
+	{"BenchmarkStepBatch19Banded", "BenchmarkStepLooped19Banded"},
+	{"BenchmarkSolveCols19", "BenchmarkSolveCols19Go"},
 	{"BenchmarkFistaIterateSupport", "BenchmarkFistaIterateReference"},
+	{"BenchmarkFistaIterateSupport", "BenchmarkFistaIterateSupportGo"},
+	{"BenchmarkApplyQT", "BenchmarkApplyQTGo"},
+	{"BenchmarkSolvePenalized", "BenchmarkSolvePenalizedGo"},
 	{"BenchmarkEncodePredict", "BenchmarkEncodePredictStdlib"},
 	{"BenchmarkDecodePredict", "BenchmarkDecodePredictStdlib"},
 }

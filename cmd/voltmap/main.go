@@ -74,8 +74,8 @@ func run(args []string) error {
 	useThermal := fs.Bool("thermal", false, "couple average power to temperature and scale leakage (hotter blocks leak more)")
 	budget := fs.Int("budget", 2, "fallback budget (max simultaneous failed sensors) for faults")
 	backend := fs.String("backend", "", "transient solver backend: auto (default), banded, or sparse")
-	sparseWorkers := fs.Int("sparse-workers", 0, "sparse engine workers: shares per solver kernel and column blocks stepped at once (0 = pool default, 1 = serial); results are bitwise identical either way")
-	batch := fs.String("batch", "auto", "benchmarks stepped together in trace collection: auto (all on sparse, pairs on banded), on (all), or off (one)")
+	sparseWorkers := fs.Int("sparse-workers", 0, "transient engine workers: column blocks stepped at once on either backend and, on sparse, shares per solver kernel (0 = pool default, 1 = serial); results are bitwise identical either way")
+	batch := fs.String("batch", "auto", "benchmarks stepped together in trace collection: auto (all on sparse, one group per worker on banded), on (all), or off (one)")
 	rankLambda := fs.Float64("ranklambda", 12, "chip-joint λ for the rank experiment")
 	shootQ := fs.Int("shootq", 8, "chip-wide sensor count for the shootout experiment")
 	criteria := fs.String("criteria", "", "comma-separated criterion subset for shootout (default: all)")

@@ -155,31 +155,6 @@ func (c *CholFactor) SolveInPlace(b []float64) {
 	}
 }
 
-// SolvePairInPlace overwrites b0 and b1 with the solutions of A x = b0 and
-// A x = b1. Each column gets exactly SolveInPlace's arithmetic, so the
-// results equal two SolveInPlace calls bitwise; the pair walks every factor
-// row once for both columns, which overlaps the two dependent chains of
-// row updates and streams the factor through cache once per pair. It
-// allocates nothing.
-func (c *CholFactor) SolvePairInPlace(b0, b1 []float64) {
-	n, bw := c.n, c.bw
-	if len(b0) != n || len(b1) != n {
-		panic(fmt.Sprintf("banded: SolvePairInPlace lengths %d, %d, want %d", len(b0), len(b1), n))
-	}
-	for i := 0; i < n; i++ {
-		m := min(i, bw)
-		s0, s1 := dot2(c.data[(i+1)*bw-m:(i+1)*bw], b0[i-m:i], b1[i-m:i])
-		b0[i] = (b0[i] - s0) * c.rdiag[i]
-		b1[i] = (b1[i] - s1) * c.rdiag[i]
-	}
-	for i := n - 1; i >= 0; i-- {
-		x0, x1 := b0[i]*c.rdiag[i], b1[i]*c.rdiag[i]
-		b0[i], b1[i] = x0, x1
-		m := min(i, bw)
-		axpyNeg2(x0, x1, c.data[(i+1)*bw-m:(i+1)*bw], b0[i-m:i], b1[i-m:i])
-	}
-}
-
 // dot returns Σ a[k]·b[k] over len(a) terms with four independent
 // accumulators, so consecutive multiply-adds do not wait on each other.
 // b must be at least as long as a.
@@ -206,40 +181,5 @@ func axpyNeg(alpha float64, x, y []float64) {
 	y = y[:len(x)]
 	for k, v := range x {
 		y[k] -= alpha * v
-	}
-}
-
-// dot2 returns dot(a, x) and dot(a, y) in one pass over a, each with dot's
-// four accumulators and final summation order. x and y must be at least as
-// long as a.
-func dot2(a, x, y []float64) (float64, float64) {
-	x, y = x[:len(a)], y[:len(a)]
-	var p0, p1, p2, p3, q0, q1, q2, q3 float64
-	k := 0
-	for ; k+4 <= len(a); k += 4 {
-		a4, x4, y4 := a[k:k+4:k+4], x[k:k+4:k+4], y[k:k+4:k+4]
-		p0 += a4[0] * x4[0]
-		p1 += a4[1] * x4[1]
-		p2 += a4[2] * x4[2]
-		p3 += a4[3] * x4[3]
-		q0 += a4[0] * y4[0]
-		q1 += a4[1] * y4[1]
-		q2 += a4[2] * y4[2]
-		q3 += a4[3] * y4[3]
-	}
-	for ; k < len(a); k++ {
-		p0 += a[k] * x[k]
-		q0 += a[k] * y[k]
-	}
-	return (p0 + p1) + (p2 + p3), (q0 + q1) + (q2 + q3)
-}
-
-// axpyNeg2 is axpyNeg(alpha, a, x) and axpyNeg(beta, a, y) in one pass
-// over a. x and y must be at least as long as a.
-func axpyNeg2(alpha, beta float64, a, x, y []float64) {
-	x, y = x[:len(a)], y[:len(a)]
-	for k, v := range a {
-		x[k] -= alpha * v
-		y[k] -= beta * v
 	}
 }

@@ -266,54 +266,3 @@ func meshSystem(rng *rand.Rand, nx, ny int) *SymBanded {
 	}
 	return s
 }
-
-// TestSolvePairMatchesSolveInPlace: the two-column solve returns, for each
-// column, exactly what SolveInPlace returns on that column alone — on an
-// order no larger than the requested bandwidth (clamped to n−1), a
-// tridiagonal system, and the 52×23 mesh the quick pipeline steps.
-func TestSolvePairMatchesSolveInPlace(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	cases := []struct {
-		name string
-		s    *SymBanded
-	}{
-		{"n=1", randSPDBanded(rng, 1, 3)},
-		{"n<=bw", randSPDBanded(rng, 6, 9)},
-		{"bw=1", randSPDBanded(rng, 37, 1)},
-		{"bw=0", randSPDBanded(rng, 9, 0)},
-		{"mesh 52x23", meshSystem(rng, 52, 23)},
-	}
-	for _, tc := range cases {
-		f, err := Factor(tc.s)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		n := tc.s.n
-		b0, b1 := make([]float64, n), make([]float64, n)
-		for i := range b0 {
-			b0[i], b1[i] = rng.NormFloat64(), 1e3*rng.NormFloat64()
-		}
-		want0, want1 := append([]float64(nil), b0...), append([]float64(nil), b1...)
-		f.SolveInPlace(want0)
-		f.SolveInPlace(want1)
-		f.SolvePairInPlace(b0, b1)
-		for i := range b0 {
-			if b0[i] != want0[i] || b1[i] != want1[i] {
-				t.Fatalf("%s row %d: pair (%v, %v), single (%v, %v)", tc.name, i, b0[i], b1[i], want0[i], want1[i])
-			}
-		}
-	}
-}
-
-// TestSolvePairInPlaceZeroAllocs: the pair solve allocates nothing.
-func TestSolvePairInPlaceZeroAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(52))
-	f, err := Factor(meshSystem(rng, 52, 23))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b0, b1 := make([]float64, 52*23), make([]float64, 52*23)
-	if a := testing.AllocsPerRun(20, func() { f.SolvePairInPlace(b0, b1) }); a != 0 {
-		t.Fatalf("SolvePairInPlace allocates %v times per run, want 0", a)
-	}
-}

@@ -34,8 +34,8 @@ const (
 	// BatchAuto steps every benchmark in one group when the resolved
 	// backend is Sparse, where the simulator steps one column block per
 	// worker and each block's multi-RHS PCG amortizes the dominant matrix
-	// and factor memory streams, and pairs of benchmarks on Banded, where a
-	// pair shares each walk of the Cholesky factor's rows.
+	// and factor memory streams, and one group per worker on Banded, each
+	// group's columns solved in interleaved sweeps of the Cholesky factor.
 	BatchAuto BatchMode = iota
 	// BatchOn steps every benchmark in one group on either backend.
 	BatchOn
@@ -106,17 +106,19 @@ type Config struct {
 	// Precond is ignored: the sparse backend has one preconditioner,
 	// modified IC(0) with a plain IC(0) fallback.
 	Precond sparse.Precond
-	// SparseWorkers bounds the sparse engine's parallel work (0 = the mat
-	// pool default, 1 = serial): the worker shares of each solver's
-	// row-partitioned kernels, and the column blocks a pdn.BatchSimulator
-	// steps concurrently (see pdn.SimOptions.Workers). Results are bitwise
-	// identical across settings.
+	// SparseWorkers bounds the transient engine's parallel work (0 = the
+	// mat pool default, 1 = serial): the column blocks a
+	// pdn.BatchSimulator steps concurrently on either backend, and on the
+	// sparse backend the worker shares of each solver's row-partitioned
+	// kernels (see pdn.SimOptions.Workers). Results are bitwise identical
+	// across settings.
 	SparseWorkers int
 	// BatchTraces sets how many benchmarks the calibration, training and
 	// test runs step together through one pdn.BatchSimulator: all of them
 	// (BatchOn, or BatchAuto on Sparse, where the simulator itself splits
-	// them into one block per worker), pairs (BatchAuto on Banded) or one
-	// (BatchOff). Collected voltages are bitwise identical either way.
+	// them into one block per worker), one group per worker (BatchAuto on
+	// Banded) or one (BatchOff). Collected voltages are bitwise identical
+	// either way.
 	BatchTraces BatchMode
 	// ThermalFeedback couples per-run average power to a steady-state
 	// temperature map and scales block leakage accordingly (hotter blocks

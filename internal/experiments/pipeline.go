@@ -201,12 +201,15 @@ func (p *Pipeline) simOpts() pdn.SimOptions {
 }
 
 // batchWidth resolves Config.BatchTraces into the number of benchmarks one
-// BatchSimulator steps together, out of n: all n when batching (BatchOn,
-// or BatchAuto on a mesh that resolves to Sparse, where the simulator
-// splits its columns into one block per worker and every block's
-// multi-RHS PCG amortizes matrix and factor streaming), one under
-// BatchOff, and two under BatchAuto on Banded, where a pair shares every
-// walk of the factor's rows while the pairs spread across workers.
+// BatchSimulator steps together, out of n: one under BatchOff; all n under
+// BatchOn, and under BatchAuto on a mesh that resolves to Sparse, where the
+// simulator splits its columns into one block per worker and every block's
+// multi-RHS PCG amortizes matrix and factor streaming; and ⌈n/workers⌉
+// under BatchAuto on Banded, one group per worker, each solved in
+// interleaved sweeps of the factor. On banded the groups beat one
+// simulator's blocks because a group's load spreading and recording run
+// on its own worker, while RunAll runs every column's callbacks on the
+// calling goroutine (DESIGN.md §10).
 func (p *Pipeline) batchWidth(n int) int {
 	switch {
 	case p.Cfg.BatchTraces == BatchOff:
@@ -214,7 +217,8 @@ func (p *Pipeline) batchWidth(n int) int {
 	case p.Cfg.BatchTraces == BatchOn, pdn.ResolveBackend(p.Grid, p.Cfg.Backend) == pdn.Sparse:
 		return n
 	}
-	return min(n, 2)
+	w := p.workers()
+	return (n + w - 1) / w
 }
 
 // simPool returns the pool of BatchSimulators of the given width.

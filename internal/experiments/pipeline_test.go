@@ -261,7 +261,7 @@ func TestConfigValidationErrors(t *testing.T) {
 // per simulator (BatchOff) equal, bitwise, those collected with the sparse
 // backend forced and every benchmark in one lock-stepped multi-RHS
 // BatchSimulator (BatchOn), and those collected on the banded backend in
-// the paired groups BatchAuto resolves to.
+// the one-group-per-worker interleaved sweeps BatchAuto resolves to.
 func TestBatchedCollectionBitwiseMatchesFanout(t *testing.T) {
 	base := tinyConfig()
 	base.CalibSteps = 40
@@ -286,8 +286,9 @@ func TestBatchedCollectionBitwiseMatchesFanout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w := pOn.batchWidth(len(pOn.Bench)); backend == pdn.Banded && w != 2 {
-			t.Fatalf("banded BatchAuto resolved to width %d, want 2", w)
+		n, workers := len(pOn.Bench), pOn.workers()
+		if w := pOn.batchWidth(n); backend == pdn.Banded && w != (n+workers-1)/workers {
+			t.Fatalf("banded BatchAuto resolved to width %d at %d workers, want ⌈%d/%d⌉", w, workers, n, workers)
 		}
 		samePipelineSamples(t, fmt.Sprintf("%v %v vs off", backend, cfgOn.BatchTraces), pOff, pOn)
 	}
@@ -314,10 +315,10 @@ func samePipelineSamples(t *testing.T, what string, a, b *Pipeline) {
 }
 
 // TestUseBatchResolution pins how Config.BatchTraces resolves into the
-// number of benchmarks one simulator steps together: pairs under BatchAuto
-// on a banded-resolved mesh, every benchmark when batching (BatchOn, or
-// BatchAuto with the sparse backend), one under BatchOff, and never more
-// than the benchmarks at hand.
+// number of benchmarks one simulator steps together: one group per worker
+// under BatchAuto on a banded-resolved mesh, every benchmark when batching
+// (BatchOn, or BatchAuto with the sparse backend), one under BatchOff, and
+// never more than the benchmarks at hand.
 func TestUseBatchResolution(t *testing.T) {
 	cfg := tinyConfig() // 26x12 mesh resolves to Banded under Auto
 	p := &Pipeline{Cfg: cfg, Grid: grid.Build(floorplan.New(cfg.Chip), cfg.Grid)}
@@ -327,8 +328,13 @@ func TestUseBatchResolution(t *testing.T) {
 			t.Fatalf("%s: width %d for %d benchmarks, want %d", what, got, n, want)
 		}
 	}
-	check("auto on banded", 19, 2)
+	p.Cfg.Workers = 2
+	check("auto on banded, 2 workers", 19, 10)
 	check("auto on banded, one benchmark", 1, 1)
+	p.Cfg.Workers = 1
+	check("auto on banded, 1 worker", 19, 19)
+	p.Cfg.Workers = 4
+	check("auto on banded, 4 workers", 19, 5)
 	p.Cfg.Backend = pdn.Sparse
 	check("auto on sparse", 19, 19)
 	p.Cfg.BatchTraces = BatchOff

@@ -75,6 +75,22 @@ func BenchmarkFistaIterateSupport(b *testing.B) {
 	}
 }
 
+// BenchmarkFistaIterateSupportGo is BenchmarkFistaIterateSupport with the
+// row and scale passes on their portable Go twins instead of the AVX2
+// kernels; benchreport reports the kernels' speedup.
+func BenchmarkFistaIterateSupportGo(b *testing.B) {
+	defer mat.SetParallelism(mat.SetParallelism(1))
+	gr, beta, lambda, step := table1Fista(b)
+	st := newFistaState(gr, beta, lambda, step)
+	st.proj.vec = false
+	st.iterate()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.iterate()
+	}
+}
+
 func BenchmarkFistaIterateReference(b *testing.B) {
 	defer mat.SetParallelism(mat.SetParallelism(1))
 	gr, beta, lambda, step := table1Fista(b)
@@ -87,6 +103,11 @@ func BenchmarkFistaIterateReference(b *testing.B) {
 	}
 }
 
+// BenchmarkSolvePenalized vs BenchmarkSolvePenalizedGo: one cold block
+// coordinate descent solve, Gram included, through the production sweep
+// (direct indexing, the AVX2 update of s) and through referencePenalized,
+// the portable sweep it replaced (At/Set, scalar update). benchreport
+// reports the pair's speedup.
 func BenchmarkSolvePenalized(b *testing.B) {
 	z, g := benchProblem(8, 60, 600)
 	opt := Options{MaxIter: 300, Tol: 1e-8}
@@ -94,6 +115,18 @@ func BenchmarkSolvePenalized(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := SolvePenalized(z, g, 0.5, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSolvePenalizedGo(b *testing.B) {
+	z, g := benchProblem(8, 60, 600)
+	opt := Options{MaxIter: 300, Tol: 1e-8}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := referencePenalized(newGram(z, g), 0.5, opt, mat.Zeros(g.Rows(), z.Rows())); err != nil {
 			b.Fatal(err)
 		}
 	}

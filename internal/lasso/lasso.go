@@ -37,6 +37,7 @@ import (
 	"math"
 
 	"voltsense/internal/mat"
+	"voltsense/internal/simd"
 )
 
 // ErrDidNotConverge is returned when a solver exhausts its iteration budget
@@ -196,14 +197,18 @@ func siftDown(h []float64, i int) {
 
 // projWS holds the scratch vectors of the group-ball projection so the FISTA
 // loop can project every iterate without allocating, and the ascending
-// column support of the last projection.
+// column support of the last projection. vec, simd.AVX2() at construction,
+// selects the AVX2 kernels of the scale pass and of the FISTA row pass
+// that owns the workspace; the benchmarks of their Go twins clear it.
 type projWS struct {
 	norms, proj, scratch []float64
 	support              []int
+	vec                  bool
 }
 
 func newProjWS(m int) *projWS {
 	return &projWS{
+		vec:     simd.AVX2(),
 		norms:   make([]float64, m),
 		proj:    make([]float64, m),
 		scratch: make([]float64, m),
@@ -239,7 +244,6 @@ func (w *projWS) scaleOntoBall(beta *mat.Matrix, radius float64) {
 		return
 	}
 	theta, ok := l1Threshold(w.scratch, w.norms, radius)
-	k, m := beta.Rows(), beta.Cols()
 	scale := w.proj
 	for j, n := range w.norms {
 		scale[j] = 0
@@ -248,10 +252,22 @@ func (w *projWS) scaleOntoBall(beta *mat.Matrix, radius float64) {
 			w.support = append(w.support, j)
 		}
 	}
-	for i := 0; i < k; i++ {
-		row := beta.Row(i)
-		for j := 0; j < m; j++ {
-			row[j] *= scale[j]
+	if w.vec {
+		scaleRowsAVX2(beta.Data(), scale)
+	} else {
+		scaleRows(beta.Data(), scale)
+	}
+}
+
+// scaleRows multiplies every row of the row-major matrix data, whose rows
+// have len(scale) entries, by scale elementwise. It is the portable path
+// and the oracle of scaleRowsAVX2.
+func scaleRows(data, scale []float64) {
+	m := len(scale)
+	for i := 0; i+m <= len(data); i += m {
+		row := data[i : i+m]
+		for j, sc := range scale {
+			row[j] *= sc
 		}
 	}
 }
@@ -393,18 +409,11 @@ func (f *fistaState) iterate() float64 {
 		norms[j] = 0
 	}
 	f.planZZt()
-	step, grad := f.step, f.grad
-	norms = norms[:len(grad)]
-	for i := 0; i < k; i++ {
-		yrow := yd[i*m : (i+1)*m]
-		f.mulZZt(grad, yrow)
-		nrow, gzrow := nd[i*m:i*m+len(grad)], gzd[i*m:i*m+len(grad)]
-		yrow = yrow[:len(grad)]
-		for j, gv := range grad {
-			v := yrow[j] - step*(gv-gzrow[j])
-			nrow[j] = v
-			norms[j] += v * v
-		}
+	if f.proj.vec {
+		km := k * m
+		fistaRowsAVX2(nd[:km], norms[:m], yd[:km], gzd[:km], f.gr.zzt.Data()[:m*m], f.grad[:m], f.groups, k, f.step)
+	} else {
+		f.gradRows(nd, norms, yd, gzd)
 	}
 	for j, n := range norms {
 		norms[j] = math.Sqrt(n)
@@ -443,9 +452,31 @@ func (f *fistaState) iterate() float64 {
 	return math.Sqrt(diffSq) / base
 }
 
+// gradRows writes the gradient step next = y − step·(y·ZZᵀ − GZᵀ) of the
+// row-major K-by-M matrices yd, gzd into nd, one row at a time (mulZZt's
+// row of y·ZZᵀ, then one pass over the row), and adds the squares of each
+// row of next into norms. It is the portable path and the oracle of
+// fistaRowsAVX2.
+func (f *fistaState) gradRows(nd, norms, yd, gzd []float64) {
+	step, grad := f.step, f.grad
+	m := len(grad)
+	norms = norms[:m]
+	for i := 0; i < len(yd)/m; i++ {
+		yrow := yd[i*m : (i+1)*m]
+		f.mulZZt(grad, yrow)
+		nrow, gzrow := nd[i*m:i*m+m], gzd[i*m:i*m+m]
+		for j, gv := range grad {
+			v := yrow[j] - step*(gv-gzrow[j])
+			nrow[j] = v
+			norms[j] += v * v
+		}
+	}
+}
+
 // zzGroup is one term of mulZZt's sum: up to four columns of y's support
 // that share an aligned group of four candidate indices, or one trailing
-// index past the last such group.
+// index past the last such group. fistaRowsAVX2 reads it by offset
+// (TestZZGroupLayout).
 type zzGroup struct {
 	n   int
 	col [4]int
@@ -593,10 +624,11 @@ func solvePenalizedGram(gr *gram, mu float64, opt Options, beta *mat.Matrix) (*R
 	if !betaIsZero(beta) {
 		mat.MulInto(s, beta, gr.zzt)
 	}
+	bd, sd, gzd, zzd := beta.Data(), s.Data(), gr.gzt.Data(), gr.zzt.Data()
 
 	zsq := make([]float64, m)
 	for j := 0; j < m; j++ {
-		zsq[j] = gr.zzt.At(j, j)
+		zsq[j] = zzd[j*m+j]
 	}
 
 	u := make([]float64, k)
@@ -607,26 +639,25 @@ func solvePenalizedGram(gr *gram, mu float64, opt Options, beta *mat.Matrix) (*R
 			if zsq[j] == 0 {
 				continue // constant-zero feature can never be active
 			}
-			for i := 0; i < k; i++ {
-				u[i] = gr.gzt.At(i, j) - s.At(i, j) + beta.At(i, j)*zsq[j]
+			for i := range u {
+				e := i*m + j
+				u[i] = gzd[e] - sd[e] + bd[e]*zsq[j]
 			}
 			un := mat.Norm2(u)
 			var scale float64
 			if un > mu {
 				scale = (1 - mu/un) / zsq[j]
 			}
-			zztRow := gr.zzt.Row(j)
-			for i := 0; i < k; i++ {
-				old := beta.At(i, j)
-				nv := scale * u[i]
+			zztRow := zzd[j*m : (j+1)*m]
+			for i, ui := range u {
+				e := i*m + j
+				old := bd[e]
+				nv := scale * ui
 				if nv != old {
 					d := nv - old
 					// s[i][:] += d * (ZZᵀ)[j][:]
-					si := s.Row(i)
-					for c, zc := range zztRow {
-						si[c] += d * zc
-					}
-					beta.Set(i, j, nv)
+					addScaled(sd[i*m:(i+1)*m], d, zztRow)
+					bd[e] = nv
 					if ad := math.Abs(d); ad > maxChange {
 						maxChange = ad
 					}
@@ -650,6 +681,25 @@ func solvePenalizedGram(gr *gram, mu float64, opt Options, beta *mat.Matrix) (*R
 		return r, ErrDidNotConverge
 	}
 	return r, nil
+}
+
+// addScaled adds d·x[c] to y[c] for every c < len(x); y must be at least
+// as long as x. The AVX2 kernel does the same four elements at a time.
+func addScaled(y []float64, d float64, x []float64) {
+	if simd.AVX2() {
+		addScaledAVX2(y[:len(x)], d, x)
+		return
+	}
+	addScaledGo(y, d, x)
+}
+
+// addScaledGo is addScaled's portable path and the oracle of
+// addScaledAVX2.
+func addScaledGo(y []float64, d float64, x []float64) {
+	y = y[:len(x)]
+	for c, xc := range x {
+		y[c] += d * xc
+	}
 }
 
 // betaIsZero reports whether every coefficient is exactly zero (the cold

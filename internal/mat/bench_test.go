@@ -165,3 +165,44 @@ func BenchmarkStandardize(b *testing.B) {
 		Standardize(m)
 	}
 }
+
+// applyQTFixture is a refit-shaped factorization: Q = 16 selected sensors
+// over N = 2000 samples, and K = 32 output rows to sweep.
+func applyQTFixture() (*QR, *Matrix) {
+	rng := rand.New(rand.NewSource(91))
+	cols, w := Zeros(16, 2000), Zeros(32, 2000)
+	for i := range cols.data {
+		cols.data[i] = rng.NormFloat64()
+	}
+	for i := range w.data {
+		w.data[i] = rng.NormFloat64()
+	}
+	return FactorQRColumns(cols), w
+}
+
+// BenchmarkApplyQT vs BenchmarkApplyQTGo: Qᵀ applied to the fixture's 32
+// rows with serial kernels, through ApplyQT (the AVX2 sweep of four
+// interleaved rows where the CPU has it) and through applyQT4, its
+// portable Go twin, on the rows in place. Qᵀ is orthogonal, so repeated
+// application keeps the values' scale.
+func BenchmarkApplyQT(b *testing.B) {
+	defer SetParallelism(SetParallelism(1))
+	f, w := applyQTFixture()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.ApplyQT(w)
+	}
+}
+
+func BenchmarkApplyQTGo(b *testing.B) {
+	defer SetParallelism(SetParallelism(1))
+	f, w := applyQTFixture()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := 0; r+4 <= w.rows; r += 4 {
+			f.applyQT4(w.Row(r), w.Row(r+1), w.Row(r+2), w.Row(r+3))
+		}
+	}
+}

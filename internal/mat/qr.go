@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"voltsense/internal/simd"
 )
 
 // ErrSingular is returned when a factorization or solve encounters a matrix
@@ -95,10 +97,30 @@ func (f *QR) ApplyQT(b *Matrix) {
 	})
 }
 
-// applyQTRows applies Qᵀ to rows [lo, hi) of b, four rows at a time.
+// applyQTRows applies Qᵀ to rows [lo, hi) of b, four rows at a time: on
+// AVX2 through applyQT4AVX2, each group of four interleaved into one
+// scratch buffer and back, elsewhere through applyQT4.
 func (f *QR) applyQTRows(b *Matrix, lo, hi int) {
 	m := b.cols
 	i := lo
+	if simd.AVX2() && hi-lo >= 4 {
+		w := make([]float64, 4*m)
+		for ; i+4 <= hi; i += 4 {
+			rows := b.data[i*m : (i+4)*m]
+			for c := 0; c < 4; c++ {
+				for k, x := range rows[c*m : (c+1)*m] {
+					w[4*k+c] = x
+				}
+			}
+			applyQT4AVX2(f.v.data, f.tau, w)
+			for c := 0; c < 4; c++ {
+				row := rows[c*m : (c+1)*m]
+				for k := range row {
+					row[k] = w[4*k+c]
+				}
+			}
+		}
+	}
 	for ; i+4 <= hi; i += 4 {
 		f.applyQT4(b.data[i*m:(i+1)*m], b.data[(i+1)*m:(i+2)*m], b.data[(i+2)*m:(i+3)*m], b.data[(i+3)*m:(i+4)*m])
 	}
@@ -109,7 +131,8 @@ func (f *QR) applyQTRows(b *Matrix, lo, hi int) {
 
 // applyQT4 applies every reflector to four right-hand sides at once. Per
 // row, the reflector's dot product accumulates from the head in index order
-// and skips exact zeros of the reflector, exactly as applyQT1 does.
+// and skips exact zeros of the reflector, exactly as applyQT1 does. It is
+// the portable path and the oracle of applyQT4AVX2.
 func (f *QR) applyQT4(b0, b1, b2, b3 []float64) {
 	m := f.v.cols
 	for r, tau := range f.tau {

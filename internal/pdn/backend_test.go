@@ -130,12 +130,12 @@ func TestSparseSettlesOntoStaticSolve(t *testing.T) {
 func TestBandedSolverOrdersAlongShortAxis(t *testing.T) {
 	for _, tc := range []struct{ nx, ny, bw int }{{52, 23, 23}, {78, 34, 34}, {12, 26, 12}} {
 		g := scaledGrid(tc.nx, tc.ny)
-		b, err := newBandedSolver(g, dcDiag(g))
+		_, pos, err := factorBanded(g, dcDiag(g))
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen := make([]bool, len(b.pos))
-		for _, p := range b.pos {
+		seen := make([]bool, len(pos))
+		for _, p := range pos {
 			if seen[p] {
 				t.Fatalf("%dx%d: row %d assigned twice", tc.nx, tc.ny, p)
 			}
@@ -143,7 +143,7 @@ func TestBandedSolverOrdersAlongShortAxis(t *testing.T) {
 		}
 		bw := 0
 		for _, e := range g.Edges {
-			bw = max(bw, b.pos[e.A]-b.pos[e.B], b.pos[e.B]-b.pos[e.A])
+			bw = max(bw, pos[e.A]-pos[e.B], pos[e.B]-pos[e.A])
 		}
 		if bw != tc.bw {
 			t.Fatalf("%dx%d: half-bandwidth %d, want %d", tc.nx, tc.ny, bw, tc.bw)

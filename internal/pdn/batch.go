@@ -14,31 +14,34 @@ import (
 // package's one copy of the backward-Euler step; a Simulator is a batch of
 // width 1.
 //
-// On the sparse backend the columns split into k = min(m, workers)
-// contiguous blocks, workers being SimOptions.Workers or, when that is 0,
-// the mat pool's parallelism at construction. Each block owns a step
-// solver for its width and its own DC PCG workspace; all blocks share one
-// RCM-ordered step matrix and IC factor, and one DC system. A Step runs
-// every block's share — assemble the right-hand sides, solve, update the
-// pad currents — concurrently as preallocated pool jobs, and RunAll settles
-// each block's columns inside that block's share. A block of two or more
-// columns solves them with one blocked multi-RHS PCG
-// (sparse.BatchCGSolver), so the matrix and IC factor stream through memory
-// once per iteration for the whole block: that amortization is why there
-// are no more blocks than workers. A one-column block steps through the
-// single-RHS PCG the DC settle uses, which solves in under half the time a
-// one-column batch PCG takes (sparse's BenchmarkSolveSingle vs
-// BenchmarkSolveBatchWidth1). On the banded backend there is one block: its
-// columns share the one Cholesky factorization and are solved two at a
-// time, each pair in one walk of the factor's rows (an odd last column
-// alone).
+// On either backend the columns split into k = min(m, workers) contiguous
+// blocks, workers being SimOptions.Workers or, when that is 0, the mat
+// pool's parallelism at construction. Each block owns a step solver for
+// its width and its own DC solver; all blocks share the step system and
+// one DC system. A Step runs every block's share — assemble the
+// right-hand sides, solve, update the pad currents — concurrently as
+// preallocated pool jobs, and RunAll settles each block's columns inside
+// that block's share.
+//
+// On the banded backend the blocks share the one Cholesky factor. A block
+// assembles its right-hand sides straight into one buffer, interleaved in
+// banded order at banded.ColumnStride of its width, and solves them in one
+// forward and one backward sweep of the factor's rows (four columns per
+// vector on AVX2). On the sparse backend a block of two or more columns
+// solves them with one blocked multi-RHS PCG (sparse.BatchCGSolver), so the
+// matrix and IC factor stream through memory once per iteration for the
+// whole block: that amortization is why there are no more blocks than
+// workers. A one-column sparse block steps through the single-RHS PCG the
+// DC settle uses, which solves in under half the time a one-column batch
+// PCG takes (sparse's BenchmarkSolveSingle vs BenchmarkSolveBatchWidth1).
 //
 // Column results are bitwise identical at every width and block count: the
 // batch PCG freezes converged columns exactly where the single-RHS solve
 // would return, the row-partitioned kernels give the same bits at any
-// worker count, the paired banded sweep keeps each column's single-solve
-// arithmetic, and the rhs and pad-state updates are per-column scalar code
-// either way. A BatchSimulator is not safe for concurrent use.
+// worker count, the interleaved banded sweep keeps each column's
+// single-solve arithmetic, and the rhs and pad-state updates are
+// per-column scalar code either way. A BatchSimulator is not safe for
+// concurrent use.
 type BatchSimulator struct {
 	g       *grid.Grid
 	m       int
@@ -72,17 +75,17 @@ type colBlock struct {
 	job    func()     // runs the current stage on this block as a pool job
 }
 
-// colSolver solves the step system for a block's columns: v[c] holds
-// column c's warm start on entry (iterative backends use it) and its
-// solution on return. Implementations must not allocate.
+// colSolver steps a block's columns [lo, hi) of s: it assembles their
+// right-hand sides from s's state and the loads, and writes the solutions
+// into s.vCols, whose entries iterative backends take as the warm start.
+// Implementations must not allocate.
 type colSolver interface {
-	solveCols(v, rhs [][]float64) error
+	stepCols(s *BatchSimulator, lo, hi int, loads [][]float64) error
 }
 
 // NewBatchSimulator assembles one shared backward-Euler system for nrhs
 // lock-stepped transients on g. Options have the same meaning as
-// NewSimulatorOpts; on the sparse backend Workers also bounds the number of
-// column blocks.
+// NewSimulatorOpts; Workers also bounds the number of column blocks.
 func NewBatchSimulator(g *grid.Grid, dt float64, nrhs int, opts SimOptions) (*BatchSimulator, error) {
 	if dt <= 0 {
 		return nil, fmt.Errorf("pdn: non-positive time step %g", dt)
@@ -119,23 +122,26 @@ func NewBatchSimulator(g *grid.Grid, dt float64, nrhs int, opts SimOptions) (*Ba
 	}
 	s.backend = backend
 	diag := stepDiag(g, s.cOverH, s.padGeff)
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = mat.Parallelism()
+	}
+	k := min(nrhs, workers)
 	switch backend {
 	case Banded:
-		chol, err := newBandedSolver(g, diag)
+		chol, pos, err := factorBanded(g, diag)
 		if err != nil {
 			return nil, err
 		}
-		s.addBlock(0, nrhs, chol)
+		for i := 0; i < k; i++ {
+			lo, hi := i*nrhs/k, (i+1)*nrhs/k
+			s.addBlock(lo, hi, newBandedSolver(chol, pos, hi-lo))
+		}
 	case Sparse:
 		sys, err := newSparseSystem(g, diag)
 		if err != nil {
 			return nil, err
 		}
-		workers := opts.Workers
-		if workers <= 0 {
-			workers = mat.Parallelism()
-		}
-		k := min(nrhs, workers)
 		for i := 0; i < k; i++ {
 			lo, hi := i*nrhs/k, (i+1)*nrhs/k
 			var step colSolver
@@ -153,8 +159,7 @@ func NewBatchSimulator(g *grid.Grid, dt float64, nrhs int, opts SimOptions) (*Ba
 		return nil, fmt.Errorf("pdn: unknown backend %v", backend)
 	}
 	s.stepShare = func(b *colBlock) {
-		s.assemble(b.lo, b.hi, s.stageLoads)
-		b.err = b.step.solveCols(s.vCols[b.lo:b.hi], s.rhsCols[b.lo:b.hi])
+		b.err = b.step.stepCols(s, b.lo, b.hi, s.stageLoads)
 		s.updatePads(b.lo, b.hi)
 	}
 	s.settleShare = func(b *colBlock) {
@@ -279,17 +284,32 @@ func (s *BatchSimulator) Step(loads [][]float64) [][]float64 {
 	return s.vCols
 }
 
-// assemble writes the step right-hand sides of columns [lo, hi):
-// (C/h)·v − load, plus each pad's VDD injection and inductor history.
-func (s *BatchSimulator) assemble(lo, hi int, loads [][]float64) {
+// assemble writes the step right-hand sides of columns [lo, hi) for their
+// node loads into x, interleaved at stride: (C/h)·v − load, plus each pad's
+// VDD injection and inductor history. Column c's entry for node i goes to
+// x[r*stride+c-lo], where r is pos[i], or i when pos is nil. The node loop
+// is outermost, so every row of x is written whole.
+func (s *BatchSimulator) assemble(lo, hi int, loads [][]float64, x []float64, pos []int, stride int) {
 	vdd := s.g.Cfg.VDD
-	for c := lo; c < hi; c++ {
-		v, rhs, ld, padCur := s.vCols[c], s.rhsCols[c], loads[c], s.padCurCols[c]
-		for i := range rhs {
-			rhs[i] = s.cOverH[i]*v[i] - ld[i]
+	vs, lds := s.vCols[lo:hi], loads[lo:hi]
+	for i, ch := range s.cOverH {
+		r := i
+		if pos != nil {
+			r = pos[i]
 		}
-		for p, pad := range s.g.Pads {
-			rhs[pad.Node] += s.padGeff[p] * (vdd + s.padLh[p]*padCur[p])
+		row := x[r*stride : r*stride+len(vs)]
+		for c, v := range vs {
+			row[c] = ch*v[i] - lds[c][i]
+		}
+	}
+	for p, pad := range s.g.Pads {
+		r := pad.Node
+		if pos != nil {
+			r = pos[r]
+		}
+		row := x[r*stride : r*stride+len(vs)]
+		for c := range row {
+			row[c] += s.padGeff[p] * (vdd + s.padLh[p]*s.padCurCols[lo+c][p])
 		}
 	}
 }
@@ -357,7 +377,13 @@ func newBatchSolver(sys *sparseSystem, m, workers int) (*batchSolver, error) {
 	return &batchSolver{cg: cg, perm: sys.perm, xI: make([]float64, n*m), bI: make([]float64, n*m)}, nil
 }
 
-func (s *batchSolver) solveCols(v, rhs [][]float64) error {
+// stepCols assembles columns [lo, hi) of bs, interleaves them with their
+// warm starts through the permutation and solves them in one batch PCG.
+func (s *batchSolver) stepCols(bs *BatchSimulator, lo, hi int, loads [][]float64) error {
+	for c := lo; c < hi; c++ {
+		bs.assemble(c, c+1, loads, bs.rhsCols[c], nil, 1)
+	}
+	v, rhs := bs.vCols[lo:hi], bs.rhsCols[lo:hi]
 	m := len(v)
 	for newI, oldI := range s.perm {
 		for c := 0; c < m; c++ {

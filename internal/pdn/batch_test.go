@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"voltsense/internal/mat"
@@ -68,59 +69,6 @@ func TestBatchMatchesLoopedSimulators(t *testing.T) {
 	}
 }
 
-// TestBatchBandedPairsMatchSimulators: on the banded backend the batch
-// solves columns two at a time (an odd last column alone); at widths 2, 3
-// and 19 every settled column and every stepped column equals an
-// independent Simulator's (width 1, one column alone) bitwise.
-func TestBatchBandedPairsMatchSimulators(t *testing.T) {
-	g := smallGrid()
-	n := g.NumNodes()
-	const steps = 15
-	opts := SimOptions{Backend: Banded}
-	for _, m := range []int{2, 3, 19} {
-		loads := benchLoads(n, m, steps, int64(20+m))
-		bs, err := NewBatchSimulator(g, testDT, m, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sims := make([]*Simulator, m)
-		for c := range sims {
-			if sims[c], err = NewSimulatorOpts(g, testDT, opts); err != nil {
-				t.Fatal(err)
-			}
-			if err := sims[c].Settle(loads[c][0]); err != nil {
-				t.Fatal(err)
-			}
-			if err := bs.SettleColumn(c, loads[c][0]); err != nil {
-				t.Fatal(err)
-			}
-			sameSettle(t, fmt.Sprintf("width %d column %d", m, c), sims[c], bs.vCols[c], bs.padCurCols[c])
-		}
-		stepLoads := make([][]float64, m)
-		for step := 0; step < steps; step++ {
-			for c := range stepLoads {
-				stepLoads[c] = loads[c][step]
-			}
-			vs := bs.Step(stepLoads)
-			for c, sim := range sims {
-				want := sim.Step(stepLoads[c])
-				for i := range want {
-					if vs[c][i] != want[i] {
-						t.Fatalf("width %d step %d col %d node %d: batch %v, single %v (not bitwise identical)",
-							m, step, c, i, vs[c][i], want[i])
-					}
-				}
-				for p := range sim.b.padCurCols[0] {
-					if bs.padCurCols[c][p] != sim.b.padCurCols[0][p] {
-						t.Fatalf("width %d step %d col %d pad %d: batch %v, single %v",
-							m, step, c, p, bs.padCurCols[c][p], sim.b.padCurCols[0][p])
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestSparseBlocksMatchSimulators: a sparse batch split into column
 // blocks — one per worker, stepped concurrently — matches width-1
 // Simulators under ==, voltages and pad currents, at Workers 0–3 and
@@ -130,42 +78,67 @@ func TestBatchBandedPairsMatchSimulators(t *testing.T) {
 // through the single-RHS PCG, and width 5 at 3 workers has blocks of
 // unequal width.
 func TestSparseBlocksMatchSimulators(t *testing.T) {
+	checkBlocksMatchSimulators(t, Sparse, []int{2, 3, 5, 19})
+}
+
+// TestBandedBlocksMatchSimulators is the banded twin of
+// TestSparseBlocksMatchSimulators, at every width from 1 to 19: each block
+// solves its columns interleaved at banded.ColumnStride of its width, so
+// a column lands in every lane position and beside zero pad lanes, while
+// the width-1 Simulators each sweep one column padded to the kernel's
+// width. Every settled and stepped column, voltages and pad currents,
+// equals its Simulator's under ==.
+func TestBandedBlocksMatchSimulators(t *testing.T) {
+	widths := make([]int, 19)
+	for i := range widths {
+		widths[i] = i + 1
+	}
+	checkBlocksMatchSimulators(t, Banded, widths)
+}
+
+// checkBlocksMatchSimulators runs the block contract of
+// TestSparseBlocksMatchSimulators on the given backend and batch widths.
+func checkBlocksMatchSimulators(t *testing.T, backend Backend, widths []int) {
+	t.Helper()
 	g := smallGrid()
 	nb := len(g.BlockNodes)
 	const steps = 20
 	old := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(old)
-	for _, m := range []int{2, 3, 5, 19} {
-		currents := make([][][]float64, m)
-		for c := range currents {
-			rng := rand.New(rand.NewSource(300 + int64(m*100+c)))
-			currents[c] = make([][]float64, steps)
-			for step := range currents[c] {
-				cur := make([]float64, nb)
-				for b := range cur {
-					cur[b] = 0.05 * rng.Float64()
-				}
-				currents[c][step] = cur
+	// Column c carries the same currents at every width, so one Simulator
+	// per column gives the expected states for all widths.
+	cols := slices.Max(widths)
+	currents := make([][][]float64, cols)
+	for c := range currents {
+		rng := rand.New(rand.NewSource(300 + int64(c)))
+		currents[c] = make([][]float64, steps)
+		for step := range currents[c] {
+			cur := make([]float64, nb)
+			for b := range cur {
+				cur[b] = 0.05 * rng.Float64()
 			}
+			currents[c][step] = cur
 		}
-		// want[c][0] is column c's settled state, want[c][t+1] its state
-		// after step t: node voltages followed by pad currents.
-		want := make([][][]float64, m)
-		for c := range want {
-			sim, err := NewSimulatorOpts(g, testDT, SimOptions{Backend: Sparse})
-			if err != nil {
-				t.Fatal(err)
-			}
-			loader := NewBlockLoader(g)
-			if err := sim.Settle(loader.Loads(currents[c][0])); err != nil {
-				t.Fatal(err)
-			}
-			want[c] = append(want[c], state(sim.b.vCols[0], sim.b.padCurCols[0]))
-			for step := 0; step < steps; step++ {
-				v := sim.Step(loader.Loads(currents[c][step]))
-				want[c] = append(want[c], state(v, sim.b.padCurCols[0]))
-			}
+	}
+	// want[c][0] is column c's settled state, want[c][t+1] its state
+	// after step t: node voltages followed by pad currents.
+	want := make([][][]float64, cols)
+	for c := range want {
+		sim, err := NewSimulatorOpts(g, testDT, SimOptions{Backend: backend})
+		if err != nil {
+			t.Fatal(err)
 		}
+		loader := NewBlockLoader(g)
+		if err := sim.Settle(loader.Loads(currents[c][0])); err != nil {
+			t.Fatal(err)
+		}
+		want[c] = append(want[c], state(sim.b.vCols[0], sim.b.padCurCols[0]))
+		for step := 0; step < steps; step++ {
+			v := sim.Step(loader.Loads(currents[c][step]))
+			want[c] = append(want[c], state(v, sim.b.padCurCols[0]))
+		}
+	}
+	for _, m := range widths {
 		for _, procs := range []int{1, 2} {
 			runtime.GOMAXPROCS(procs)
 			for _, w := range []int{0, 1, 2, 3} {
@@ -174,8 +147,8 @@ func TestSparseBlocksMatchSimulators(t *testing.T) {
 					k = mat.Parallelism()
 				}
 				k = min(k, m)
-				what := fmt.Sprintf("width %d procs %d workers %d", m, procs, w)
-				bs, err := NewBatchSimulator(g, testDT, m, SimOptions{Backend: Sparse, Workers: w})
+				what := fmt.Sprintf("%v width %d procs %d workers %d", backend, m, procs, w)
+				bs, err := NewBatchSimulator(g, testDT, m, SimOptions{Backend: backend, Workers: w})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -344,20 +344,21 @@ func BenchmarkStepLooped512(b *testing.B) {
 // TestStepBatchZeroAllocs extends the zero-alloc invariant to the batched
 // step: the sparse multi-RHS PCG, the single-RHS PCG a sparse batch of
 // width 1 steps through, sparse batches split into two blocks that step as
-// pool jobs (width 3 at 2 workers has a one-column block), and the banded
-// pair sweep with an odd last column.
+// pool jobs (width 3 at 2 workers has a one-column block), and banded
+// batches of one, two and three interleaved column blocks stepped as pool
+// jobs.
 func TestStepBatchZeroAllocs(t *testing.T) {
 	g := smallGrid()
 	for _, tc := range []struct {
 		backend    Backend
 		m, workers int
-	}{{Sparse, 4, 1}, {Sparse, 1, 0}, {Sparse, 3, 2}, {Sparse, 19, 2}, {Banded, 3, 0}} {
+	}{{Sparse, 4, 1}, {Sparse, 1, 0}, {Sparse, 3, 2}, {Sparse, 19, 2}, {Banded, 1, 0}, {Banded, 3, 1}, {Banded, 19, 2}, {Banded, 19, 3}} {
 		bs, err := NewBatchSimulator(g, testDT, tc.m, SimOptions{Backend: tc.backend, Workers: tc.workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := min(tc.m, max(tc.workers, 1)); tc.backend == Sparse && len(bs.blocks) != want {
-			t.Fatalf("sparse width %d at %d workers: %d blocks, want %d", tc.m, tc.workers, len(bs.blocks), want)
+		if want := min(tc.m, max(tc.workers, 1)); tc.workers > 0 && len(bs.blocks) != want {
+			t.Fatalf("%v width %d at %d workers: %d blocks, want %d", tc.backend, tc.m, tc.workers, len(bs.blocks), want)
 		}
 		loadCols := make([][]float64, tc.m)
 		for c := range loadCols {
@@ -376,11 +377,11 @@ func TestStepBatchZeroAllocs(t *testing.T) {
 	}
 }
 
-// stepPairFixture is two distinct load columns on the quick pipeline's
+// stepColsFixture is m distinct load columns on the quick pipeline's
 // 52×23 mesh (banded half-bandwidth 23).
-func stepPairFixture() (*grid.Grid, [][]float64) {
+func stepColsFixture(m int) (*grid.Grid, [][]float64) {
 	g := scaledGrid(52, 23)
-	cols := make([][]float64, 2)
+	cols := make([][]float64, m)
 	for c := range cols {
 		loads := make([]float64, g.NumNodes())
 		for _, nodes := range g.BlockNodes {
@@ -393,13 +394,14 @@ func stepPairFixture() (*grid.Grid, [][]float64) {
 	return g, cols
 }
 
-// BenchmarkStepPairBanded vs BenchmarkStepLoopedBanded: two transients
-// advanced one step on the 52×23 mesh, through one width-2 BatchSimulator
-// (one walk of the factor for both columns) or two Simulators (one walk
-// each). benchreport reports the pair's speedup.
-func BenchmarkStepPairBanded(b *testing.B) {
-	g, cols := stepPairFixture()
-	bs, err := NewBatchSimulator(g, 5e-10, 2, SimOptions{Backend: Banded})
+// BenchmarkStepBatch19Banded vs BenchmarkStepLooped19Banded: the 19
+// benchmarks' transients advanced one step on the 52×23 mesh, through one
+// width-19 BatchSimulator (column blocks, each one interleaved sweep of the
+// factor) or 19 Simulators (one padded sweep each). benchreport reports
+// the pair's speedup.
+func BenchmarkStepBatch19Banded(b *testing.B) {
+	g, cols := stepColsFixture(19)
+	bs, err := NewBatchSimulator(g, 5e-10, len(cols), SimOptions{Backend: Banded})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -415,8 +417,8 @@ func BenchmarkStepPairBanded(b *testing.B) {
 	}
 }
 
-func BenchmarkStepLoopedBanded(b *testing.B) {
-	g, cols := stepPairFixture()
+func BenchmarkStepLooped19Banded(b *testing.B) {
+	g, cols := stepColsFixture(19)
 	sims := make([]*Simulator, len(cols))
 	for c, loads := range cols {
 		s, err := NewSimulatorBackend(g, 5e-10, Banded)

@@ -93,11 +93,11 @@ type SimOptions struct {
 	// Precond is ignored: the sparse backend has one preconditioner,
 	// modified IC(0) with a plain IC(0) fallback.
 	Precond sparse.Precond
-	// Workers bounds the sparse backend's parallel work: the shares of
-	// each PCG kernel and, in a BatchSimulator, the number of column blocks
-	// stepped concurrently. 0 tracks the mat pool default (the block count
-	// reads it at construction). Results are bitwise identical for any
-	// setting.
+	// Workers bounds the parallel work: in a BatchSimulator on either
+	// backend, the number of column blocks stepped concurrently, and on
+	// the sparse backend also the shares of each PCG kernel. 0 tracks the
+	// mat pool default (the block count reads it at construction). Results
+	// are bitwise identical for any setting.
 	Workers int
 }
 
@@ -109,21 +109,27 @@ type meshSolver interface {
 	solveInto(dst, rhs []float64) error
 }
 
-// bandedSolver is the banded Cholesky factor of a mesh system whose nodes
-// are numbered along the mesh's shorter axis, so the half-bandwidth is
-// min(NX, NY) rather than NX. The renumbering is transparent: callers stay
-// in row-major node order and solveInto maps through pos at the boundary.
+// bandedSolver solves one column block through the banded Cholesky factor
+// of a mesh system whose nodes are numbered along the mesh's shorter axis,
+// so the half-bandwidth is min(NX, NY) rather than NX. The renumbering is
+// transparent: callers stay in row-major node order, and the solver
+// gathers right-hand sides through pos into x, its block's columns
+// interleaved in banded order at the stride the factor's sweep prefers.
+// The blocks of a simulator share the factor and pos, read only, and each
+// owns its x.
 type bandedSolver struct {
-	chol      *banded.CholFactor
-	pos       []int     // pos[node] = row of node in the banded system
-	buf, buf2 []float64 // right-hand sides in banded order, solved in place
+	chol   *banded.CholFactor
+	pos    []int     // pos[node] = row of node in the banded system
+	stride int       // banded.ColumnStride of the block's width
+	x      []float64 // element (row r, column c) at x[r*stride+c]; pad columns stay zero
 }
 
-// newBandedSolver assembles and factors the symmetric mesh system with the
+// factorBanded assembles and factors the symmetric mesh system with the
 // given fully accumulated diagonal and −G between the ends of every mesh
 // edge: the backward-Euler step system, or the DC system when diag holds
-// the conductance degrees plus each pad's 1/R.
-func newBandedSolver(g *grid.Grid, diag []float64) (*bandedSolver, error) {
+// the conductance degrees plus each pad's 1/R. It returns the factor and
+// the short-axis numbering pos.
+func factorBanded(g *grid.Grid, diag []float64) (*banded.CholFactor, []int, error) {
 	nx, ny := g.Cfg.NX, g.Cfg.NY
 	pos := make([]int, g.NumNodes())
 	for node := range pos {
@@ -146,43 +152,45 @@ func newBandedSolver(g *grid.Grid, diag []float64) (*bandedSolver, error) {
 	}
 	chol, err := banded.Factor(a)
 	if err != nil {
-		return nil, fmt.Errorf("pdn: system matrix not SPD: %w", err)
+		return nil, nil, fmt.Errorf("pdn: system matrix not SPD: %w", err)
 	}
-	return &bandedSolver{chol: chol, pos: pos,
-		buf: make([]float64, len(pos)), buf2: make([]float64, len(pos))}, nil
+	return chol, pos, nil
 }
 
+// newBandedSolver returns a solver for blocks of width columns over the
+// shared factor and numbering.
+func newBandedSolver(chol *banded.CholFactor, pos []int, width int) *bandedSolver {
+	stride := banded.ColumnStride(width)
+	return &bandedSolver{chol: chol, pos: pos, stride: stride, x: make([]float64, len(pos)*stride)}
+}
+
+// solveInto solves one right-hand side (a DC settle) in the block's first
+// column.
 func (b *bandedSolver) solveInto(dst, rhs []float64) error {
+	x, w := b.x, b.stride
 	for node, p := range b.pos {
-		b.buf[p] = rhs[node]
+		x[p*w] = rhs[node]
 	}
-	b.chol.SolveInPlace(b.buf)
+	b.chol.SolveColsInPlace(x, w)
 	for node, p := range b.pos {
-		dst[node] = b.buf[p]
+		dst[node] = x[p*w]
 	}
 	return nil
 }
 
-// solvePairInto solves two right-hand sides at once with the factor's
-// two-column sweep; each result equals its own solveInto bitwise.
-func (b *bandedSolver) solvePairInto(dst0, dst1, rhs0, rhs1 []float64) {
+// stepCols assembles the right-hand sides of columns [lo, hi) straight
+// into the interleaved buffer in banded order, solves them in one sweep of
+// the factor and scatters the voltages back into s.vCols.
+func (b *bandedSolver) stepCols(s *BatchSimulator, lo, hi int, loads [][]float64) error {
+	x, w := b.x, b.stride
+	s.assemble(lo, hi, loads, x, b.pos, w)
+	b.chol.SolveColsInPlace(x, w)
+	vs := s.vCols[lo:hi]
 	for node, p := range b.pos {
-		b.buf[p], b.buf2[p] = rhs0[node], rhs1[node]
-	}
-	b.chol.SolvePairInPlace(b.buf, b.buf2)
-	for node, p := range b.pos {
-		dst0[node], dst1[node] = b.buf[p], b.buf2[p]
-	}
-}
-
-// solveCols solves the columns two at a time, an odd last column alone.
-func (b *bandedSolver) solveCols(v, rhs [][]float64) error {
-	c := 0
-	for ; c+1 < len(v); c += 2 {
-		b.solvePairInto(v[c], v[c+1], rhs[c], rhs[c+1])
-	}
-	if c < len(v) {
-		return b.solveInto(v[c], rhs[c])
+		row := x[p*w : p*w+len(vs)]
+		for c, v := range vs {
+			v[node] = row[c]
+		}
 	}
 	return nil
 }
@@ -256,11 +264,12 @@ func (s *sparseSolver) solveInto(dst, rhs []float64) error {
 	return nil
 }
 
-// solveCols solves the columns one after another; a one-column block steps
-// through it.
-func (s *sparseSolver) solveCols(v, rhs [][]float64) error {
-	for c := range v {
-		if err := s.solveInto(v[c], rhs[c]); err != nil {
+// stepCols assembles and solves columns [lo, hi) of bs one after another;
+// a one-column block steps through it.
+func (s *sparseSolver) stepCols(bs *BatchSimulator, lo, hi int, loads [][]float64) error {
+	for c := lo; c < hi; c++ {
+		bs.assemble(c, c+1, loads, bs.rhsCols[c], nil, 1)
+		if err := s.solveInto(bs.vCols[c], bs.rhsCols[c]); err != nil {
 			return err
 		}
 	}
@@ -413,18 +422,20 @@ func dcRHS(g *grid.Grid, loads, b []float64) {
 }
 
 // newDCSolvers builds the DC system (inductors shorted, capacitors open)
-// once and k solvers over it, one per column block: on banded its factor
-// (a banded simulator has one block), on sparse the RCM-ordered system with
-// its IC preconditioner, shared by k PCG workspaces at dcCGTol so blocks
-// can settle concurrently.
+// once and k solvers over it, one per column block, so blocks can settle
+// concurrently: on banded its factor, shared by k one-column buffers; on
+// sparse the RCM-ordered system with its IC preconditioner, shared by k PCG
+// workspaces at dcCGTol.
 func newDCSolvers(g *grid.Grid, backend Backend, workers, k int) ([]meshSolver, error) {
 	solvers := make([]meshSolver, k)
 	if backend == Banded {
-		b, err := newBandedSolver(g, dcDiag(g))
+		chol, pos, err := factorBanded(g, dcDiag(g))
 		if err != nil {
 			return nil, err
 		}
-		solvers[0] = b
+		for i := range solvers {
+			solvers[i] = newBandedSolver(chol, pos, 1)
+		}
 		return solvers, nil
 	}
 	sys, err := newSparseSystem(g, dcDiag(g))

@@ -206,6 +206,30 @@ func streamCycles(t *testing.T, url string, lines []string) []string {
 	return out
 }
 
+// TestStreamZeroCycleSummary: a session that ends before its first cycle
+// still closes with its summary line, worst_voltage null and worst_block
+// -1, and a session with cycles writes the worst voltage as a number.
+func TestStreamZeroCycleSummary(t *testing.T) {
+	_, ts := newTestServer(t)
+	resp, err := http.Post(ts.URL+"/v1/stream", "application/x-ndjson", strings.NewReader(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"summary":{"cycles":0,"alarms":0,"emergency_cycles":0,"worst_voltage":null,"worst_block":-1,"active_alarms":[]}}` + "\n"
+	if resp.StatusCode != http.StatusOK || string(body) != want {
+		t.Fatalf("empty stream: status %d body %q, want 200 %q", resp.StatusCode, body, want)
+	}
+	got := streamCycles(t, ts.URL+"/v1/stream", []string{`{"readings":[0.99,0.97]}`})
+	if last := got[len(got)-1]; !strings.Contains(last, `"worst_voltage":0.97,"worst_block":`) {
+		t.Fatalf("one-cycle summary %q lacks a numeric worst voltage", last)
+	}
+}
+
 func TestStreamRaiseClearAndSummary(t *testing.T) {
 	s, ts := newTestServer(t)
 	lines := []string{
@@ -252,7 +276,7 @@ func TestStreamRaiseClearAndSummary(t *testing.T) {
 	if summary.Cycles != 4 || summary.Alarms != 2 || len(summary.ActiveAlarms) != 0 {
 		t.Fatalf("summary = %+v", summary)
 	}
-	if summary.WorstVoltage != 0.90 || summary.WorstBlock != 0 {
+	if summary.WorstVoltage == nil || *summary.WorstVoltage != 0.90 || summary.WorstBlock != 0 {
 		t.Fatalf("summary worst = %+v", summary)
 	}
 	if s.Metrics().AlarmsRaised.Value() != 2 || s.Metrics().AlarmsCleared.Value() != 2 {
@@ -365,7 +389,7 @@ func TestStreamPooledSessionsAreIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := wrap["summary"]
-	if sum.Cycles != 1 || sum.Alarms != 0 || len(sum.ActiveAlarms) != 0 || sum.WorstVoltage != 0.99 {
+	if sum.Cycles != 1 || sum.Alarms != 0 || len(sum.ActiveAlarms) != 0 || sum.WorstVoltage == nil || *sum.WorstVoltage != 0.99 {
 		t.Fatalf("pooled session leaked state: %+v", sum)
 	}
 }

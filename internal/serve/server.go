@@ -1058,14 +1058,16 @@ type streamPromotion struct {
 	Source          string `json:"source,omitempty"`
 }
 
-// streamSummary closes a clean stream.
+// streamSummary closes a clean stream. WorstVoltage is nil, written as
+// null, until a cycle has run: the monitor starts it at +Inf, which is no
+// JSON number; WorstBlock is -1 then.
 type streamSummary struct {
-	Cycles          int     `json:"cycles"`
-	Alarms          int     `json:"alarms"`
-	EmergencyCycles int     `json:"emergency_cycles"`
-	WorstVoltage    float64 `json:"worst_voltage"`
-	WorstBlock      int     `json:"worst_block"`
-	ActiveAlarms    []int   `json:"active_alarms"`
+	Cycles          int      `json:"cycles"`
+	Alarms          int      `json:"alarms"`
+	EmergencyCycles int      `json:"emergency_cycles"`
+	WorstVoltage    *float64 `json:"worst_voltage"`
+	WorstBlock      int      `json:"worst_block"`
+	ActiveAlarms    []int    `json:"active_alarms"`
 }
 
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
@@ -1155,11 +1157,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				if active == nil {
 					active = []int{} // NDJSON consumers expect [], not null
 				}
+				var worst *float64
+				if st.WorstBlock >= 0 {
+					worst = &st.WorstVoltage
+				}
 				enc.Encode(map[string]streamSummary{"summary": {
 					Cycles:          st.Cycles,
 					Alarms:          st.Alarms,
 					EmergencyCycles: st.EmergencyCycles,
-					WorstVoltage:    st.WorstVoltage,
+					WorstVoltage:    worst,
 					WorstBlock:      st.WorstBlock,
 					ActiveAlarms:    active,
 				}})
