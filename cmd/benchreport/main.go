@@ -93,6 +93,10 @@ var speedupPairs = []struct{ Kernel, Baseline string }{
 	{"BenchmarkFistaIterateSupport", "BenchmarkFistaIterateSupportGo"},
 	{"BenchmarkApplyQT", "BenchmarkApplyQTGo"},
 	{"BenchmarkSolvePenalized", "BenchmarkSolvePenalizedGo"},
+	{"BenchmarkICBatchSweep", "BenchmarkICBatchSweepGo"},
+	{"BenchmarkBatchSpMV", "BenchmarkBatchSpMVGo"},
+	{"BenchmarkSolveBatchScan", "BenchmarkSolveBatchScanGo"},
+	{"BenchmarkStepScanBatch", "BenchmarkStepScanLooped"},
 	{"BenchmarkEncodePredict", "BenchmarkEncodePredictStdlib"},
 	{"BenchmarkDecodePredict", "BenchmarkDecodePredictStdlib"},
 }

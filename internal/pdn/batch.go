@@ -277,7 +277,9 @@ func (s *BatchSimulator) Step(loads [][]float64) [][]float64 {
 		if b.err != nil {
 			// The system matrix is constant and SPD with a preconditioner
 			// built for it; failure here means the simulator was
-			// mis-assembled, a programming error like the shape panics.
+			// mis-assembled or handed a NaN or infinite load (the sparse
+			// solvers refuse one at once), a programming error like the
+			// shape panics.
 			panic(fmt.Sprintf("pdn: step solve failed: %v", b.err))
 		}
 	}

@@ -2,9 +2,11 @@ package pdn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"voltsense/internal/mat"
@@ -71,15 +73,26 @@ func TestBatchMatchesLoopedSimulators(t *testing.T) {
 
 // TestSparseBlocksMatchSimulators: a sparse batch split into column
 // blocks — one per worker, stepped concurrently — matches width-1
-// Simulators under ==, voltages and pad currents, at Workers 0–3 and
-// GOMAXPROCS 1 and 2. Each batch settles every column through SettleColumn
-// first, then is reset and runs RunAll, which settles again inside the
-// blocks' shares and steps. At 2 workers width 3 has a one-column block, which steps
-// through the single-RHS PCG, and width 5 at 3 workers has blocks of
-// unequal width.
+// Simulators under ==, voltages and pad currents, at every width from 1
+// to 19, Workers 0–3 and GOMAXPROCS 1 and 2. Each batch settles every
+// column through SettleColumn first, then is reset and runs RunAll, which
+// settles again inside the blocks' shares and steps. At 2 workers width 3
+// has a one-column block, which steps through the single-RHS PCG, and
+// width 5 at 3 workers has blocks of unequal width.
 func TestSparseBlocksMatchSimulators(t *testing.T) {
-	checkBlocksMatchSimulators(t, Sparse, []int{2, 3, 5, 19})
+	checkBlocksMatchSimulators(t, Sparse, allWidths)
 }
+
+// allWidths are the batch widths 1 to 19, the 19 benchmarks of a scan: a
+// block's columns land in every lane of the batch PCG's AVX2 vectors and
+// in each part of their tail.
+var allWidths = func() []int {
+	w := make([]int, 19)
+	for i := range w {
+		w[i] = i + 1
+	}
+	return w
+}()
 
 // TestBandedBlocksMatchSimulators is the banded twin of
 // TestSparseBlocksMatchSimulators, at every width from 1 to 19: each block
@@ -89,11 +102,7 @@ func TestSparseBlocksMatchSimulators(t *testing.T) {
 // width. Every settled and stepped column, voltages and pad currents,
 // equals its Simulator's under ==.
 func TestBandedBlocksMatchSimulators(t *testing.T) {
-	widths := make([]int, 19)
-	for i := range widths {
-		widths[i] = i + 1
-	}
-	checkBlocksMatchSimulators(t, Banded, widths)
+	checkBlocksMatchSimulators(t, Banded, allWidths)
 }
 
 // checkBlocksMatchSimulators runs the block contract of
@@ -380,5 +389,40 @@ func TestResolveBackend(t *testing.T) {
 	}
 	if got := ResolveBackend(g, Sparse); got != Sparse {
 		t.Fatalf("explicit sparse resolved to %v", got)
+	}
+}
+
+// TestSparseStepRejectsNonFiniteLoad: on the sparse backend a NaN or +Inf
+// node load fails at once, through the single-RHS PCG (width 1) and the
+// batch PCG (width 3): Step panics with the solver's not-finite error and
+// SettleColumn returns it, where an unchecked NaN would spend the step
+// PCG's whole iteration budget and a +Inf load would silently keep the
+// previous voltages.
+func TestSparseStepRejectsNonFiniteLoad(t *testing.T) {
+	g := smallGrid()
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		for _, m := range []int{1, 3} {
+			what := fmt.Sprintf("load %v width %d", v, m)
+			bs, err := NewBatchSimulator(g, testDT, m, SimOptions{Backend: Sparse, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			loads := make([][]float64, m)
+			for c := range loads {
+				loads[c] = make([]float64, g.NumNodes())
+			}
+			loads[m-1][g.NumNodes()/2] = v
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "not finite") {
+						t.Fatalf("%s: Step panicked with %v, want a not-finite error", what, r)
+					}
+				}()
+				bs.Step(loads)
+			}()
+			if err := bs.SettleColumn(m-1, loads[m-1]); err == nil || !strings.Contains(err.Error(), "not finite") {
+				t.Fatalf("%s: SettleColumn error %v, want a not-finite error", what, err)
+			}
+		}
 	}
 }

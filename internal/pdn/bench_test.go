@@ -282,31 +282,20 @@ func BenchmarkStepBatch512(b *testing.B) {
 	}
 }
 
-// BenchmarkStepScanBatch is one sparse Step of 19 settled columns on the
-// 288×24 mesh of the critical-node scan (the scan-sparse workload), with
-// each column's block currents alternating between two random draws so
-// every step solves a real transient. At the pool default the columns
-// step in one block per worker.
+// BenchmarkStepScanBatch vs BenchmarkStepScanLooped: one sparse Step of 19
+// settled columns on the 288×24 mesh of the critical-node scan (the
+// scan-sparse workload), through one width-19 BatchSimulator (at the pool
+// default, one block per worker, each one batch PCG) or 19 Simulators (one
+// single-RHS PCG each). Each column's block currents alternate between two
+// random draws so every step solves a real transient. benchreport reports
+// the pair's speedup.
 func BenchmarkStepScanBatch(b *testing.B) {
-	g := scaledGrid(288, 24)
-	const m = 19
-	rng := rand.New(rand.NewSource(19))
-	var draws [2][][]float64
-	for d := range draws {
-		draws[d] = make([][]float64, m)
-		for c := range draws[d] {
-			cur := make([]float64, len(g.BlockNodes))
-			for blk := range cur {
-				cur[blk] = 0.05 * rng.Float64()
-			}
-			draws[d][c] = append([]float64(nil), NewBlockLoader(g).Loads(cur)...)
-		}
-	}
-	bs, err := NewBatchSimulator(g, 5e-10, m, SimOptions{Backend: Sparse})
+	g, draws := scanStepFixture()
+	bs, err := NewBatchSimulator(g, 5e-10, scanColumns, SimOptions{Backend: Sparse})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for c := 0; c < m; c++ {
+	for c := 0; c < scanColumns; c++ {
 		if err := bs.SettleColumn(c, draws[0][c]); err != nil {
 			b.Fatal(err)
 		}
@@ -316,6 +305,49 @@ func BenchmarkStepScanBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bs.Step(draws[1-i%2])
 	}
+}
+
+func BenchmarkStepScanLooped(b *testing.B) {
+	g, draws := scanStepFixture()
+	sims := make([]*Simulator, scanColumns)
+	for c := range sims {
+		s, err := NewSimulatorBackend(g, 5e-10, Sparse)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Settle(draws[0][c]); err != nil {
+			b.Fatal(err)
+		}
+		sims[c] = s
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for c, s := range sims {
+			s.Step(draws[1-i%2][c])
+		}
+	}
+}
+
+// scanColumns is the scan's column count, one per benchmark.
+const scanColumns = 19
+
+// scanStepFixture is the scan mesh and two draws of node loads per column.
+func scanStepFixture() (*grid.Grid, [2][][]float64) {
+	g := scaledGrid(288, 24)
+	rng := rand.New(rand.NewSource(19))
+	var draws [2][][]float64
+	for d := range draws {
+		draws[d] = make([][]float64, scanColumns)
+		for c := range draws[d] {
+			cur := make([]float64, len(g.BlockNodes))
+			for blk := range cur {
+				cur[blk] = 0.05 * rng.Float64()
+			}
+			draws[d][c] = append([]float64(nil), NewBlockLoader(g).Loads(cur)...)
+		}
+	}
+	return g, draws
 }
 
 func BenchmarkStepLooped512(b *testing.B) {

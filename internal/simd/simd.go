@@ -1,5 +1,6 @@
 // Package simd reports, once per process, whether the CPU and the operating
-// system support the AVX2 kernels of packages banded, pdn, lasso and mat.
+// system support the AVX2 kernels of packages banded, pdn, lasso, mat and
+// sparse.
 //
 // Those kernels perform exactly the floating-point operations of the Go
 // loops they replace, in the same order for every output element, four

@@ -3,16 +3,22 @@ package sparse
 import (
 	"fmt"
 	"math"
+
+	"voltsense/internal/simd"
 )
 
 // Blocked multi-RHS preconditioned conjugate gradient. Transient stepping
 // across a benchmark suite solves the SAME matrix against many right-hand
-// sides per time step, and the per-solve cost at mesh sizes past L2 is
-// memory traffic: every PCG iteration streams the matrix (and the IC
-// factor) once per RHS. BatchCGSolver interleaves nrhs systems — element
-// (i, c) lives at x[i*nrhs+c] — so each matrix and factor traversal serves
-// every RHS at once, amortizing the dominant stream nrhs ways while the
-// per-column arithmetic stays untouched.
+// sides per time step. BatchCGSolver interleaves nrhs systems — element
+// (i, c) lives at x[i*nrhs+c] — so each traversal of the matrix and the IC
+// factor serves every RHS at once: the row loop, the index and value loads
+// and the gathers of row j are shared nrhs ways while the per-column
+// arithmetic stays untouched. That arithmetic, not memory traffic, is the
+// cost on the meshes pdn steps: on the 288×24 scan mesh (6,912 rows; a
+// 10-column workspace is 0.55 MB and stays in cache) the scalar Go sweeps
+// took about 42 ns per row per IC sweep. So on AVX2 every stage and both
+// sweeps run as assembly kernels, four columns per vector
+// (kernels_amd64.s).
 //
 // Equivalence contract: per column, the floating-point operations execute
 // in exactly the order of a CGSolver.Solve on that column alone — the same
@@ -42,8 +48,13 @@ type BatchCGSolver struct {
 
 	// per-column state
 	bnorm, rn2, rz, pap, sc []float64
+	mask                    []uint64 // activeMask of active, for the AVX2 blends
 	active                  []bool
 	iters                   []int
+
+	// vec, simd.AVX2() at construction, runs the stages and the IC sweeps
+	// as AVX2 kernels; the benchmarks of their Go twins clear it.
+	vec bool
 
 	// staged operands for the prebuilt stages
 	sx, sy, sz, sw []float64
@@ -91,99 +102,158 @@ func NewBatchCGSolver(a *CSR, nrhs int, opt CGOptions) (*BatchCGSolver, error) {
 		p: make([]float64, n*m), ap: make([]float64, n*m),
 		bnorm: make([]float64, m), rn2: make([]float64, m),
 		rz: make([]float64, m), pap: make([]float64, m),
-		sc:     make([]float64, m),
+		sc: make([]float64, m), mask: make([]uint64, m),
 		active: make([]bool, m), iters: make([]int, m),
+		vec: simd.AVX2(),
 	}
 	s.t.init(opt.Workers)
 	s.buildStages()
 	return s, nil
 }
 
-// NRHS returns the column count the solver was built for.
-func (s *BatchCGSolver) NRHS() int { return s.m }
-
 // buildStages prebuilds the interleaved parallel kernels. Partitioning is
 // by row (SpMV, elementwise) or by reduction block (dots): one writer per
 // output element, per-column operation order fixed — bitwise identical
 // across worker counts, like the single-RHS kernels in parallel.go. Each
-// share loads the staged operands into locals once and slices a row before
-// its inner loop, so the stores cannot force the operands to be reloaded.
+// stage runs its AVX2 kernel when vec is set and its Go twin otherwise;
+// both give every column the same bits.
 func (s *BatchCGSolver) buildStages() {
 	m, n := s.m, s.n
 	rowPtr, colIdx, val := s.a.rowPtr, s.a.colIdx, s.a.val
 	s.fnSpMV = func(lo, hi int) {
-		x, y := s.sx, s.sy
-		for i := lo; i < hi; i++ {
-			yi := y[i*m : i*m+m]
-			for c := range yi {
-				yi[c] = 0
-			}
-			start, end := rowPtr[i], rowPtr[i+1]
-			vals := val[start:end]
-			for k, j := range colIdx[start:end] {
-				v := vals[k]
-				xj := x[j*m:][:len(yi)]
-				for c, xv := range xj {
-					yi[c] += v * xv
-				}
-			}
+		if s.vec {
+			batchSpMVAVX2(s.sy, s.sx, rowPtr, colIdx, val, m, lo, hi)
+			return
 		}
+		batchSpMVGo(s.sy, s.sx, rowPtr, colIdx, val, m, lo, hi)
 	}
 	s.fnDot = func(lo, hi int) {
-		x, y, all := s.sx, s.sy, s.sums
-		for b := lo; b < hi; b++ {
-			start := b * dotBlock
-			end := min(start+dotBlock, n)
-			sums := all[b*m : b*m+m]
-			for c := range sums {
-				sums[c] = 0
-			}
-			for i := start; i < end; i++ {
-				xi := x[i*m:][:len(sums)]
-				yi := y[i*m:][:len(sums)]
-				for c, xv := range xi {
-					sums[c] += xv * yi[c]
-				}
-			}
+		if s.vec {
+			batchDotAVX2(s.sums, s.sx, s.sy, m, n, lo, hi)
+			return
 		}
+		batchDotGo(s.sums, s.sx, s.sy, m, n, lo, hi)
 	}
 	s.fnAxpy2 = func(lo, hi int) {
-		x, y, z, w := s.sx, s.sy, s.sz, s.sw
-		active := s.active
-		sc := s.sc[:len(active)]
-		for i := lo; i < hi; i++ {
-			base := i * m
-			xi, yi := x[base:][:len(active)], y[base:][:len(active)]
-			zi, wi := z[base:][:len(active)], w[base:][:len(active)]
-			for c, on := range active {
-				if !on {
-					continue
-				}
-				a := sc[c]
-				xi[c] += a * zi[c]
-				yi[c] -= a * wi[c]
-			}
+		if s.vec {
+			batchAxpy2AVX2(s.sx, s.sz, s.sy, s.sw, s.sc, s.mask, m, lo, hi)
+			return
 		}
+		batchAxpy2Go(s.sx, s.sz, s.sy, s.sw, s.sc, s.active, m, lo, hi)
 	}
 	s.fnXpBY = func(lo, hi int) {
-		x, y := s.sx, s.sy
-		active := s.active
-		sc := s.sc[:len(active)]
-		for i := lo; i < hi; i++ {
-			base := i * m
-			xi, yi := x[base:][:len(active)], y[base:][:len(active)]
-			for c, on := range active {
-				if !on {
-					continue
-				}
-				xi[c] = yi[c] + sc[c]*xi[c]
+		if s.vec {
+			batchXpBYAVX2(s.sx, s.sy, s.sc, s.mask, m, lo, hi)
+			return
+		}
+		batchXpBYGo(s.sx, s.sy, s.sc, s.active, m, lo, hi)
+	}
+	s.fnSub = func(lo, hi int) {
+		if s.vec {
+			batchSubAVX2(s.sx, s.sy, m, lo, hi)
+			return
+		}
+		batchSubGo(s.sx, s.sy, m, lo, hi)
+	}
+}
+
+// The Go twins below are the portable path and the oracles of the AVX2
+// kernels in kernels_amd64.s, which take the same arguments (masked updates
+// take activeMask's mask in place of active). Each slices a row before its
+// inner loop, so the stores cannot force the operands to be reloaded.
+
+// batchSpMVGo computes rows [lo, hi) of Y = A·X for m interleaved columns:
+// every element starts at +0 and adds its row's products in k order.
+func batchSpMVGo(y, x []float64, rowPtr, colIdx []int, val []float64, m, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		yi := y[i*m : i*m+m]
+		for c := range yi {
+			yi[c] = 0
+		}
+		start, end := rowPtr[i], rowPtr[i+1]
+		vals := val[start:end]
+		for k, j := range colIdx[start:end] {
+			v := vals[k]
+			xj := x[j*m:][:len(yi)]
+			for c, xv := range xj {
+				yi[c] += v * xv
 			}
 		}
 	}
-	s.fnSub = func(lo, hi int) {
-		x, y := s.sx[lo*m:hi*m], s.sy[lo*m:hi*m]
-		for i, yv := range y {
-			x[i] = yv - x[i]
+}
+
+// batchDotGo writes the partial dot products of reduction blocks [lo, hi)
+// of the m interleaved columns of x and y, each block's m sums from +0 in
+// row order, to sums[b*m : b*m+m]; n is the row count.
+func batchDotGo(sums, x, y []float64, m, n, lo, hi int) {
+	for b := lo; b < hi; b++ {
+		start := b * dotBlock
+		end := min(start+dotBlock, n)
+		sb := sums[b*m : b*m+m]
+		for c := range sb {
+			sb[c] = 0
+		}
+		for i := start; i < end; i++ {
+			xi := x[i*m:][:len(sb)]
+			yi := y[i*m:][:len(sb)]
+			for c, xv := range xi {
+				sb[c] += xv * yi[c]
+			}
+		}
+	}
+}
+
+// batchAxpy2Go performs the CG update x += sc·z, y -= sc·w on rows [lo, hi)
+// of every active column; frozen columns are not touched.
+func batchAxpy2Go(x, z, y, w, sc []float64, active []bool, m, lo, hi int) {
+	sc = sc[:len(active)]
+	for i := lo; i < hi; i++ {
+		base := i * m
+		xi, yi := x[base:][:len(active)], y[base:][:len(active)]
+		zi, wi := z[base:][:len(active)], w[base:][:len(active)]
+		for c, on := range active {
+			if !on {
+				continue
+			}
+			a := sc[c]
+			xi[c] += a * zi[c]
+			yi[c] -= a * wi[c]
+		}
+	}
+}
+
+// batchXpBYGo performs x = y + sc·x on rows [lo, hi) of every active
+// column; frozen columns are not touched.
+func batchXpBYGo(x, y, sc []float64, active []bool, m, lo, hi int) {
+	sc = sc[:len(active)]
+	for i := lo; i < hi; i++ {
+		base := i * m
+		xi, yi := x[base:][:len(active)], y[base:][:len(active)]
+		for c, on := range active {
+			if !on {
+				continue
+			}
+			xi[c] = yi[c] + sc[c]*xi[c]
+		}
+	}
+}
+
+// batchSubGo performs x = y − x on rows [lo, hi) of every column.
+func batchSubGo(x, y []float64, m, lo, hi int) {
+	x, y = x[lo*m:hi*m], y[lo*m:hi*m]
+	for i, yv := range y {
+		x[i] = yv - x[i]
+	}
+}
+
+// activeMask sets mask[c] to all ones where active[c] holds and to zero
+// elsewhere: the blend mask of the AVX2 masked updates, whose sign bit
+// picks the updated value.
+func activeMask(mask []uint64, active []bool) {
+	for c, on := range active {
+		mask[c] = 0
+		if on {
+			mask[c] = ^uint64(0)
 		}
 	}
 }
@@ -225,12 +295,14 @@ func (s *BatchCGSolver) bDot(x, y, out []float64) {
 
 func (s *BatchCGSolver) bAxpy2(alpha []float64, x, p, r, ap []float64) {
 	copy(s.sc, alpha)
+	activeMask(s.mask, s.active)
 	s.sx, s.sz, s.sy, s.sw = x, p, r, ap
 	s.t.run(s.n, s.batchRowChunk(), s.fnAxpy2)
 }
 
 func (s *BatchCGSolver) bXpBY(p, z, beta []float64) {
 	copy(s.sc, beta)
+	activeMask(s.mask, s.active)
 	s.sx, s.sy = p, z
 	s.t.run(s.n, s.batchRowChunk(), s.fnXpBY)
 }
@@ -244,10 +316,12 @@ func (s *BatchCGSolver) bSub(r, b []float64) {
 // interleaved n×nrhs buffers (element (i, c) at i*nrhs+c), x holding the
 // warm starts on entry and the solutions on return. It returns per-column
 // iteration counts (the slice is reused by the next call) and the first
-// error: ErrNoConvergence if any column ran out of iterations, or the
-// pᵀAp breakdown error. A column that fails is frozen where the equivalent
-// single-RHS Solve would have stopped; the remaining columns still finish.
-// Allocates nothing.
+// error: ErrNoConvergence if any column ran out of iterations, the pᵀAp
+// breakdown error, or Solve's error for a column whose right-hand side or
+// initial residual norm is NaN or infinite, which stops at iteration 0
+// with its warm start untouched. A column that fails is frozen where the
+// equivalent single-RHS Solve would have stopped; the remaining columns
+// still finish with the same bits. Allocates nothing.
 func (s *BatchCGSolver) SolveBatch(x, b []float64) ([]int, error) {
 	n, m := s.n, s.m
 	if len(x) != n*m || len(b) != n*m {
@@ -259,32 +333,47 @@ func (s *BatchCGSolver) SolveBatch(x, b []float64) ([]int, error) {
 	for c := 0; c < m; c++ {
 		s.bnorm[c] = math.Sqrt(s.rn2[c])
 		s.iters[c] = 0
-		if s.bnorm[c] == 0 {
-			s.active[c] = false
+		s.active[c] = false
+		switch {
+		case notFinite(s.bnorm[c]):
+			if firstErr == nil {
+				firstErr = fmt.Errorf("%w: column %d: right-hand side norm %g", errNotFinite, c, s.bnorm[c])
+			}
+		case s.bnorm[c] == 0:
 			for i := 0; i < n; i++ {
 				x[i*m+c] = 0
 			}
-		} else {
+		default:
 			s.active[c] = true
 			remaining++
 		}
 	}
 	if remaining == 0 {
-		return s.iters, nil
+		return s.iters, firstErr
 	}
 	s.bMulVec(s.r, x)
 	s.bSub(s.r, b)
 	s.bDot(s.r, s.r, s.rn2)
 	for c := 0; c < m; c++ {
-		if s.active[c] && math.Sqrt(s.rn2[c]) <= s.tol*s.bnorm[c] {
+		if !s.active[c] {
+			continue
+		}
+		rnorm := math.Sqrt(s.rn2[c])
+		if notFinite(rnorm) {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("%w: column %d: initial residual norm %g", errNotFinite, c, rnorm)
+			}
+			s.active[c] = false
+			remaining--
+		} else if rnorm <= s.tol*s.bnorm[c] {
 			s.active[c] = false // warm start already within tolerance
 			remaining--
 		}
 	}
 	if remaining == 0 {
-		return s.iters, nil
+		return s.iters, firstErr
 	}
-	s.ic.applyBatch(s.z, s.r, s.m)
+	s.ic.applyBatch(s.z, s.r, s.m, s.vec)
 	copy(s.p, s.z)
 	s.bDot(s.r, s.z, s.rz)
 	for it := 1; it <= s.maxIter; it++ {
@@ -322,7 +411,7 @@ func (s *BatchCGSolver) SolveBatch(x, b []float64) ([]int, error) {
 		if remaining == 0 {
 			return s.iters, firstErr
 		}
-		s.ic.applyBatch(s.z, s.r, s.m)
+		s.ic.applyBatch(s.z, s.r, s.m, s.vec)
 		s.bDot(s.r, s.z, s.rn2) // rn2 reused as rzNew
 		for c := 0; c < m; c++ {
 			if !s.active[c] {
@@ -344,20 +433,4 @@ func (s *BatchCGSolver) SolveBatch(x, b []float64) ([]int, error) {
 		firstErr = ErrNoConvergence
 	}
 	return s.iters, firstErr
-}
-
-// PackColumn scatters the n-vector src into column c of the interleaved
-// n×nrhs buffer dst.
-func PackColumn(dst, src []float64, c, nrhs int) {
-	for i, v := range src {
-		dst[i*nrhs+c] = v
-	}
-}
-
-// UnpackColumn gathers column c of the interleaved n×nrhs buffer src into
-// the n-vector dst.
-func UnpackColumn(dst, src []float64, c, nrhs int) {
-	for i := range dst {
-		dst[i] = src[i*nrhs+c]
-	}
 }

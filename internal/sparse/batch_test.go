@@ -1,10 +1,31 @@
 package sparse
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"voltsense/internal/simd"
 )
+
+// PackColumn scatters the n-vector src into column c of the interleaved
+// n×nrhs buffer dst.
+func PackColumn(dst, src []float64, c, nrhs int) {
+	for i, v := range src {
+		dst[i*nrhs+c] = v
+	}
+}
+
+// UnpackColumn gathers column c of the interleaved n×nrhs buffer src into
+// the n-vector dst.
+func UnpackColumn(dst, src []float64, c, nrhs int) {
+	for i := range dst {
+		dst[i] = src[i*nrhs+c]
+	}
+}
 
 // batchFixture builds an SPD grid system with nrhs random right-hand sides
 // and warm starts, returned both interleaved and as per-column slices.
@@ -46,40 +67,57 @@ func mkPre(t *testing.T, a *CSR, name string) Preconditioner {
 // TestSolveBatchBitwiseMatchesLooped: the core equivalence contract — with
 // modified and plain IC(0), SolveBatch produces bit-for-bit the same
 // solutions and iteration counts as looping CGSolver.Solve column by
-// column. Not a tolerance comparison: the operation orders are engineered
-// to coincide.
+// column, at every width from 1 to 13: widths below four run the kernels'
+// pair and single columns alone, wider ones whole vectors beside every
+// tail. Not a tolerance comparison: the operation orders are engineered to
+// coincide.
 func TestSolveBatchBitwiseMatchesLooped(t *testing.T) {
-	const nrhs = 3
 	for _, name := range []string{"mic", "default"} {
-		a, xI, bI, xCols, bCols := batchFixture(33, 27, nrhs, 12)
-		opt := CGOptions{Tol: 1e-11, Precond: mkPre(t, a, name)}
-		bs, err := NewBatchCGSolver(a, nrhs, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		iters, err := bs.SolveBatch(xI, bI)
-		if err != nil {
-			t.Fatalf("%s: batch: %v", name, err)
-		}
-		ss, err := NewCGSolver(a, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([]float64, a.Rows())
-		for c := 0; c < nrhs; c++ {
-			itWant, err := ss.Solve(xCols[c], bCols[c])
+		for nrhs := 1; nrhs <= 13; nrhs++ {
+			a, xI, bI, xCols, bCols := batchFixture(33, 27, nrhs, 12+int64(nrhs))
+			opt := CGOptions{Tol: 1e-11, Precond: mkPre(t, a, name)}
+			bs, err := NewBatchCGSolver(a, nrhs, opt)
 			if err != nil {
-				t.Fatalf("%s col %d: looped: %v", name, c, err)
+				t.Fatalf("%s: %v", name, err)
 			}
-			if iters[c] != itWant {
-				t.Fatalf("%s col %d: %d iterations, looped %d", name, c, iters[c], itWant)
+			iters, err := bs.SolveBatch(xI, bI)
+			if err != nil {
+				t.Fatalf("%s width %d: batch: %v", name, nrhs, err)
 			}
-			UnpackColumn(got, xI, c, nrhs)
-			for i := range got {
-				if got[i] != xCols[c][i] {
-					t.Fatalf("%s col %d: x[%d] = %v, looped %v (not bitwise identical)",
-						name, c, i, got[i], xCols[c][i])
-				}
+			requireLooped(t, fmt.Sprintf("%s width %d", name, nrhs), a, opt, xI, iters, xCols, bCols, nil)
+		}
+	}
+}
+
+// requireLooped solves every column c of the per-column systems with a
+// CGSolver (cols nil means all of them) and requires the interleaved batch
+// solution xI and its iteration counts to match bitwise.
+func requireLooped(t *testing.T, what string, a *CSR, opt CGOptions, xI []float64, iters []int, xCols, bCols [][]float64, cols []int) {
+	t.Helper()
+	nrhs := len(xCols)
+	if cols == nil {
+		for c := 0; c < nrhs; c++ {
+			cols = append(cols, c)
+		}
+	}
+	ss, err := NewCGSolver(a, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float64, a.Rows())
+	for _, c := range cols {
+		itWant, err := ss.Solve(xCols[c], bCols[c])
+		if err != nil {
+			t.Fatalf("%s col %d: looped: %v", what, c, err)
+		}
+		if iters[c] != itWant {
+			t.Fatalf("%s col %d: %d iterations, looped %d", what, c, iters[c], itWant)
+		}
+		UnpackColumn(got, xI, c, nrhs)
+		for i := range got {
+			if got[i] != xCols[c][i] {
+				t.Fatalf("%s col %d: x[%d] = %v, looped %v (not bitwise identical)",
+					what, c, i, got[i], xCols[c][i])
 			}
 		}
 	}
@@ -95,71 +133,78 @@ func TestNewBatchCGSolverRejectsNonIC(t *testing.T) {
 }
 
 // TestSolveBatchInvariantUnderParallelism: batch solves are bitwise
-// identical across worker counts too, at GOMAXPROCS 1 and 2.
+// identical across worker counts too, at GOMAXPROCS 1 and 2, at a width of
+// one vector and at one of two vectors and a pair.
 func TestSolveBatchInvariantUnderParallelism(t *testing.T) {
-	const nrhs = 4
-	a, x0, bI, _, _ := batchFixture(splitNX, splitNY, nrhs, 21)
-	n := a.Rows()
-	ic := mkPre(t, a, "mic")
-	var ref []float64
-	var refIt []int
-	atProcs(func() {
-		procs := runtime.GOMAXPROCS(0)
-		for _, w := range workerCounts() {
-			bs, err := NewBatchCGSolver(a, nrhs, CGOptions{Tol: 1e-11, Precond: ic, Workers: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if w == 2 {
-				requireSplit(t, &bs.t, n, rowChunk/nrhs)
-				requireSplit(t, &bs.t, numDotBlocks(n), dotBlockChunk)
-				requireSplit(t, &bs.t, n, bs.batchRowChunk())
-			}
-			xI := append([]float64(nil), x0...)
-			iters, err := bs.SolveBatch(xI, bI)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref == nil {
-				ref = xI
-				refIt = append([]int(nil), iters...)
-				continue
-			}
-			for c := range refIt {
-				if iters[c] != refIt[c] {
-					t.Fatalf("procs=%d workers=%d col %d: %d iterations, want %d", procs, w, c, iters[c], refIt[c])
+	for _, nrhs := range []int{4, 10} {
+		a, x0, bI, _, _ := batchFixture(splitNX, splitNY, nrhs, 21)
+		n := a.Rows()
+		ic := mkPre(t, a, "mic")
+		var ref []float64
+		var refIt []int
+		atProcs(func() {
+			procs := runtime.GOMAXPROCS(0)
+			for _, w := range workerCounts() {
+				bs, err := NewBatchCGSolver(a, nrhs, CGOptions{Tol: 1e-11, Precond: ic, Workers: w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w == 2 {
+					requireSplit(t, &bs.t, n, rowChunk/nrhs)
+					requireSplit(t, &bs.t, numDotBlocks(n), dotBlockChunk)
+					requireSplit(t, &bs.t, n, bs.batchRowChunk())
+				}
+				xI := append([]float64(nil), x0...)
+				iters, err := bs.SolveBatch(xI, bI)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref == nil {
+					ref = xI
+					refIt = append([]int(nil), iters...)
+					continue
+				}
+				for c := range refIt {
+					if iters[c] != refIt[c] {
+						t.Fatalf("width %d procs=%d workers=%d col %d: %d iterations, want %d", nrhs, procs, w, c, iters[c], refIt[c])
+					}
+				}
+				for i := range ref {
+					if xI[i] != ref[i] {
+						t.Fatalf("width %d procs=%d workers=%d: x[%d] = %v, want %v (not bitwise identical)", nrhs, procs, w, i, xI[i], ref[i])
+					}
 				}
 			}
-			for i := range ref {
-				if xI[i] != ref[i] {
-					t.Fatalf("procs=%d workers=%d: x[%d] = %v, want %v (not bitwise identical)", procs, w, i, xI[i], ref[i])
-				}
-			}
-		}
-	})
+		})
+	}
 }
 
 // TestSolveBatchMixedConvergence: columns converging at different
-// iterations freeze independently — a trivially-converged warm start and a
-// zero RHS ride along with hard columns without perturbing them.
+// iterations freeze independently — zero right-hand sides and warm starts
+// that are already converged ride along with hard columns without
+// perturbing them. At width 7 the AVX2 kernels run columns 0–3 as a
+// vector, 4–5 as a pair and 6 alone, so a zero RHS (columns 1 and 5) and a
+// converged warm start (columns 2 and 6) sit inside a vector and in each
+// part of the tail.
 func TestSolveBatchMixedConvergence(t *testing.T) {
-	const nrhs = 3
+	const nrhs = 7
 	a, xI, bI, xCols, bCols := batchFixture(25, 25, nrhs, 30)
 	n := a.Rows()
-	// Column 0: zero RHS → solution zeroed, 0 iterations.
-	for i := 0; i < n; i++ {
-		bI[i*nrhs] = 0
-		bCols[0][i] = 0
-	}
-	// Column 1: warm start = exact solution of its system.
 	opt := CGOptions{Tol: 1e-11, Precond: mkPre(t, a, "mic")}
-	exact, _, err := SolveCG(a, bCols[1], nil, CGOptions{Tol: 1e-14, Precond: mkPre(t, a, "mic")})
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []int{1, 5} {
+		for i := 0; i < n; i++ {
+			bI[i*nrhs+c] = 0
+			bCols[c][i] = 0
+		}
 	}
-	copy(xCols[1], exact)
-	PackColumn(xI, exact, 1, nrhs)
-
+	for _, c := range []int{2, 6} {
+		exact, _, err := SolveCG(a, bCols[c], nil, CGOptions{Tol: 1e-14, Precond: mkPre(t, a, "mic")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(xCols[c], exact)
+		PackColumn(xI, exact, c, nrhs)
+	}
 	bs, err := NewBatchCGSolver(a, nrhs, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -168,43 +213,35 @@ func TestSolveBatchMixedConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if iters[0] != 0 {
-		t.Fatalf("zero-RHS column took %d iterations, want 0", iters[0])
-	}
-	for i := 0; i < n; i++ {
-		if xI[i*nrhs] != 0 {
-			t.Fatalf("zero-RHS column x[%d] = %v, want 0", i, xI[i*nrhs])
+	for _, c := range []int{1, 5} {
+		if iters[c] != 0 {
+			t.Fatalf("zero-RHS column %d took %d iterations, want 0", c, iters[c])
+		}
+		for i := 0; i < n; i++ {
+			if xI[i*nrhs+c] != 0 {
+				t.Fatalf("zero-RHS column %d x[%d] = %v, want 0", c, i, xI[i*nrhs+c])
+			}
 		}
 	}
-	if iters[1] != 0 {
-		t.Fatalf("pre-converged column took %d iterations, want 0", iters[1])
-	}
-	// Column 2 must match its looped solve bitwise despite the frozen peers.
-	ss, err := NewCGSolver(a, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	itWant, err := ss.Solve(xCols[2], bCols[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iters[2] != itWant {
-		t.Fatalf("hard column: %d iterations, looped %d", iters[2], itWant)
-	}
-	got := make([]float64, n)
-	UnpackColumn(got, xI, 2, nrhs)
-	for i := range got {
-		if got[i] != xCols[2][i] {
-			t.Fatalf("hard column x[%d] = %v, looped %v", i, got[i], xCols[2][i])
+	for _, c := range []int{2, 6} {
+		if iters[c] != 0 {
+			t.Fatalf("pre-converged column %d took %d iterations, want 0", c, iters[c])
 		}
 	}
+	// Every column, the hard ones included, matches its looped solve
+	// bitwise despite the frozen peers.
+	requireLooped(t, "mixed", a, opt, xI, iters, xCols, bCols, nil)
 }
 
 // TestSolveBatchZeroAlloc: the batch solve hot path allocates nothing,
-// with modified and plain IC(0).
+// with modified and plain IC(0), at a width of one vector and at one with
+// every part of the kernels' tail.
 func TestSolveBatchZeroAlloc(t *testing.T) {
-	const nrhs = 4
-	for _, name := range []string{"mic", "default"} {
+	for _, tc := range []struct {
+		name string
+		nrhs int
+	}{{"mic", 4}, {"default", 4}, {"mic", 7}} {
+		name, nrhs := tc.name, tc.nrhs
 		a, xI, bI, _, _ := batchFixture(32, 32, nrhs, 40)
 		bs, err := NewBatchCGSolver(a, nrhs, CGOptions{Tol: 1e-10, Precond: mkPre(t, a, name), Workers: 2})
 		if err != nil {
@@ -368,4 +405,240 @@ func BenchmarkSolveBatchWidth1(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// scanBlockWidth is the wider of the two column blocks the critical-node
+// scan's 19 benchmarks split into at two workers.
+const scanBlockWidth = 10
+
+// scanSystem is the 288×24 mesh system of the critical-node scan, RCM
+// ordered as pdn orders it, with its modified IC factor and scanBlockWidth
+// interleaved random columns.
+func scanSystem(b *testing.B) (*CSR, *IC, []float64) {
+	g := gridLaplacianCSR(288, 24, 0.05)
+	a := PermuteSym(g, RCM(g))
+	ic, err := NewICModified(a, 1.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(52))
+	cols := make([]float64, a.Rows()*scanBlockWidth)
+	for i := range cols {
+		cols[i] = rng.NormFloat64()
+	}
+	return a, ic, cols
+}
+
+// BenchmarkICBatchSweep vs BenchmarkICBatchSweepGo: one forward and one
+// backward IC sweep of scanBlockWidth interleaved columns on the scan
+// system, through the AVX2 kernels and through their Go twins. benchreport
+// reports the kernels' speedup.
+func BenchmarkICBatchSweep(b *testing.B) { benchICBatchSweep(b, true) }
+
+func BenchmarkICBatchSweepGo(b *testing.B) { benchICBatchSweep(b, false) }
+
+func benchICBatchSweep(b *testing.B, vec bool) {
+	if vec && !simd.AVX2() {
+		b.Skip("CPU lacks AVX2")
+	}
+	_, ic, r := scanSystem(b)
+	z := make([]float64, len(r))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ic.applyBatch(z, r, scanBlockWidth, vec)
+	}
+}
+
+// BenchmarkBatchSpMV vs BenchmarkBatchSpMVGo: the batch solver's
+// interleaved SpMV of scanBlockWidth columns on the scan system, row
+// shares on the pool default, through the AVX2 kernel and its Go twin.
+func BenchmarkBatchSpMV(b *testing.B) { benchBatchSpMV(b, true) }
+
+func BenchmarkBatchSpMVGo(b *testing.B) { benchBatchSpMV(b, false) }
+
+func benchBatchSpMV(b *testing.B, vec bool) {
+	if vec && !simd.AVX2() {
+		b.Skip("CPU lacks AVX2")
+	}
+	a, ic, x := scanSystem(b)
+	bs, err := NewBatchCGSolver(a, scanBlockWidth, CGOptions{Precond: ic})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bs.vec = vec
+	y := make([]float64, len(x))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bs.bMulVec(y, x)
+	}
+}
+
+// BenchmarkSolveBatchScan vs BenchmarkSolveBatchScanGo: one cold
+// SolveBatch of scanBlockWidth columns on the scan system at the transient
+// step's tolerance, kernels on the pool default, through the AVX2 kernels
+// and through their Go twins.
+func BenchmarkSolveBatchScan(b *testing.B) { benchSolveBatchScan(b, true) }
+
+func BenchmarkSolveBatchScanGo(b *testing.B) { benchSolveBatchScan(b, false) }
+
+func benchSolveBatchScan(b *testing.B, vec bool) {
+	if vec && !simd.AVX2() {
+		b.Skip("CPU lacks AVX2")
+	}
+	a, ic, rhs := scanSystem(b)
+	bs, err := NewBatchCGSolver(a, scanBlockWidth, CGOptions{Tol: 1e-13, Precond: ic})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bs.vec = vec
+	x := make([]float64, len(rhs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range x {
+			x[j] = 0
+		}
+		if _, err := bs.SolveBatch(x, rhs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestSolveBatchConcurrentBlocksGo: two batch solvers that share one
+// matrix and one IC factor, as the column blocks of a pdn BatchSimulator
+// do, solve at the same time on the Go twins, which the race detector can
+// see (it cannot see into the assembly kernels), and each matches its
+// serial solve bitwise.
+func TestSolveBatchConcurrentBlocksGo(t *testing.T) {
+	widths := []int{3, 6}
+	a := gridLaplacianCSR(40, 30, 0.3)
+	n := a.Rows()
+	ic := mkPre(t, a, "mic")
+	opt := CGOptions{Tol: 1e-11, Precond: ic, Workers: 2}
+	want := make([][]float64, len(widths))
+	got := make([][]float64, len(widths))
+	rhs := make([][]float64, len(widths))
+	solvers := make([]*BatchCGSolver, len(widths))
+	for k, m := range widths {
+		rng := rand.New(rand.NewSource(60 + int64(k)))
+		rhs[k] = make([]float64, n*m)
+		for i := range rhs[k] {
+			rhs[k][i] = rng.NormFloat64()
+		}
+		bs, err := NewBatchCGSolver(a, m, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = make([]float64, n*m)
+		if _, err := bs.SolveBatch(want[k], rhs[k]); err != nil {
+			t.Fatal(err)
+		}
+		bs.vec = false
+		solvers[k] = bs
+		got[k] = make([]float64, n*m)
+	}
+	errs := make(chan error, len(widths))
+	for k, bs := range solvers {
+		go func() {
+			_, err := bs.SolveBatch(got[k], rhs[k])
+			errs <- err
+		}()
+	}
+	for range solvers {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := range widths {
+		for i := range want[k] {
+			if got[k][i] != want[k][i] {
+				t.Fatalf("block %d: x[%d] = %v, serial %v (not bitwise identical)", k, i, got[k][i], want[k][i])
+			}
+		}
+	}
+}
+
+// TestSparseSolveRejectsNonFiniteInput: a NaN or an infinity in the
+// right-hand side or in the warm start fails at iteration 0 with
+// errNotFinite and leaves the warm start as it was. Unchecked, a NaN
+// spends the whole budget of 10·n iterations and ends in
+// ErrNoConvergence, and a +Inf right-hand side passes the tolerance test
+// at once, returning the warm start as the solution with a nil error.
+func TestSparseSolveRejectsNonFiniteInput(t *testing.T) {
+	a := gridLaplacianCSR(40, 40, 0.3)
+	n := a.Rows()
+	s, err := NewCGSolver(a, CGOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		inB  bool
+		v    float64
+	}{
+		{"NaN in b", true, math.NaN()},
+		{"+Inf in b", true, math.Inf(1)},
+		{"-Inf in b", true, math.Inf(-1)},
+		{"NaN in warm start", false, math.NaN()},
+		{"+Inf in warm start", false, math.Inf(1)},
+	} {
+		rng := rand.New(rand.NewSource(70))
+		b, x := make([]float64, n), make([]float64, n)
+		for i := range b {
+			b[i], x[i] = rng.NormFloat64(), 0.05*rng.NormFloat64()
+		}
+		if tc.inB {
+			b[n/2] = tc.v
+		} else {
+			x[n/2] = tc.v
+		}
+		x0 := append([]float64(nil), x...)
+		it, err := s.Solve(x, b)
+		if !errors.Is(err, errNotFinite) || it != 0 {
+			t.Fatalf("%s: %d iterations, error %v; want 0 and %v", tc.name, it, err, errNotFinite)
+		}
+		for i := range x {
+			if !same(x[i], x0[i]) {
+				t.Fatalf("%s: warm start x[%d] changed from %v to %v", tc.name, i, x0[i], x[i])
+			}
+		}
+	}
+}
+
+// TestSolveBatchFreezesNonFiniteColumns: in a batch of 6, whose kernels run
+// columns 0–3 as a vector and 4–5 as a pair, a NaN right-hand side (column
+// 1), a +Inf right-hand side (column 4) and a NaN warm start (column 5)
+// each stop at iteration 0 with their warm starts as they were, SolveBatch
+// reports errNotFinite, and the other columns match their looped solves
+// bitwise.
+func TestSolveBatchFreezesNonFiniteColumns(t *testing.T) {
+	const nrhs = 6
+	a, xI, bI, xCols, bCols := batchFixture(40, 40, nrhs, 71)
+	n := a.Rows()
+	bI[(n/2)*nrhs+1] = math.NaN()
+	bI[(n/3)*nrhs+4] = math.Inf(1)
+	xI[(n/4)*nrhs+5] = math.NaN()
+	x0 := append([]float64(nil), xI...)
+	opt := CGOptions{Tol: 1e-11, Precond: mkPre(t, a, "mic")}
+	bs, err := NewBatchCGSolver(a, nrhs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iters, err := bs.SolveBatch(xI, bI)
+	if !errors.Is(err, errNotFinite) {
+		t.Fatalf("SolveBatch error %v, want %v", err, errNotFinite)
+	}
+	for _, c := range []int{1, 4, 5} {
+		if iters[c] != 0 {
+			t.Fatalf("non-finite column %d took %d iterations, want 0", c, iters[c])
+		}
+		for i := 0; i < n; i++ {
+			if k := i*nrhs + c; !same(xI[k], x0[k]) {
+				t.Fatalf("non-finite column %d: x[%d] changed from %v to %v", c, i, x0[k], xI[k])
+			}
+		}
+	}
+	requireLooped(t, "finite", a, opt, xI, iters, xCols, bCols, []int{0, 2, 3})
 }

@@ -208,17 +208,32 @@ func (m *IC) Apply(z, r []float64) {
 // applyBatch is Apply for nrhs interleaved columns (element (i, c) at
 // z[i*nrhs+c]), the preconditioner step of BatchCGSolver: each row's
 // substitution runs for every column while the factor row is hot. Per
-// column the operations run in exactly Apply's order.
-func (m *IC) applyBatch(z, r []float64, nrhs int) {
-	rowPtr, colIdx, val := m.l.rowPtr, m.l.colIdx, m.l.val
-	for i := 0; i < m.n; i++ {
-		zi := z[i*nrhs : i*nrhs+nrhs]
-		copy(zi, r[i*nrhs:i*nrhs+nrhs])
+// column the operations run in exactly Apply's order, on the AVX2 kernels
+// when vec is set and on their Go twins otherwise.
+func (m *IC) applyBatch(z, r []float64, nrhs int, vec bool) {
+	l, lt := m.l, m.lt
+	if vec {
+		icForwardAVX2(z, r, l.rowPtr, l.colIdx, l.val, nrhs, 0, m.n)
+		icBackwardAVX2(z, lt.rowPtr, lt.colIdx, lt.val, nrhs, 0, m.n)
+		return
+	}
+	icForwardGo(z, r, l.rowPtr, l.colIdx, l.val, nrhs, 0, m.n)
+	icBackwardGo(z, lt.rowPtr, lt.colIdx, lt.val, nrhs, 0, m.n)
+}
+
+// icForwardGo solves rows lo, …, hi−1 of L·z = r for the m interleaved
+// columns, L's diagonal last in each row: z_i = (r_i − Σ l_ik·z_k) / l_ii,
+// subtracting in k order. It is the portable path and the oracle of
+// icForwardAVX2.
+func icForwardGo(z, r []float64, rowPtr, colIdx []int, val []float64, m, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		zi := z[i*m : i*m+m]
+		copy(zi, r[i*m:i*m+m])
 		start, end := rowPtr[i], rowPtr[i+1]-1 // diagonal is last
 		vals := val[start:end]
 		for k, j := range colIdx[start:end] {
 			v := vals[k]
-			zj := z[j*nrhs:][:len(zi)]
+			zj := z[j*m:][:len(zi)]
 			for c, zv := range zj {
 				zi[c] -= v * zv
 			}
@@ -228,14 +243,19 @@ func (m *IC) applyBatch(z, r []float64, nrhs int) {
 			zi[c] /= d
 		}
 	}
-	rowPtr, colIdx, val = m.lt.rowPtr, m.lt.colIdx, m.lt.val
-	for i := m.n - 1; i >= 0; i-- {
-		zi := z[i*nrhs : i*nrhs+nrhs]
+}
+
+// icBackwardGo solves rows hi−1, …, lo of Lᵀ·z = z in place for the m
+// interleaved columns, Lᵀ's diagonal first in each row. It is the portable
+// path and the oracle of icBackwardAVX2.
+func icBackwardGo(z []float64, rowPtr, colIdx []int, val []float64, m, lo, hi int) {
+	for i := hi - 1; i >= lo; i-- {
+		zi := z[i*m : i*m+m]
 		start, end := rowPtr[i], rowPtr[i+1] // diagonal is first
 		vals := val[start+1 : end]
 		for k, j := range colIdx[start+1 : end] {
 			v := vals[k]
-			zj := z[j*nrhs:][:len(zi)]
+			zj := z[j*m:][:len(zi)]
 			for c, zv := range zj {
 				zi[c] -= v * zv
 			}
@@ -246,10 +266,6 @@ func (m *IC) applyBatch(z, r []float64, nrhs int) {
 		}
 	}
 }
-
-// L returns the incomplete Cholesky factor (lower triangular, diagonal
-// included), mainly for tests and diagnostics.
-func (m *IC) L() *CSR { return m.l }
 
 // Precond is the type of the preconditioner fields that pdn.SimOptions and
 // experiments.Config still carry. The engine has one preconditioner — IC,

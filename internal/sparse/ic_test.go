@@ -6,6 +6,10 @@ import (
 	"testing"
 )
 
+// L returns the incomplete Cholesky factor (lower triangular, diagonal
+// included).
+func (m *IC) L() *CSR { return m.l }
+
 // gridLaplacian assembles the 5-point Laplacian of an nx×ny grid plus a
 // uniform diagonal shift (the pad conductance that makes power-grid systems
 // strictly SPD), using direct CSR assembly — the same fast path the PDN

@@ -2,11 +2,12 @@ package sparse
 
 import "fmt"
 
-// Reverse Cuthill–McKee reordering. PCG cost on a mesh Laplacian is
-// dominated by memory traffic, and both the SpMV and the IC triangular
+// Reverse Cuthill–McKee reordering. Both the SpMV and the IC triangular
 // sweeps touch x[colIdx[k]] gather-style: the narrower the bandwidth, the
 // closer those gathers stay to the rows being written and the better the
-// cache behaves. RCM renumbers the graph breadth-first from a
+// cache behaves. Where the vectors fit in cache the sweeps cost their
+// arithmetic (see batch.go); the gathers' locality keeps it that way as
+// meshes grow. RCM renumbers the graph breadth-first from a
 // pseudo-peripheral vertex, visiting neighbors in ascending degree, then
 // reverses the ordering — the classic envelope-minimizing heuristic. On the
 // regular grids the pdn assembler emits it recovers diagonal-band structure
@@ -175,22 +176,4 @@ func PermuteSym(a *CSR, perm []int) *CSR {
 		}
 	}
 	return p
-}
-
-// Bandwidth returns max |i - j| over the stored entries — the quantity RCM
-// minimizes, exposed for tests and diagnostics.
-func Bandwidth(a *CSR) int {
-	bw := 0
-	for i := 0; i < a.rows; i++ {
-		for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-			d := i - a.colIdx[k]
-			if d < 0 {
-				d = -d
-			}
-			if d > bw {
-				bw = d
-			}
-		}
-	}
-	return bw
 }

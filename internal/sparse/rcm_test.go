@@ -6,6 +6,24 @@ import (
 	"testing"
 )
 
+// Bandwidth returns max |i - j| over the stored entries — the quantity RCM
+// minimizes.
+func Bandwidth(a *CSR) int {
+	bw := 0
+	for i := 0; i < a.rows; i++ {
+		for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
+			d := i - a.colIdx[k]
+			if d < 0 {
+				d = -d
+			}
+			if d > bw {
+				bw = d
+			}
+		}
+	}
+	return bw
+}
+
 // shuffleSym returns P·A·Pᵀ for a random permutation — a scrambled node
 // numbering of the same graph, plus the permutation used.
 func shuffleSym(a *CSR, seed int64) (*CSR, []int) {

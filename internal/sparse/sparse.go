@@ -16,115 +16,31 @@
 // on the mat worker pool: row-partitioned SpMV and fused vector kernels,
 // reverse Cuthill–McKee reordering (RCM/PermuteSym) for cache locality, and
 // a blocked multi-RHS PCG (BatchCGSolver) that steps many transients
-// through one matrix and factor traversal. Everything preserves the house
-// invariant: results are bitwise identical across worker counts, and the
-// solve hot loops allocate nothing.
+// through one matrix and factor traversal, four columns per vector in
+// bitwise-exact AVX2 kernels where the CPU has them. Everything preserves
+// the house invariant: results are bitwise identical across worker counts
+// and with or without the kernels, and the solve hot loops allocate
+// nothing.
 package sparse
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrNoConvergence is returned when CG fails to reach the requested tolerance
 // within the iteration budget.
 var ErrNoConvergence = errors.New("sparse: conjugate gradient did not converge")
 
-// Triplet accumulates (i, j, v) entries for building a CSR matrix. Duplicate
-// coordinates are summed, which makes circuit-style stamping natural.
-type Triplet struct {
-	rows, cols int
-	i, j       []int
-	v          []float64
-}
+// errNotFinite reports a right-hand side or an initial residual whose norm
+// is NaN or +Inf. PCG cannot recover from either: a NaN never meets the
+// tolerance, so the solve would spend its whole budget, and an infinite
+// norm passes the tolerance test at once with the warm start untouched.
+var errNotFinite = errors.New("sparse: input is not finite")
 
-// NewTriplet returns an empty accumulator for an r-by-c matrix.
-func NewTriplet(r, c int) *Triplet {
-	if r < 0 || c < 0 {
-		panic(fmt.Sprintf("sparse: negative dimension %dx%d", r, c))
-	}
-	return &Triplet{rows: r, cols: c}
-}
-
-// Add accumulates v at (i, j).
-func (t *Triplet) Add(i, j int, v float64) {
-	if i < 0 || i >= t.rows || j < 0 || j >= t.cols {
-		panic(fmt.Sprintf("sparse: Add(%d,%d) out of range %dx%d", i, j, t.rows, t.cols))
-	}
-	t.i = append(t.i, i)
-	t.j = append(t.j, j)
-	t.v = append(t.v, v)
-}
-
-// ToCSR compacts the accumulated triplets into a CSR matrix, summing
-// duplicates and dropping exact zeros. The build is a two-pass counting
-// sort — stable by column, then by row — followed by a linear merge of
-// adjacent duplicates: O(nnz + rows + cols) with no map and no comparison
-// sort, which is what keeps assembly linear at million-node grids.
-func (t *Triplet) ToCSR() *CSR {
-	nnz := len(t.v)
-	// Pass 1: stable counting sort by column.
-	count := make([]int, maxInt(t.cols, t.rows)+1)
-	for _, j := range t.j {
-		count[j+1]++
-	}
-	for j := 0; j < t.cols; j++ {
-		count[j+1] += count[j]
-	}
-	bi := make([]int, nnz)
-	bj := make([]int, nnz)
-	bv := make([]float64, nnz)
-	for k := 0; k < nnz; k++ {
-		p := count[t.j[k]]
-		count[t.j[k]]++
-		bi[p], bj[p], bv[p] = t.i[k], t.j[k], t.v[k]
-	}
-	// Pass 2: stable counting sort by row. Stability preserves the column
-	// order within each row, so the result is sorted by (row, col).
-	for i := range count[:t.rows+1] {
-		count[i] = 0
-	}
-	for _, i := range bi {
-		count[i+1]++
-	}
-	for i := 0; i < t.rows; i++ {
-		count[i+1] += count[i]
-	}
-	ci := make([]int, nnz)
-	cj := make([]int, nnz)
-	cv := make([]float64, nnz)
-	for k := 0; k < nnz; k++ {
-		p := count[bi[k]]
-		count[bi[k]]++
-		ci[p], cj[p], cv[p] = bi[k], bj[k], bv[k]
-	}
-	// Merge adjacent duplicates and drop exact zeros while building the CSR.
-	c := &CSR{rows: t.rows, cols: t.cols, rowPtr: make([]int, t.rows+1)}
-	for k := 0; k < nnz; {
-		i, j, v := ci[k], cj[k], cv[k]
-		for k++; k < nnz && ci[k] == i && cj[k] == j; k++ {
-			v += cv[k]
-		}
-		if v != 0 {
-			c.rowPtr[i+1]++
-			c.colIdx = append(c.colIdx, j)
-			c.val = append(c.val, v)
-		}
-	}
-	for i := 0; i < t.rows; i++ {
-		c.rowPtr[i+1] += c.rowPtr[i]
-	}
-	return c
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
+// notFinite reports whether the norm v is NaN or +Inf.
+func notFinite(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 1) }
 
 // CSR is a compressed sparse row matrix.
 type CSR struct {
@@ -134,11 +50,11 @@ type CSR struct {
 	val        []float64
 }
 
-// NewCSR wraps pre-built CSR arrays without copying. Column indices must be
-// strictly ascending within each row. This is the fast path for regular
-// stencils (million-node grids) where the map-based Triplet accumulator is
-// too slow; the structure is validated once and panics on malformed input
-// since that is a programming error, matching the package's style.
+// NewCSR wraps pre-built CSR arrays without copying: pdn assembles its
+// mesh stencils (up to million-node grids) straight into them. Column
+// indices must be strictly ascending within each row; the structure is
+// validated once and panics on malformed input since that is a programming
+// error, matching the package's style.
 func NewCSR(rows, cols int, rowPtr, colIdx []int, val []float64) *CSR {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("sparse: negative dimension %dx%d", rows, cols))
@@ -171,43 +87,6 @@ func (c *CSR) Rows() int { return c.rows }
 // Cols returns the number of columns.
 func (c *CSR) Cols() int { return c.cols }
 
-// NNZ returns the number of stored nonzeros.
-func (c *CSR) NNZ() int { return len(c.val) }
-
-// At returns element (i, j) with a binary search over row i.
-func (c *CSR) At(i, j int) float64 {
-	if i < 0 || i >= c.rows || j < 0 || j >= c.cols {
-		panic(fmt.Sprintf("sparse: At(%d,%d) out of range %dx%d", i, j, c.rows, c.cols))
-	}
-	lo, hi := c.rowPtr[i], c.rowPtr[i+1]
-	k := lo + sort.SearchInts(c.colIdx[lo:hi], j)
-	if k < hi && c.colIdx[k] == j {
-		return c.val[k]
-	}
-	return 0
-}
-
-// MulVec returns c * x.
-func (c *CSR) MulVec(x []float64) []float64 {
-	y := make([]float64, c.rows)
-	c.MulVecTo(y, x)
-	return y
-}
-
-// MulVecTo computes y = c * x without allocating.
-func (c *CSR) MulVecTo(y, x []float64) {
-	if len(x) != c.cols || len(y) != c.rows {
-		panic(fmt.Sprintf("sparse: MulVecTo shapes y=%d x=%d, want %d/%d", len(y), len(x), c.rows, c.cols))
-	}
-	for i := 0; i < c.rows; i++ {
-		s := 0.0
-		for k := c.rowPtr[i]; k < c.rowPtr[i+1]; k++ {
-			s += c.val[k] * x[c.colIdx[k]]
-		}
-		y[i] = s
-	}
-}
-
 // Preconditioner approximates A⁻¹ for conjugate gradient: Apply writes
 // z = M⁻¹·r. Implementations must not alias z and r and must not allocate,
 // so solvers built on them stay allocation-free in steady state.
@@ -215,19 +94,13 @@ type Preconditioner interface {
 	Apply(z, r []float64)
 }
 
-// Identity is the no-op preconditioner (plain CG).
-type Identity struct{}
-
-// Apply copies r into z.
-func (Identity) Apply(z, r []float64) { copy(z, r) }
-
 // CGOptions configures SolveCG and NewCGSolver.
 type CGOptions struct {
 	Tol     float64 // relative residual target; default 1e-10
 	MaxIter int     // default 10 * n
-	// Precond overrides the default plain IC(0) preconditioner, NewIC(a);
-	// pass NewICModified(a, ω) for modified IC or Identity{} for
-	// unpreconditioned CG. NewBatchCGSolver accepts only an *IC.
+	// Precond overrides the default plain IC(0) preconditioner, NewIC(a):
+	// pass NewICModified(a, ω) for modified IC. NewBatchCGSolver accepts
+	// only an *IC.
 	Precond Preconditioner
 	// Workers bounds the parallel shares of the SpMV, reduction and vector
 	// kernels in the solve; the preconditioner sweeps are sequential. 0
@@ -285,7 +158,8 @@ func NewCGSolver(a *CSR, opt CGOptions) (*CGSolver, error) {
 
 // Solve solves A x = b in place: x holds the initial guess on entry (the
 // warm start) and the solution on return. It returns the iteration count
-// and allocates nothing. Every kernel but the preconditioner runs on the
+// and allocates nothing. A right-hand side or initial residual whose norm
+// is NaN or infinite fails at iteration 0 with x untouched. Every kernel but the preconditioner runs on the
 // worker team; the result is bitwise identical for every worker count.
 func (s *CGSolver) Solve(x, b []float64) (int, error) {
 	n := s.a.rows
@@ -293,6 +167,9 @@ func (s *CGSolver) Solve(x, b []float64) (int, error) {
 		panic(fmt.Sprintf("sparse: Solve lengths x=%d b=%d, want %d", len(x), len(b), n))
 	}
 	bnorm := math.Sqrt(s.o.dot(b, b))
+	if notFinite(bnorm) {
+		return 0, fmt.Errorf("%w: right-hand side norm %g", errNotFinite, bnorm)
+	}
 	if bnorm == 0 {
 		for i := range x {
 			x[i] = 0
@@ -301,7 +178,11 @@ func (s *CGSolver) Solve(x, b []float64) (int, error) {
 	}
 	s.o.mulVec(s.a, s.r, x)
 	s.o.sub(s.r, b)
-	if math.Sqrt(s.o.dot(s.r, s.r)) <= s.tol*bnorm {
+	rnorm := math.Sqrt(s.o.dot(s.r, s.r))
+	if notFinite(rnorm) {
+		return 0, fmt.Errorf("%w: initial residual norm %g", errNotFinite, rnorm)
+	}
+	if rnorm <= s.tol*bnorm {
 		return 0, nil // warm start already within tolerance
 	}
 	s.pre.Apply(s.z, s.r)

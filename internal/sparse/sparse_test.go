@@ -1,11 +1,150 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// Triplet accumulates (i, j, v) entries for building a CSR matrix. Duplicate
+// coordinates are summed, which makes circuit-style stamping natural.
+type Triplet struct {
+	rows, cols int
+	i, j       []int
+	v          []float64
+}
+
+// NewTriplet returns an empty accumulator for an r-by-c matrix.
+func NewTriplet(r, c int) *Triplet {
+	if r < 0 || c < 0 {
+		panic(fmt.Sprintf("sparse: negative dimension %dx%d", r, c))
+	}
+	return &Triplet{rows: r, cols: c}
+}
+
+// Add accumulates v at (i, j).
+func (t *Triplet) Add(i, j int, v float64) {
+	if i < 0 || i >= t.rows || j < 0 || j >= t.cols {
+		panic(fmt.Sprintf("sparse: Add(%d,%d) out of range %dx%d", i, j, t.rows, t.cols))
+	}
+	t.i = append(t.i, i)
+	t.j = append(t.j, j)
+	t.v = append(t.v, v)
+}
+
+// ToCSR compacts the accumulated triplets into a CSR matrix, summing
+// duplicates and dropping exact zeros. The build is a two-pass counting
+// sort — stable by column, then by row — followed by a linear merge of
+// adjacent duplicates: O(nnz + rows + cols) with no map and no comparison
+// sort, which is what keeps assembly linear at million-node grids.
+func (t *Triplet) ToCSR() *CSR {
+	nnz := len(t.v)
+	// Pass 1: stable counting sort by column.
+	count := make([]int, maxInt(t.cols, t.rows)+1)
+	for _, j := range t.j {
+		count[j+1]++
+	}
+	for j := 0; j < t.cols; j++ {
+		count[j+1] += count[j]
+	}
+	bi := make([]int, nnz)
+	bj := make([]int, nnz)
+	bv := make([]float64, nnz)
+	for k := 0; k < nnz; k++ {
+		p := count[t.j[k]]
+		count[t.j[k]]++
+		bi[p], bj[p], bv[p] = t.i[k], t.j[k], t.v[k]
+	}
+	// Pass 2: stable counting sort by row. Stability preserves the column
+	// order within each row, so the result is sorted by (row, col).
+	for i := range count[:t.rows+1] {
+		count[i] = 0
+	}
+	for _, i := range bi {
+		count[i+1]++
+	}
+	for i := 0; i < t.rows; i++ {
+		count[i+1] += count[i]
+	}
+	ci := make([]int, nnz)
+	cj := make([]int, nnz)
+	cv := make([]float64, nnz)
+	for k := 0; k < nnz; k++ {
+		p := count[bi[k]]
+		count[bi[k]]++
+		ci[p], cj[p], cv[p] = bi[k], bj[k], bv[k]
+	}
+	// Merge adjacent duplicates and drop exact zeros while building the CSR.
+	c := &CSR{rows: t.rows, cols: t.cols, rowPtr: make([]int, t.rows+1)}
+	for k := 0; k < nnz; {
+		i, j, v := ci[k], cj[k], cv[k]
+		for k++; k < nnz && ci[k] == i && cj[k] == j; k++ {
+			v += cv[k]
+		}
+		if v != 0 {
+			c.rowPtr[i+1]++
+			c.colIdx = append(c.colIdx, j)
+			c.val = append(c.val, v)
+		}
+	}
+	for i := 0; i < t.rows; i++ {
+		c.rowPtr[i+1] += c.rowPtr[i]
+	}
+	return c
+}
+
+func maxInt(a, b int) int {
+	if a > b {
+		return a
+	}
+	return b
+}
+
+// NNZ returns the number of stored nonzeros.
+func (c *CSR) NNZ() int { return len(c.val) }
+
+// At returns element (i, j) with a binary search over row i.
+func (c *CSR) At(i, j int) float64 {
+	if i < 0 || i >= c.rows || j < 0 || j >= c.cols {
+		panic(fmt.Sprintf("sparse: At(%d,%d) out of range %dx%d", i, j, c.rows, c.cols))
+	}
+	lo, hi := c.rowPtr[i], c.rowPtr[i+1]
+	k := lo + sort.SearchInts(c.colIdx[lo:hi], j)
+	if k < hi && c.colIdx[k] == j {
+		return c.val[k]
+	}
+	return 0
+}
+
+// MulVec returns c * x.
+func (c *CSR) MulVec(x []float64) []float64 {
+	y := make([]float64, c.rows)
+	c.MulVecTo(y, x)
+	return y
+}
+
+// MulVecTo computes y = c * x without allocating.
+func (c *CSR) MulVecTo(y, x []float64) {
+	if len(x) != c.cols || len(y) != c.rows {
+		panic(fmt.Sprintf("sparse: MulVecTo shapes y=%d x=%d, want %d/%d", len(y), len(x), c.rows, c.cols))
+	}
+	for i := 0; i < c.rows; i++ {
+		s := 0.0
+		for k := c.rowPtr[i]; k < c.rowPtr[i+1]; k++ {
+			s += c.val[k] * x[c.colIdx[k]]
+		}
+		y[i] = s
+	}
+}
+
+// Identity is the no-op preconditioner (plain CG).
+type Identity struct{}
+
+// Apply copies r into z.
+func (Identity) Apply(z, r []float64) { copy(z, r) }
 
 // gridLaplacian builds the SPD matrix of a w-by-h resistive grid with a
 // small conductance to ground at every node (so it is nonsingular).
