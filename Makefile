@@ -27,10 +27,10 @@ race:
 # and place reach the pool through the path solver's Gram kernels; ols, core
 # and place through the QR's row-split right-hand-side sweep; banded holds
 # the interleaved column sweep the batched pdn step runs, and sparse the
-# interleaved batch PCG kernels (IC sweeps, SpMV, dots, masked updates),
-# whose Go twins the race detector sees. serve, registry and transfer hold
-# the concurrent handlers, the pooled codec buffers, the tenant cache and
-# the calibration writes.
+# kernels of its one PCG, the interleaved batch solver (IC sweeps, SpMV,
+# dots, masked updates), whose Go twins the race detector sees. serve,
+# registry and transfer hold the concurrent handlers, the pooled codec
+# buffers, the tenant cache and the calibration writes.
 stress:
 	$(GO) test -race -cpu 1,2 -count 3 ./internal/mat ./internal/sparse ./internal/banded ./internal/pdn \
 		./internal/lasso ./internal/ols ./internal/core ./internal/place \

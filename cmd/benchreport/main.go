@@ -63,11 +63,10 @@ var benchPackages = []string{
 }
 
 // speedupPairs maps each parallel/blocked/warm-started/factorization-reusing
-// /batched/support-sized/single-RHS benchmark, each serving codec and each
-// AVX2 kernel to the serial, cold, refit-from-scratch, looped, dense,
-// one-column-batch, encoding/json or portable Go baseline it is measured
-// against. Names are as reported by `go test -bench`, without the
-// -GOMAXPROCS suffix.
+// /batched/support-sized benchmark, each serving codec and each AVX2 kernel
+// to the serial, cold, refit-from-scratch, looped, dense, encoding/json or
+// portable Go baseline it is measured against. Names are as reported by
+// `go test -bench`, without the -GOMAXPROCS suffix.
 var speedupPairs = []struct{ Kernel, Baseline string }{
 	{"BenchmarkMul128", "BenchmarkMulSerial128"},
 	{"BenchmarkMul256", "BenchmarkMulSerial256"},
@@ -77,9 +76,7 @@ var speedupPairs = []struct{ Kernel, Baseline string }{
 	{"BenchmarkPlacementPathWarm", "BenchmarkPlacementColdPerPoint"},
 	{"BenchmarkCollectParallel", "BenchmarkCollectSerial"},
 	{"BenchmarkNewSimulator512Sparse", "BenchmarkNewSimulator512Banded"},
-	{"BenchmarkSpMVParallel", "BenchmarkSpMVSerial"},
 	{"BenchmarkSolveBatch", "BenchmarkSolveLooped"},
-	{"BenchmarkSolveSingle", "BenchmarkSolveBatchWidth1"},
 	{"BenchmarkStepSparse1024Parallel", "BenchmarkStepSparse1024Serial"},
 	{"BenchmarkStepBatch512", "BenchmarkStepLooped512"},
 	{"BenchmarkPlaceChipReduced", "BenchmarkPlaceChipDense"},
@@ -97,6 +94,7 @@ var speedupPairs = []struct{ Kernel, Baseline string }{
 	{"BenchmarkBatchSpMV", "BenchmarkBatchSpMVGo"},
 	{"BenchmarkSolveBatchScan", "BenchmarkSolveBatchScanGo"},
 	{"BenchmarkStepScanBatch", "BenchmarkStepScanLooped"},
+	{"BenchmarkSettleScanBatch", "BenchmarkSettleScanLooped"},
 	{"BenchmarkEncodePredict", "BenchmarkEncodePredictStdlib"},
 	{"BenchmarkDecodePredict", "BenchmarkDecodePredictStdlib"},
 }

@@ -87,21 +87,12 @@ func NewRecursiveOLS(q, k int, forgetting float64) *RecursiveOLS {
 	}
 }
 
-// NumInputs returns q.
-func (r *RecursiveOLS) NumInputs() int { return r.q }
-
-// NumOutputs returns k.
-func (r *RecursiveOLS) NumOutputs() int { return r.k }
-
 // Samples returns the number of samples ingested so far.
 func (r *RecursiveOLS) Samples() int { return r.n }
 
 // Ready reports whether enough samples have arrived to determine the
 // coefficients (the warmup Gram matrix has become invertible).
 func (r *RecursiveOLS) Ready() bool { return r.ready }
-
-// Forgetting returns the configured forgetting factor.
-func (r *RecursiveOLS) Forgetting() float64 { return r.forgetting }
 
 // Ingest folds one labeled sample (sensor readings x, ground-truth voltages
 // f) into the fit. It panics on a length mismatch and returns an error on

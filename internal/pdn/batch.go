@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"voltsense/internal/banded"
 	"voltsense/internal/grid"
 	"voltsense/internal/mat"
 	"voltsense/internal/sparse"
@@ -11,32 +12,35 @@ import (
 
 // BatchSimulator integrates many independent transients — same grid, same
 // time step, different load sequences — in lock step, and holds the
-// package's one copy of the backward-Euler step; a Simulator is a batch of
-// width 1.
+// package's one copy of the backward-Euler step and of the DC settle; a
+// Simulator is a batch of width 1.
 //
 // On either backend the columns split into k = min(m, workers) contiguous
 // blocks, workers being SimOptions.Workers or, when that is 0, the mat
-// pool's parallelism at construction. Each block owns a step solver for
-// its width and its own DC solver; all blocks share the step system and
-// one DC system. A Step runs every block's share — assemble the
+// pool's parallelism at construction. All blocks share the step system,
+// the DC system and one row order pos of the nodes; each block owns an
+// interleaved right-hand-side buffer for its columns, and on sparse a
+// solution buffer and a PCG workspace. A block solves all its columns in
+// one solve (solveBlock), against the step system or, when settling,
+// against the DC system. A Step runs every block's share — assemble the
 // right-hand sides, solve, update the pad currents — concurrently as
 // preallocated pool jobs, and RunAll settles each block's columns inside
-// that block's share.
+// that block's share in the same way.
 //
-// On the banded backend the blocks share the one Cholesky factor. A block
-// assembles its right-hand sides straight into one buffer, interleaved in
-// banded order at banded.ColumnStride of its width, and solves them in one
-// forward and one backward sweep of the factor's rows (four columns per
-// vector on AVX2). On the sparse backend a block of two or more columns
-// solves them with one blocked multi-RHS PCG (sparse.BatchCGSolver), so the
-// matrix and IC factor stream through memory once per iteration for the
-// whole block: that amortization is why there are no more blocks than
-// workers. A one-column sparse block steps through the single-RHS PCG the
-// DC settle uses, which solves in under half the time a one-column batch
-// PCG takes (sparse's BenchmarkSolveSingle vs BenchmarkSolveBatchWidth1).
+// On the banded backend the buffer holds a block's columns at
+// banded.ColumnStride of its width in the factors' short-axis numbering,
+// and a solve is one forward and one backward sweep of the factor's rows
+// (four columns per vector on AVX2). On the sparse backend the buffers are
+// in the step system's RCM order at the block's width, and a solve is one
+// blocked multi-RHS PCG (sparse.BatchCGSolver), so the matrix and IC factor
+// stream through memory once per iteration for the whole block: that
+// amortization is why there are no more blocks than workers. A block's
+// step and DC solvers share its PCG workspace, which sparse's WithMatrix
+// provides, so the DC system costs its matrix and factor and nothing per
+// block.
 //
 // Column results are bitwise identical at every width and block count: the
-// batch PCG freezes converged columns exactly where the single-RHS solve
+// batch PCG freezes converged columns exactly where a single-column solve
 // would return, the row-partitioned kernels give the same bits at any
 // worker count, the interleaved banded sweep keeps each column's
 // single-solve arithmetic, and the rhs and pad-state updates are
@@ -46,7 +50,6 @@ type BatchSimulator struct {
 	g       *grid.Grid
 	m       int
 	backend Backend
-	workers int // SimOptions.Workers, the kernel bound of the DC solvers
 
 	cOverH  []float64
 	padGeff []float64
@@ -54,9 +57,18 @@ type BatchSimulator struct {
 
 	vCols      [][]float64 // node voltages per column (state)
 	padCurCols [][]float64 // pad branch currents per column (state)
-	rhsCols    [][]float64 // scratch
 
-	blocks []*colBlock // contiguous column ranges, in column order
+	// pos[node] is the node's row in both mesh systems and in every block's
+	// buffers: the banded short-axis numbering, or the inverse of the
+	// sparse step system's RCM permutation perm, which the DC system
+	// reuses.
+	pos, perm []int
+	// chol and dcChol are the banded step and DC factors, shared by the
+	// blocks; dcChol is nil until the first settle.
+	chol, dcChol *banded.CholFactor
+
+	blocks      []*colBlock // contiguous column ranges, in column order
+	settleLoads [][]float64 // SettleColumn's load columns: nil but for the one it settles
 
 	// forBlocks' dispatch: the stage every block runs, its load columns,
 	// and the prebuilt stages.
@@ -66,21 +78,18 @@ type BatchSimulator struct {
 	stepShare, settleShare func(*colBlock)
 }
 
-// colBlock owns columns [lo, hi) of a BatchSimulator.
+// colBlock owns columns [lo, hi) of a BatchSimulator and the buffers its
+// solves run in.
 type colBlock struct {
 	lo, hi int
-	step   colSolver  // the step system for the block's width
-	dc     meshSolver // the block's DC solver; nil until the first settle
-	err    error      // the block's failure in the last stage
-	job    func()     // runs the current stage on this block as a pool job
-}
-
-// colSolver steps a block's columns [lo, hi) of s: it assembles their
-// right-hand sides from s's state and the loads, and writes the solutions
-// into s.vCols, whose entries iterative backends take as the warm start.
-// Implementations must not allocate.
-type colSolver interface {
-	stepCols(s *BatchSimulator, lo, hi int, loads [][]float64) error
+	stride int       // row stride of rhs and x
+	rhs    []float64 // right-hand sides: column c of row r at rhs[r*stride+c-lo]
+	x      []float64 // solutions in rhs's layout; rhs itself on banded, which solves in place
+	// cg and dc are the block's PCGs for the step and the DC system over
+	// one workspace (sparse only; dc is nil until the first settle).
+	cg, dc *sparse.BatchCGSolver
+	err    error  // the block's failure in the last stage
+	job    func() // runs the current stage on this block as a pool job
 }
 
 // NewBatchSimulator assembles one shared backward-Euler system for nrhs
@@ -95,10 +104,11 @@ func NewBatchSimulator(g *grid.Grid, dt float64, nrhs int, opts SimOptions) (*Ba
 	}
 	n := g.NumNodes()
 	s := &BatchSimulator{
-		g: g, m: nrhs, workers: opts.Workers,
-		cOverH:  make([]float64, n),
-		padGeff: make([]float64, len(g.Pads)),
-		padLh:   make([]float64, len(g.Pads)),
+		g: g, m: nrhs,
+		cOverH:      make([]float64, n),
+		padGeff:     make([]float64, len(g.Pads)),
+		padLh:       make([]float64, len(g.Pads)),
+		settleLoads: make([][]float64, nrhs),
 	}
 	for i, c := range g.Caps {
 		s.cOverH[i] = c / dt
@@ -110,11 +120,9 @@ func NewBatchSimulator(g *grid.Grid, dt float64, nrhs int, opts SimOptions) (*Ba
 	}
 	s.vCols = make([][]float64, nrhs)
 	s.padCurCols = make([][]float64, nrhs)
-	s.rhsCols = make([][]float64, nrhs)
 	for c := 0; c < nrhs; c++ {
 		s.vCols[c] = make([]float64, n)
 		s.padCurCols[c] = make([]float64, len(g.Pads))
-		s.rhsCols[c] = make([]float64, n)
 	}
 	backend := opts.Backend
 	if backend == Auto {
@@ -122,64 +130,58 @@ func NewBatchSimulator(g *grid.Grid, dt float64, nrhs int, opts SimOptions) (*Ba
 	}
 	s.backend = backend
 	diag := stepDiag(g, s.cOverH, s.padGeff)
+	var sys *sparseSystem
+	var err error
+	switch backend {
+	case Banded:
+		s.pos = shortAxisOrder(g)
+		if s.chol, err = factorBanded(g, diag, s.pos); err != nil {
+			return nil, err
+		}
+	case Sparse:
+		if sys, err = newSparseSystem(g, diag, nil); err != nil {
+			return nil, err
+		}
+		s.perm = sys.perm
+		s.pos = make([]int, n)
+		for row, node := range s.perm {
+			s.pos[node] = row
+		}
+	default:
+		return nil, fmt.Errorf("pdn: unknown backend %v", backend)
+	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = mat.Parallelism()
 	}
 	k := min(nrhs, workers)
-	switch backend {
-	case Banded:
-		chol, pos, err := factorBanded(g, diag)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < k; i++ {
-			lo, hi := i*nrhs/k, (i+1)*nrhs/k
-			s.addBlock(lo, hi, newBandedSolver(chol, pos, hi-lo))
-		}
-	case Sparse:
-		sys, err := newSparseSystem(g, diag)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < k; i++ {
-			lo, hi := i*nrhs/k, (i+1)*nrhs/k
-			var step colSolver
-			if hi-lo == 1 {
-				step, err = newSparseSolver(sys, stepCGTol, opts.Workers)
-			} else {
-				step, err = newBatchSolver(sys, hi-lo, opts.Workers)
-			}
+	for i := 0; i < k; i++ {
+		b := &colBlock{lo: i * nrhs / k, hi: (i + 1) * nrhs / k}
+		width := b.hi - b.lo
+		if backend == Banded {
+			b.stride = banded.ColumnStride(width)
+			b.rhs = make([]float64, n*b.stride)
+			b.x = b.rhs
+		} else {
+			b.stride = width
+			b.rhs, b.x = make([]float64, n*width), make([]float64, n*width)
+			b.cg, err = sparse.NewBatchCGSolver(sys.a, width, sparse.CGOptions{
+				Tol: stepCGTol, Precond: sys.pre, Workers: opts.Workers,
+			})
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("pdn: sparse batch solver: %w", err)
 			}
-			s.addBlock(lo, hi, step)
 		}
-	default:
-		return nil, fmt.Errorf("pdn: unknown backend %v", backend)
-	}
-	s.stepShare = func(b *colBlock) {
-		b.err = b.step.stepCols(s, b.lo, b.hi, s.stageLoads)
-		s.updatePads(b.lo, b.hi)
-	}
-	s.settleShare = func(b *colBlock) {
-		for c := b.lo; c < b.hi && b.err == nil; c++ {
-			b.err = settleInto(s.g, b.dc, s.stageLoads[c], s.vCols[c], s.padCurCols[c], s.rhsCols[c])
+		b.job = func() {
+			s.stage(b)
+			s.wg.Done()
 		}
+		s.blocks = append(s.blocks, b)
 	}
+	s.stepShare = func(b *colBlock) { b.err = s.solveBlock(b, s.stageLoads, false) }
+	s.settleShare = func(b *colBlock) { b.err = s.solveBlock(b, s.stageLoads, true) }
 	s.Reset()
 	return s, nil
-}
-
-// addBlock appends the block of columns [lo, hi) with its step solver and
-// its prebuilt pool job.
-func (s *BatchSimulator) addBlock(lo, hi int, step colSolver) {
-	b := &colBlock{lo: lo, hi: hi, step: step}
-	b.job = func() {
-		s.stage(b)
-		s.wg.Done()
-	}
-	s.blocks = append(s.blocks, b)
 }
 
 // Backend reports the resolved solver path.
@@ -217,15 +219,30 @@ func (s *BatchSimulator) forBlocks(stage func(*colBlock), loads [][]float64) {
 	s.stage, s.stageLoads = nil, nil
 }
 
-// buildDC builds the DC system on the first settle, so step-only simulators
-// never pay for it, and gives every block its own solver over it.
+// buildDC builds the DC system (inductors shorted, capacitors open) on the
+// first settle, so step-only simulators never pay for it, in the step
+// system's row order pos: on banded a second factor, on sparse the DC
+// matrix with its own IC factor, which each block solves through a PCG
+// over its step PCG's workspace.
 func (s *BatchSimulator) buildDC() error {
-	if s.blocks[0].dc != nil {
+	if s.dcChol != nil || s.blocks[0].dc != nil {
 		return nil
 	}
-	dcs, err := newDCSolvers(s.g, s.backend, s.workers, len(s.blocks))
+	diag := dcDiag(s.g)
+	if s.backend == Banded {
+		var err error
+		s.dcChol, err = factorBanded(s.g, diag, s.pos)
+		return err
+	}
+	sys, err := newSparseSystem(s.g, diag, s.perm)
 	if err != nil {
 		return err
+	}
+	dcs := make([]*sparse.BatchCGSolver, len(s.blocks))
+	for i, b := range s.blocks {
+		if dcs[i], err = b.cg.WithMatrix(sys.a, sparse.CGOptions{Tol: dcCGTol, Precond: sys.pre}); err != nil {
+			return fmt.Errorf("pdn: sparse DC solver: %w", err)
+		}
 	}
 	for i, b := range s.blocks {
 		b.dc = dcs[i]
@@ -234,18 +251,31 @@ func (s *BatchSimulator) buildDC() error {
 }
 
 // SettleColumn initializes column c at the DC operating point of the given
-// node loads, as Simulator.Settle describes: the columns share one DC
-// system, built on the first settle.
+// node loads, as Simulator.Settle describes. It solves c's whole block,
+// the block's other columns at a zero right-hand side, and writes back
+// column c alone.
 func (s *BatchSimulator) SettleColumn(c int, loads []float64) error {
+	if n := s.g.NumNodes(); len(loads) != n {
+		panic(fmt.Sprintf("pdn: loads length %d, want %d", len(loads), n))
+	}
 	if err := s.buildDC(); err != nil {
 		return err
 	}
-	return settleInto(s.g, s.blocks[0].dc, loads, s.vCols[c], s.padCurCols[c], s.rhsCols[c])
+	var b *colBlock
+	for _, b = range s.blocks {
+		if c < b.hi {
+			break
+		}
+	}
+	s.settleLoads[c] = loads
+	err := s.solveBlock(b, s.settleLoads, true)
+	s.settleLoads[c] = nil
+	return err
 }
 
 // settleAll settles every column c at the DC operating point of loads[c],
-// each block's columns inside that block's share. It returns the first
-// failure in column order.
+// each block's columns in one solve inside that block's share. It returns
+// the first failure in column order.
 func (s *BatchSimulator) settleAll(loads [][]float64) error {
 	if err := s.buildDC(); err != nil {
 		return err
@@ -286,32 +316,120 @@ func (s *BatchSimulator) Step(loads [][]float64) [][]float64 {
 	return s.vCols
 }
 
-// assemble writes the step right-hand sides of columns [lo, hi) for their
-// node loads into x, interleaved at stride: (C/h)·v − load, plus each pad's
-// VDD injection and inductor history. Column c's entry for node i goes to
-// x[r*stride+c-lo], where r is pos[i], or i when pos is nil. The node loop
-// is outermost, so every row of x is written whole.
-func (s *BatchSimulator) assemble(lo, hi int, loads [][]float64, x []float64, pos []int, stride int) {
+// solveBlock advances block b's columns by one solve for their node loads:
+// a time step, or with settle set the DC settle. It writes the right-hand
+// sides into the block's buffer in row order pos, starts the sparse PCG
+// from the columns' state (step) or from VDD (settle), solves the step or
+// the DC system, scatters the solutions into the columns' voltages and
+// brings their pad currents up to date. A column whose loads are nil gets
+// a zero right-hand side and keeps its state: SettleColumn settles one
+// column of a block that way. It allocates nothing.
+func (s *BatchSimulator) solveBlock(b *colBlock, loads [][]float64, settle bool) error {
+	vs, lds := s.vCols[b.lo:b.hi], loads[b.lo:b.hi]
 	vdd := s.g.Cfg.VDD
-	vs, lds := s.vCols[lo:hi], loads[lo:hi]
-	for i, ch := range s.cOverH {
-		r := i
-		if pos != nil {
-			r = pos[i]
+	if settle {
+		s.assembleDC(b, lds)
+	} else {
+		s.assemble(b, lds)
+	}
+	var err error
+	switch {
+	case b.cg == nil: // banded
+		f := s.chol
+		if settle {
+			f = s.dcChol
 		}
-		row := x[r*stride : r*stride+len(vs)]
+		f.SolveColsInPlace(b.x, b.stride)
+	case settle:
+		for i := range b.x {
+			b.x[i] = vdd
+		}
+		_, err = b.dc.SolveBatch(b.x, b.rhs)
+	default:
+		for i, r := range s.pos {
+			row := b.x[r*b.stride : r*b.stride+len(vs)]
+			for c, v := range vs {
+				row[c] = v[i]
+			}
+		}
+		_, err = b.cg.SolveBatch(b.x, b.rhs)
+	}
+	if err != nil {
+		if settle {
+			return fmt.Errorf("pdn: DC settle: %w", err)
+		}
+		return err
+	}
+	for i, r := range s.pos {
+		row := b.x[r*b.stride : r*b.stride+len(vs)]
+		for c, v := range vs {
+			if lds[c] != nil {
+				v[i] = row[c]
+			}
+		}
+	}
+	if !settle {
+		s.updatePads(b.lo, b.hi)
+		return nil
+	}
+	for c, ld := range lds {
+		if ld == nil {
+			continue
+		}
+		v, padCur := vs[c], s.padCurCols[b.lo+c]
+		for p, pad := range s.g.Pads {
+			padCur[p] = (vdd - v[pad.Node]) / pad.R
+		}
+	}
+	return nil
+}
+
+// assemble writes the step right-hand sides of block b's columns for their
+// node loads lds into b.rhs: (C/h)·v − load, plus each pad's VDD injection
+// and inductor history. The node loop is outermost, so every row of the
+// buffer is written whole.
+func (s *BatchSimulator) assemble(b *colBlock, lds [][]float64) {
+	vdd := s.g.Cfg.VDD
+	vs, x, w := s.vCols[b.lo:b.hi], b.rhs, b.stride
+	for i, ch := range s.cOverH {
+		r := s.pos[i]
+		row := x[r*w : r*w+len(vs)]
 		for c, v := range vs {
 			row[c] = ch*v[i] - lds[c][i]
 		}
 	}
 	for p, pad := range s.g.Pads {
-		r := pad.Node
-		if pos != nil {
-			r = pos[r]
-		}
-		row := x[r*stride : r*stride+len(vs)]
+		r := s.pos[pad.Node]
+		row := x[r*w : r*w+len(vs)]
 		for c := range row {
-			row[c] += s.padGeff[p] * (vdd + s.padLh[p]*s.padCurCols[lo+c][p])
+			row[c] += s.padGeff[p] * (vdd + s.padLh[p]*s.padCurCols[b.lo+c][p])
+		}
+	}
+}
+
+// assembleDC writes the DC right-hand sides of block b's columns for their
+// node loads lds into b.rhs: each load drawn out of its node, each pad
+// injecting VDD/R. A column whose loads are nil gets zeros.
+func (s *BatchSimulator) assembleDC(b *colBlock, lds [][]float64) {
+	x, w := b.rhs, b.stride
+	for i, r := range s.pos {
+		row := x[r*w : r*w+len(lds)]
+		for c, ld := range lds {
+			row[c] = 0
+			if ld != nil {
+				row[c] = -ld[i]
+			}
+		}
+	}
+	vdd := s.g.Cfg.VDD
+	for _, pad := range s.g.Pads {
+		gdc := 1 / pad.R // the inductor is a short at DC
+		r := s.pos[pad.Node]
+		row := x[r*w : r*w+len(lds)]
+		for c, ld := range lds {
+			if ld != nil {
+				row[c] += gdc * vdd
+			}
 		}
 	}
 }
@@ -353,52 +471,6 @@ func (s *BatchSimulator) RunAll(steps int, currentAt func(c, t int) []float64, o
 			for c, v := range vs {
 				onStep(c, t, v)
 			}
-		}
-	}
-	return nil
-}
-
-// batchSolver steps two or more columns through one blocked multi-RHS PCG
-// on the RCM-permuted step system, through interleaved permuted buffers.
-type batchSolver struct {
-	cg     *sparse.BatchCGSolver
-	perm   []int
-	xI, bI []float64
-}
-
-// newBatchSolver prepares the batch PCG for m columns on sys at stepCGTol,
-// with the system's preconditioner and the given worker bound.
-func newBatchSolver(sys *sparseSystem, m, workers int) (*batchSolver, error) {
-	cg, err := sparse.NewBatchCGSolver(sys.a, m, sparse.CGOptions{
-		Tol: stepCGTol, Precond: sys.pre, Workers: workers,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("pdn: sparse batch solver: %w", err)
-	}
-	n := sys.a.Rows()
-	return &batchSolver{cg: cg, perm: sys.perm, xI: make([]float64, n*m), bI: make([]float64, n*m)}, nil
-}
-
-// stepCols assembles columns [lo, hi) of bs, interleaves them with their
-// warm starts through the permutation and solves them in one batch PCG.
-func (s *batchSolver) stepCols(bs *BatchSimulator, lo, hi int, loads [][]float64) error {
-	for c := lo; c < hi; c++ {
-		bs.assemble(c, c+1, loads, bs.rhsCols[c], nil, 1)
-	}
-	v, rhs := bs.vCols[lo:hi], bs.rhsCols[lo:hi]
-	m := len(v)
-	for newI, oldI := range s.perm {
-		for c := 0; c < m; c++ {
-			s.xI[newI*m+c] = v[c][oldI]
-			s.bI[newI*m+c] = rhs[c][oldI]
-		}
-	}
-	if _, err := s.cg.SolveBatch(s.xI, s.bI); err != nil {
-		return err
-	}
-	for newI, oldI := range s.perm {
-		for c := 0; c < m; c++ {
-			v[c][oldI] = s.xI[newI*m+c]
 		}
 	}
 	return nil

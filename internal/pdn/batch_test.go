@@ -34,7 +34,7 @@ func benchLoads(n, m, steps int, seed int64) [][][]float64 {
 // TestBatchMatchesLoopedSimulators: the core batch contract — a
 // BatchSimulator's columns are bitwise identical to independent Simulators
 // (batches of width 1) stepped with the same loads, on both backends: on
-// sparse the batch PCG against the single-RHS PCG.
+// sparse one width-3 batch PCG against three width-1 ones.
 func TestBatchMatchesLoopedSimulators(t *testing.T) {
 	g := smallGrid()
 	n := g.NumNodes()
@@ -77,8 +77,8 @@ func TestBatchMatchesLoopedSimulators(t *testing.T) {
 // to 19, Workers 0–3 and GOMAXPROCS 1 and 2. Each batch settles every
 // column through SettleColumn first, then is reset and runs RunAll, which
 // settles again inside the blocks' shares and steps. At 2 workers width 3
-// has a one-column block, which steps through the single-RHS PCG, and
-// width 5 at 3 workers has blocks of unequal width.
+// has a one-column block beside a two-column one, and width 5 at 3 workers
+// has blocks of unequal width.
 func TestSparseBlocksMatchSimulators(t *testing.T) {
 	checkBlocksMatchSimulators(t, Sparse, allWidths)
 }
@@ -201,73 +201,77 @@ func sameState(t *testing.T, what string, want, v, padCur []float64) {
 	}
 }
 
-// TestBatchSettleMatchesSimulator: SettleColumn reproduces Simulator.Settle
-// bitwise on both backends, and a settle after stepping reproduces a fresh
-// simulator's settle bitwise: the DC solve never starts from the history.
+// TestBatchSettleMatchesSimulator: a block settles its columns the way a
+// width-1 Simulator settles its one. RunAll's settle, which solves each
+// block's columns at once, and SettleColumn on any column, which solves
+// the column's whole block with the other columns at a zero right-hand
+// side, both equal a fresh Simulator.Settle under ==, voltages and pad
+// currents, at every width from 1 to 19, Workers 0–3 and GOMAXPROCS 1 and
+// 2, on both backends. Each SettleColumn runs after the batch has stepped
+// and leaves every other column's state as it was: the DC solve never
+// starts from the history and writes back its one column.
 func TestBatchSettleMatchesSimulator(t *testing.T) {
 	g := smallGrid()
 	n := g.NumNodes()
-	loads := make([]float64, n)
-	for i := 0; i < n; i += 5 {
-		loads[i] = 0.01
-	}
-	const m, steps = 2, 12
-	history := benchLoads(n, m, steps, 3)
+	cols := slices.Max(allWidths)
+	loads := benchLoads(n, cols, 1, 3)
+	history := benchLoads(n, cols, 4, 5)
+	old := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(old)
 	for _, backend := range []Backend{Banded, Sparse} {
-		opts := SimOptions{Backend: backend}
-		fresh, err := NewSimulatorOpts(g, testDT, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.Settle(loads); err != nil {
-			t.Fatal(err)
-		}
-		bs, err := NewBatchSimulator(g, testDT, m, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := bs.SettleColumn(1, loads); err != nil {
-			t.Fatal(err)
-		}
-		sameSettle(t, fmt.Sprintf("%v batch column", backend), fresh, bs.vCols[1], bs.padCurCols[1])
-
-		s, err := NewSimulatorOpts(g, testDT, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Settle(history[0][0]); err != nil {
-			t.Fatal(err)
-		}
-		cols := make([][]float64, m)
-		for step := 0; step < steps; step++ {
-			s.Step(history[0][step])
-			for c := range cols {
-				cols[c] = history[c][step]
+		want := make([][]float64, cols)
+		for c := range want {
+			sim, err := NewSimulatorOpts(g, testDT, SimOptions{Backend: backend})
+			if err != nil {
+				t.Fatal(err)
 			}
-			bs.Step(cols)
+			if err := sim.Settle(loads[c][0]); err != nil {
+				t.Fatal(err)
+			}
+			want[c] = state(sim.b.vCols[0], sim.b.padCurCols[0])
 		}
-		if err := s.Settle(loads); err != nil {
-			t.Fatal(err)
-		}
-		if err := bs.SettleColumn(0, loads); err != nil {
-			t.Fatal(err)
-		}
-		sameSettle(t, fmt.Sprintf("%v simulator after %d steps", backend, steps), fresh, s.b.vCols[0], s.b.padCurCols[0])
-		sameSettle(t, fmt.Sprintf("%v batch column after %d steps", backend, steps), fresh, bs.vCols[0], bs.padCurCols[0])
-	}
-}
-
-// sameSettle requires v and padCur to equal want's settled state bitwise.
-func sameSettle(t *testing.T, what string, want *Simulator, v, padCur []float64) {
-	t.Helper()
-	for i := range want.b.vCols[0] {
-		if v[i] != want.b.vCols[0][i] {
-			t.Fatalf("%s node %d: %v, fresh settle %v", what, i, v[i], want.b.vCols[0][i])
-		}
-	}
-	for p := range want.b.padCurCols[0] {
-		if padCur[p] != want.b.padCurCols[0][p] {
-			t.Fatalf("%s pad %d: current %v, fresh settle %v", what, p, padCur[p], want.b.padCurCols[0][p])
+		for _, m := range allWidths {
+			settle, step := make([][]float64, m), make([][]float64, m)
+			for c := range settle {
+				settle[c] = loads[c][0]
+			}
+			for _, procs := range []int{1, 2} {
+				runtime.GOMAXPROCS(procs)
+				for _, w := range []int{0, 1, 2, 3} {
+					what := fmt.Sprintf("%v width %d procs %d workers %d", backend, m, procs, w)
+					bs, err := NewBatchSimulator(g, testDT, m, SimOptions{Backend: backend, Workers: w})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := bs.settleAll(settle); err != nil {
+						t.Fatal(err)
+					}
+					for c := 0; c < m; c++ {
+						sameState(t, fmt.Sprintf("%s RunAll's settle column %d", what, c), want[c], bs.vCols[c], bs.padCurCols[c])
+					}
+					for st := range history[0] {
+						for c := range step {
+							step[c] = history[c][st]
+						}
+						bs.Step(step)
+					}
+					for c := 0; c < m; c++ {
+						before := make([][]float64, m)
+						for o := range before {
+							before[o] = state(bs.vCols[o], bs.padCurCols[o])
+						}
+						if err := bs.SettleColumn(c, loads[c][0]); err != nil {
+							t.Fatal(err)
+						}
+						sameState(t, fmt.Sprintf("%s SettleColumn %d after stepping", what, c), want[c], bs.vCols[c], bs.padCurCols[c])
+						for o := range before {
+							if o != c {
+								sameState(t, fmt.Sprintf("%s column %d after SettleColumn %d", what, o, c), before[o], bs.vCols[o], bs.padCurCols[o])
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -393,9 +397,8 @@ func TestResolveBackend(t *testing.T) {
 }
 
 // TestSparseStepRejectsNonFiniteLoad: on the sparse backend a NaN or +Inf
-// node load fails at once, through the single-RHS PCG (width 1) and the
-// batch PCG (width 3): Step panics with the solver's not-finite error and
-// SettleColumn returns it, where an unchecked NaN would spend the step
+// node load fails at once, at width 1 and in a width-3 block: Step panics
+// with the solver's not-finite error and SettleColumn returns it, where an unchecked NaN would spend the step
 // PCG's whole iteration budget and a +Inf load would silently keep the
 // previous voltages.
 func TestSparseStepRejectsNonFiniteLoad(t *testing.T) {

@@ -102,8 +102,9 @@ func TestStepZeroAllocsSparse(t *testing.T) {
 	}
 }
 
-// TestSettleZeroAllocs: after the first call builds the DC system, Settle
-// and SettleColumn reuse it — no allocation on either backend.
+// TestSettleZeroAllocs: after the first settle builds the DC system,
+// Simulator.Settle, SettleColumn on a 19-column batch and RunAll's settle
+// of that batch reuse it — no allocation on either backend.
 func TestSettleZeroAllocs(t *testing.T) {
 	g := fullGrid()
 	loads := make([]float64, g.NumNodes())
@@ -112,12 +113,16 @@ func TestSettleZeroAllocs(t *testing.T) {
 			loads[nd] = 0.2 / float64(len(nodes))
 		}
 	}
+	cols := make([][]float64, scanColumns)
+	for c := range cols {
+		cols[c] = loads
+	}
 	for _, backend := range []Backend{Banded, Sparse} {
 		s, err := NewSimulatorBackend(g, 5e-10, backend)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bs, err := NewBatchSimulator(g, 5e-10, 2, SimOptions{Backend: backend})
+		bs, err := NewBatchSimulator(g, 5e-10, scanColumns, SimOptions{Backend: backend})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,8 +135,11 @@ func TestSettleZeroAllocs(t *testing.T) {
 		if a := testing.AllocsPerRun(10, func() { _ = s.Settle(loads) }); a != 0 {
 			t.Fatalf("%v Settle allocates %v times per run, want 0", backend, a)
 		}
-		if a := testing.AllocsPerRun(10, func() { _ = bs.SettleColumn(1, loads) }); a != 0 {
+		if a := testing.AllocsPerRun(10, func() { _ = bs.SettleColumn(scanColumns-1, loads) }); a != 0 {
 			t.Fatalf("%v SettleColumn allocates %v times per run, want 0", backend, a)
+		}
+		if a := testing.AllocsPerRun(10, func() { _ = bs.settleAll(cols) }); a != 0 {
+			t.Fatalf("%v RunAll's settle allocates %v times per run, want 0", backend, a)
 		}
 	}
 }
@@ -286,7 +294,7 @@ func BenchmarkStepBatch512(b *testing.B) {
 // settled columns on the 288×24 mesh of the critical-node scan (the
 // scan-sparse workload), through one width-19 BatchSimulator (at the pool
 // default, one block per worker, each one batch PCG) or 19 Simulators (one
-// single-RHS PCG each). Each column's block currents alternate between two
+// width-1 batch PCG each). Each column's block currents alternate between two
 // random draws so every step solves a real transient. benchreport reports
 // the pair's speedup.
 func BenchmarkStepScanBatch(b *testing.B) {
@@ -325,6 +333,53 @@ func BenchmarkStepScanLooped(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for c, s := range sims {
 			s.Step(draws[1-i%2][c])
+		}
+	}
+}
+
+// BenchmarkSettleScanBatch vs BenchmarkSettleScanLooped: the DC settle of
+// the 19 scan columns on the 288×24 mesh, through RunAll's settle of one
+// width-19 BatchSimulator (at the pool default, one block solve per
+// worker) or through 19 width-1 Simulator.Settle calls. benchreport
+// reports the pair's speedup.
+func BenchmarkSettleScanBatch(b *testing.B) {
+	g, draws := scanStepFixture()
+	bs, err := NewBatchSimulator(g, 5e-10, scanColumns, SimOptions{Backend: Sparse})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := bs.settleAll(draws[0]); err != nil { // builds the DC system
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := bs.settleAll(draws[i%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSettleScanLooped(b *testing.B) {
+	g, draws := scanStepFixture()
+	sims := make([]*Simulator, scanColumns)
+	for c := range sims {
+		s, err := NewSimulatorBackend(g, 5e-10, Sparse)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Settle(draws[0][c]); err != nil { // builds the DC system
+			b.Fatal(err)
+		}
+		sims[c] = s
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for c, s := range sims {
+			if err := s.Settle(draws[i%2][c]); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
@@ -374,11 +429,10 @@ func BenchmarkStepLooped512(b *testing.B) {
 }
 
 // TestStepBatchZeroAllocs extends the zero-alloc invariant to the batched
-// step: the sparse multi-RHS PCG, the single-RHS PCG a sparse batch of
-// width 1 steps through, sparse batches split into two blocks that step as
-// pool jobs (width 3 at 2 workers has a one-column block), and banded
-// batches of one, two and three interleaved column blocks stepped as pool
-// jobs.
+// step: the sparse batch PCG at widths 4 and 1, sparse batches split into
+// two blocks that step as pool jobs (width 3 at 2 workers has a one-column
+// block), and banded batches of one, two and three interleaved column
+// blocks stepped as pool jobs.
 func TestStepBatchZeroAllocs(t *testing.T) {
 	g := smallGrid()
 	for _, tc := range []struct {

@@ -15,25 +15,30 @@
 // fast path for narrow meshes) and a preconditioned conjugate-gradient path
 // over the RCM-reordered CSR matrix, warm-started from the previous step's
 // voltages, which scales to 1024×1024+ meshes where the banded factor's
-// O(n·bw²) time and O(n·bw) memory are prohibitive. Each backend settles
-// the same way it steps: on the first Settle a simulator builds the DC
-// system once — a second banded factor, or an RCM-ordered modified-IC(0)
-// PCG solver — and every later Settle is one solve from a fixed start. The
-// sparse path preconditions its step and DC systems alike with modified
-// IC(0), falling back to plain IC(0) should a pivot break down, and runs
-// its SpMV and vector kernels in parallel on the mat worker pool with
-// bitwise-deterministic results at any worker count; SimOptions bounds the
-// workers. BatchSimulator steps many independent transients on the same
-// grid in lock step and is the one implementation of the step: on the
-// sparse backend it splits its columns into one contiguous block per
-// worker, steps the blocks concurrently, and solves each block's columns
-// with one matrix traversal per PCG iteration. A Simulator is a one-column
-// batch, which on the sparse backend steps through the single-RHS PCG its
-// settle uses rather than a one-column batch PCG. NewSimulator picks the
-// backend automatically by bandwidth and storage; use NewSimulatorBackend
-// or NewSimulatorOpts to force a choice. Pad inductors use the standard
-// backward-Euler companion model: an effective conductance 1/(R + L/h)
-// plus a history current source tracking the previous branch current.
+// O(n·bw²) time and O(n·bw) memory are prohibitive. The sparse path
+// preconditions with modified IC(0), falling back to plain IC(0) should a
+// pivot break down, and runs its SpMV and vector kernels in parallel on the
+// mat worker pool with bitwise-deterministic results at any worker count;
+// SimOptions bounds the workers.
+//
+// BatchSimulator steps many independent transients on the same grid in
+// lock step and is the one implementation of the step and of the DC
+// settle; a Simulator is a one-column batch. It splits its columns into one
+// contiguous block per worker, and a block solves all its columns at once:
+// one interleaved sweep of the banded factor, or one blocked multi-RHS PCG
+// (sparse.BatchCGSolver, the engine's only PCG) with one matrix traversal
+// per iteration. Each backend settles the way it steps: on the first
+// settle a simulator builds the DC system (inductors shorted, capacitors
+// open) in the step system's row order — a second banded factor, or the
+// DC matrix in the step system's RCM order with its own modified-IC(0)
+// factor — and a block settles its columns in one solve of it, through the
+// same buffers and kernels it steps them with, starting from VDD. Step and
+// settle differ only in the right-hand side, the start and the pad update.
+// NewSimulator picks the backend automatically by bandwidth and storage;
+// use NewSimulatorBackend or NewSimulatorOpts to force a choice. Pad
+// inductors use the standard backward-Euler companion model: an effective
+// conductance 1/(R + L/h) plus a history current source tracking the
+// previous branch current.
 package pdn
 
 import (
@@ -101,35 +106,10 @@ type SimOptions struct {
 	Workers int
 }
 
-// meshSolver solves a constant SPD mesh system A·dst = rhs: the
-// backward-Euler step system or the DC system. dst holds the starting guess
-// on entry, which iterative backends use as the warm start; a direct
-// backend ignores it and never fails. Implementations must not allocate.
-type meshSolver interface {
-	solveInto(dst, rhs []float64) error
-}
-
-// bandedSolver solves one column block through the banded Cholesky factor
-// of a mesh system whose nodes are numbered along the mesh's shorter axis,
-// so the half-bandwidth is min(NX, NY) rather than NX. The renumbering is
-// transparent: callers stay in row-major node order, and the solver
-// gathers right-hand sides through pos into x, its block's columns
-// interleaved in banded order at the stride the factor's sweep prefers.
-// The blocks of a simulator share the factor and pos, read only, and each
-// owns its x.
-type bandedSolver struct {
-	chol   *banded.CholFactor
-	pos    []int     // pos[node] = row of node in the banded system
-	stride int       // banded.ColumnStride of the block's width
-	x      []float64 // element (row r, column c) at x[r*stride+c]; pad columns stay zero
-}
-
-// factorBanded assembles and factors the symmetric mesh system with the
-// given fully accumulated diagonal and −G between the ends of every mesh
-// edge: the backward-Euler step system, or the DC system when diag holds
-// the conductance degrees plus each pad's 1/R. It returns the factor and
-// the short-axis numbering pos.
-func factorBanded(g *grid.Grid, diag []float64) (*banded.CholFactor, []int, error) {
+// shortAxisOrder numbers the nodes along the mesh's shorter axis:
+// pos[node] is the node's row in the banded systems, whose half-bandwidth
+// is then min(NX, NY) rather than NX.
+func shortAxisOrder(g *grid.Grid) []int {
 	nx, ny := g.Cfg.NX, g.Cfg.NY
 	pos := make([]int, g.NumNodes())
 	for node := range pos {
@@ -138,6 +118,14 @@ func factorBanded(g *grid.Grid, diag []float64) (*banded.CholFactor, []int, erro
 			pos[node] = (node%nx)*ny + node/nx
 		}
 	}
+	return pos
+}
+
+// factorBanded assembles and factors the symmetric mesh system with the
+// given fully accumulated diagonal and −G between the ends of every mesh
+// edge, node i at row pos[i]: the backward-Euler step system, or the DC
+// system when diag holds the conductance degrees plus each pad's 1/R.
+func factorBanded(g *grid.Grid, diag []float64, pos []int) (*banded.CholFactor, error) {
 	bw := 0
 	for _, e := range g.Edges {
 		d := pos[e.A] - pos[e.B]
@@ -152,69 +140,33 @@ func factorBanded(g *grid.Grid, diag []float64) (*banded.CholFactor, []int, erro
 	}
 	chol, err := banded.Factor(a)
 	if err != nil {
-		return nil, nil, fmt.Errorf("pdn: system matrix not SPD: %w", err)
+		return nil, fmt.Errorf("pdn: system matrix not SPD: %w", err)
 	}
-	return chol, pos, nil
+	return chol, nil
 }
 
-// newBandedSolver returns a solver for blocks of width columns over the
-// shared factor and numbering.
-func newBandedSolver(chol *banded.CholFactor, pos []int, width int) *bandedSolver {
-	stride := banded.ColumnStride(width)
-	return &bandedSolver{chol: chol, pos: pos, stride: stride, x: make([]float64, len(pos)*stride)}
-}
-
-// solveInto solves one right-hand side (a DC settle) in the block's first
-// column.
-func (b *bandedSolver) solveInto(dst, rhs []float64) error {
-	x, w := b.x, b.stride
-	for node, p := range b.pos {
-		x[p*w] = rhs[node]
-	}
-	b.chol.SolveColsInPlace(x, w)
-	for node, p := range b.pos {
-		dst[node] = x[p*w]
-	}
-	return nil
-}
-
-// stepCols assembles the right-hand sides of columns [lo, hi) straight
-// into the interleaved buffer in banded order, solves them in one sweep of
-// the factor and scatters the voltages back into s.vCols.
-func (b *bandedSolver) stepCols(s *BatchSimulator, lo, hi int, loads [][]float64) error {
-	x, w := b.x, b.stride
-	s.assemble(lo, hi, loads, x, b.pos, w)
-	b.chol.SolveColsInPlace(x, w)
-	vs := s.vCols[lo:hi]
-	for node, p := range b.pos {
-		row := x[p*w : p*w+len(vs)]
-		for c, v := range vs {
-			v[node] = row[c]
-		}
-	}
-	return nil
-}
-
-// sparseSystem is the RCM-permuted CSR mesh system shared by the single and
-// batch sparse solvers: the matrix P·A·Pᵀ, the permutation that built it,
-// and the preconditioner factored for the permuted matrix. Reordering is
-// transparent — callers stay in original node order and the solvers map
-// through perm at the boundary.
+// sparseSystem is an RCM-permuted CSR mesh system: the matrix P·A·Pᵀ, the
+// permutation that built it, and the preconditioner factored for the
+// permuted matrix.
 type sparseSystem struct {
 	a    *sparse.CSR
-	perm []int // perm[newI] = oldI
+	perm []int // perm[row] = node
 	pre  *sparse.IC
 }
 
 // newSparseSystem assembles the mesh matrix with the given fully
-// accumulated diagonal (step or DC system), applies reverse Cuthill–McKee
-// (tight bands mean cache-local SpMV and IC sweep gathers, whatever order
-// the mesh was numbered in), and factors the preconditioner: modified
-// IC(0), which keeps the preconditioned condition number O(h⁻¹) on refined
-// meshes, or plain IC(0) on the rare breakdown.
-func newSparseSystem(g *grid.Grid, diag []float64) (*sparseSystem, error) {
+// accumulated diagonal (step or DC system) and orders it by perm, or when
+// perm is nil by reverse Cuthill–McKee (tight bands mean cache-local SpMV
+// and IC sweep gathers, whatever order the mesh was numbered in). The DC
+// system reuses the step system's permutation: the two share one
+// structure, and RCM reads nothing else. It then factors the
+// preconditioner: modified IC(0), which keeps the preconditioned condition
+// number O(h⁻¹) on refined meshes, or plain IC(0) on the rare breakdown.
+func newSparseSystem(g *grid.Grid, diag []float64, perm []int) (*sparseSystem, error) {
 	a := assembleSystemCSR(g, diag)
-	perm := sparse.RCM(a)
+	if perm == nil {
+		perm = sparse.RCM(a)
+	}
 	pa := sparse.PermuteSym(a, perm)
 	ic, err := sparse.NewICModified(pa, micOmega)
 	if err != nil {
@@ -225,64 +177,13 @@ func newSparseSystem(g *grid.Grid, diag []float64) (*sparseSystem, error) {
 	return &sparseSystem{a: pa, perm: perm, pre: ic}, nil
 }
 
-// sparseSolver runs warm-started PCG on the RCM-permuted system: the warm
-// start and rhs are permuted in, the solution permuted back out, so callers
-// never see the reordering.
-type sparseSolver struct {
-	cg     *sparse.CGSolver
-	perm   []int
-	xp, bp []float64
-}
-
-// newSparseSolver prepares PCG on sys to the relative residual tol, with
-// the system's preconditioner and the given worker bound.
-func newSparseSolver(sys *sparseSystem, tol float64, workers int) (*sparseSolver, error) {
-	cg, err := sparse.NewCGSolver(sys.a, sparse.CGOptions{
-		Tol: tol, Precond: sys.pre, Workers: workers,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("pdn: sparse solver: %w", err)
-	}
-	n := sys.a.Rows()
-	return &sparseSolver{
-		cg: cg, perm: sys.perm,
-		xp: make([]float64, n), bp: make([]float64, n),
-	}, nil
-}
-
-func (s *sparseSolver) solveInto(dst, rhs []float64) error {
-	for newI, oldI := range s.perm {
-		s.xp[newI] = dst[oldI]
-		s.bp[newI] = rhs[oldI]
-	}
-	if _, err := s.cg.Solve(s.xp, s.bp); err != nil {
-		return err
-	}
-	for newI, oldI := range s.perm {
-		dst[oldI] = s.xp[newI]
-	}
-	return nil
-}
-
-// stepCols assembles and solves columns [lo, hi) of bs one after another;
-// a one-column block steps through it.
-func (s *sparseSolver) stepCols(bs *BatchSimulator, lo, hi int, loads [][]float64) error {
-	for c := lo; c < hi; c++ {
-		bs.assemble(c, c+1, loads, bs.rhsCols[c], nil, 1)
-		if err := s.solveInto(bs.vCols[c], bs.rhsCols[c]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // stepCGTol is the relative residual target of the sparse step solver,
 // chosen so that iterative error stays below the 1e-9 golden-equivalence
 // budget against the banded factor even after thousands of steps.
 const stepCGTol = 1e-13
 
 // dcCGTol is the relative residual target of the sparse DC settle, the
-// same target StaticSolve converges to.
+// same target the tests' independent DC solve converges to.
 const dcCGTol = 1e-12
 
 // micOmega is the relaxation of the modified-IC preconditioner, on the
@@ -371,7 +272,7 @@ func (s *Simulator) Step(loads []float64) []float64 {
 // given node loads: node voltages from the resistive solve (inductors
 // shorted) and pad currents carrying their steady-state share. The first
 // call builds the DC system on the simulator's backend; every call then
-// solves it from the same fixed start, so the result depends only on loads
+// solves it from VDD on every node, so the result depends only on loads
 // and allocates nothing after the first call. Starting a transient from
 // Settle avoids the unphysical inrush collapse of switching a fully loaded
 // chip onto an unenergized package.
@@ -404,70 +305,6 @@ func dcDiag(g *grid.Grid) []float64 {
 		diag[pad.Node] += 1 / pad.R
 	}
 	return diag
-}
-
-// dcRHS writes the DC system's right-hand side for the given node loads
-// into b: each load drawn out of its node, each pad injecting VDD/R.
-func dcRHS(g *grid.Grid, loads, b []float64) {
-	if len(loads) != len(b) {
-		panic(fmt.Sprintf("pdn: loads length %d, want %d", len(loads), len(b)))
-	}
-	for i, ld := range loads {
-		b[i] = -ld
-	}
-	for _, pad := range g.Pads {
-		gdc := 1 / pad.R // the inductor is a short at DC
-		b[pad.Node] += gdc * g.Cfg.VDD
-	}
-}
-
-// newDCSolvers builds the DC system (inductors shorted, capacitors open)
-// once and k solvers over it, one per column block, so blocks can settle
-// concurrently: on banded its factor, shared by k one-column buffers; on
-// sparse the RCM-ordered system with its IC preconditioner, shared by k PCG
-// workspaces at dcCGTol.
-func newDCSolvers(g *grid.Grid, backend Backend, workers, k int) ([]meshSolver, error) {
-	solvers := make([]meshSolver, k)
-	if backend == Banded {
-		chol, pos, err := factorBanded(g, dcDiag(g))
-		if err != nil {
-			return nil, err
-		}
-		for i := range solvers {
-			solvers[i] = newBandedSolver(chol, pos, 1)
-		}
-		return solvers, nil
-	}
-	sys, err := newSparseSystem(g, dcDiag(g))
-	if err != nil {
-		return nil, err
-	}
-	for i := range solvers {
-		if solvers[i], err = newSparseSolver(sys, dcCGTol, workers); err != nil {
-			return nil, err
-		}
-	}
-	return solvers, nil
-}
-
-// settleInto writes the DC operating point for loads into v and each pad's
-// steady-state current into padCur, solving with dc and using rhs as
-// scratch. The solve starts from VDD on every node, never from the
-// simulator's state, so a settle does not depend on what the simulator ran
-// before. It allocates nothing.
-func settleInto(g *grid.Grid, dc meshSolver, loads, v, padCur, rhs []float64) error {
-	vdd := g.Cfg.VDD
-	dcRHS(g, loads, rhs)
-	for i := range v {
-		v[i] = vdd
-	}
-	if err := dc.solveInto(v, rhs); err != nil {
-		return fmt.Errorf("pdn: DC settle: %w", err)
-	}
-	for p, pad := range g.Pads {
-		padCur[p] = (vdd - v[pad.Node]) / pad.R
-	}
-	return nil
 }
 
 // assembleSystemCSR builds the symmetric system matrix directly in CSR
@@ -551,22 +388,6 @@ func (l *BlockLoader) Loads(blockCurrents []float64) []float64 {
 		}
 	}
 	return l.loads
-}
-
-// StaticSolve computes the DC operating point for constant node loads
-// (inductors shorted, capacitors open) with an independent one-shot
-// conjugate-gradient solve: natural node order, plain IC(0), cold start.
-// It is the cross-check oracle for the transient engine: a constant-load
-// transient, and either backend's Settle, must land on this solution.
-func StaticSolve(g *grid.Grid, loads []float64) ([]float64, error) {
-	b := make([]float64, g.NumNodes())
-	dcRHS(g, loads, b)
-	a := assembleSystemCSR(g, dcDiag(g))
-	x, _, err := sparse.SolveCG(a, b, nil, sparse.CGOptions{Tol: 1e-12})
-	if err != nil {
-		return nil, fmt.Errorf("pdn: static solve: %w", err)
-	}
-	return x, nil
 }
 
 // WorstDroop tracks the minimum voltage seen at every node across a run;

@@ -95,7 +95,6 @@ type Registry struct {
 
 	rescanMu sync.Mutex // serializes Rescan passes
 
-	loads     atomic.Uint64
 	evictions atomic.Uint64
 }
 
@@ -137,7 +136,6 @@ func (r *Registry) Get(id string) (any, error) {
 	r.mu.Unlock()
 
 	v, fp, err := r.cfg.Source.Load(id)
-	r.loads.Add(1)
 
 	var retired []retiredEntry
 	r.mu.Lock()
@@ -183,9 +181,6 @@ func (r *Registry) Len() int {
 	defer r.mu.Unlock()
 	return len(r.entries)
 }
-
-// Loads reports cumulative Source.Load calls (tests and metrics).
-func (r *Registry) Loads() uint64 { return r.loads.Load() }
 
 // Evictions reports cumulative capacity/idle evictions and removals.
 func (r *Registry) Evictions() uint64 { return r.evictions.Load() }
@@ -326,7 +321,6 @@ func (r *Registry) Rescan() RescanResult {
 			continue
 		}
 		v, newFp, err := r.cfg.Source.Load(id)
-		r.loads.Add(1)
 		if err != nil {
 			res.Failed[id] = err
 			continue
@@ -352,7 +346,6 @@ func (r *Registry) Rescan() RescanResult {
 // Rescan's removal semantics — and the load error is returned.
 func (r *Registry) Refresh(id string) error {
 	v, fp, err := r.cfg.Source.Load(id)
-	r.loads.Add(1)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			r.mu.Lock()

@@ -44,7 +44,7 @@ func trueChip(r0, r1 float64) []float64 {
 
 // calibBody builds a /v1/calibrate request with n labeled samples drawn
 // from trueChip at pseudo-random operating points.
-func calibBody(t *testing.T, tenant string, rng *rand.Rand, n int) string {
+func calibBody(t testing.TB, tenant string, rng *rand.Rand, n int) string {
 	t.Helper()
 	req := calibrateRequest{Tenant: tenant}
 	for i := 0; i < n; i++ {

@@ -357,18 +357,6 @@ func (m *Metrics) ObserveRequest(path string, code int, d time.Duration) {
 	h.Observe(d.Seconds())
 }
 
-// RequestCount returns the recorded count for one path+code pair (testing
-// and health reporting).
-func (m *Metrics) RequestCount(path string, code int) uint64 {
-	m.mu.Lock()
-	c := m.requests[path+"\x00"+strconv.Itoa(code)]
-	m.mu.Unlock()
-	if c == nil {
-		return 0
-	}
-	return c.Value()
-}
-
 // WritePrometheus writes the registry in Prometheus text exposition format,
 // with series in deterministic order. Every metric family — including
 // multi-series families like the generation-labeled prediction counter —

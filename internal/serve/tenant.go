@@ -89,9 +89,6 @@ type Tenant struct {
 	tm *TenantMetrics
 }
 
-// ID returns the tenant id.
-func (tn *Tenant) ID() string { return tn.id }
-
 // Generation returns the tenant's current model generation.
 func (tn *Tenant) Generation() uint64 { return tn.cur.Load().gen }
 

@@ -21,36 +21,29 @@ import (
 // (kernels_amd64.s).
 //
 // Equivalence contract: per column, the floating-point operations execute
-// in exactly the order of a CGSolver.Solve on that column alone — the same
-// k-ascending SpMV accumulation, the same dotBlock-blocked reductions
-// combined serially in block order, the same update sequence — and columns
-// that converge are frozen (no further state updates), exactly where the
-// looped solve would have returned. SolveBatch is therefore bitwise
-// identical to looping Solve over the columns, at any worker count. Tests
-// assert this, not just a tolerance.
+// in exactly the order of a serial single-RHS PCG on that column alone, the
+// oracle the tests keep (CGSolver in oracle_test.go): the same k-ascending
+// SpMV accumulation, the same dotBlock-blocked reductions combined serially
+// in block order, the same update sequence. Columns that converge are
+// frozen (no further state updates) exactly where that solve would have
+// returned. SolveBatch is therefore bitwise identical to looping the
+// oracle over the columns, at any width and worker count. Tests assert
+// this, not just a tolerance.
 
 // BatchCGSolver solves A·X = B for a fixed column count with one matrix
-// traversal per PCG iteration. Workspace — including every parallel stage
-// closure — is allocated at construction; SolveBatch allocates nothing.
-// Not safe for concurrent use.
+// traversal per PCG iteration. It is the engine's only PCG: at width 1 it
+// solves a single system, and WithMatrix gives a second matrix of the same
+// order a solver over the same workspace (pdn's step and DC systems).
+// Workspace — including every parallel stage closure — is allocated at
+// construction; SolveBatch allocates nothing. Not safe for concurrent use.
 type BatchCGSolver struct {
 	a       *CSR
 	ic      *IC
 	tol     float64
 	maxIter int
-	n, m    int
 
-	t    team
-	sums []float64 // numDotBlocks(n) * m reduction blocks
-
-	// interleaved n×m workspaces
-	r, z, p, ap []float64
-
-	// per-column state
-	bnorm, rn2, rz, pap, sc []float64
-	mask                    []uint64 // activeMask of active, for the AVX2 blends
-	active                  []bool
-	iters                   []int
+	t team
+	*batchWork
 
 	// vec, simd.AVX2() at construction, runs the stages and the IC sweeps
 	// as AVX2 kernels; the benchmarks of their Go twins clear it.
@@ -62,29 +55,68 @@ type BatchCGSolver struct {
 	fnSpMV, fnDot, fnAxpy2, fnXpBY, fnSub func(lo, hi int)
 }
 
+// batchWork is a solver's workspace for n rows and m columns, which
+// WithMatrix shares between solvers of the same order and width.
+type batchWork struct {
+	n, m int
+	sums []float64 // numDotBlocks(n) * m reduction blocks
+
+	// interleaved n×m workspaces
+	r, z, p, ap []float64
+
+	// per-column state
+	bnorm, rn2, rz, pap, sc []float64
+	mask                    []uint64 // activeMask of active, for the AVX2 blends
+	active                  []bool
+	iters                   []int
+}
+
 // NewBatchCGSolver prepares a solver for nrhs simultaneous systems on the
-// SPD matrix a. Options mirror NewCGSolver, except that the preconditioner
-// must be an *IC (nil builds plain IC(0)): its sweeps traverse the factor
-// once for all columns.
+// SPD matrix a, preconditioned by opt.Precond, or by plain IC(0) when that
+// is nil: the IC sweeps traverse the factor once for all columns.
 func NewBatchCGSolver(a *CSR, nrhs int, opt CGOptions) (*BatchCGSolver, error) {
+	if nrhs < 1 {
+		panic(fmt.Sprintf("sparse: batch CG needs nrhs >= 1, got %d", nrhs))
+	}
+	n, m := a.rows, nrhs
+	w := &batchWork{
+		n: n, m: m,
+		sums: make([]float64, numDotBlocks(n)*m),
+		r:    make([]float64, n*m), z: make([]float64, n*m),
+		p: make([]float64, n*m), ap: make([]float64, n*m),
+		bnorm: make([]float64, m), rn2: make([]float64, m),
+		rz: make([]float64, m), pap: make([]float64, m),
+		sc: make([]float64, m), mask: make([]uint64, m),
+		active: make([]bool, m), iters: make([]int, m),
+	}
+	return newBatchCGSolver(a, opt, opt.Workers, w)
+}
+
+// WithMatrix returns a solver for the SPD matrix a, of the same order as
+// s's, that works in s's workspace: it has s's width and worker bound
+// (opt.Workers is ignored) and shares every n×nrhs buffer and the
+// per-column state with s, so the two must never solve at the same time.
+// Tol, MaxIter and Precond mean what they do for NewBatchCGSolver.
+func (s *BatchCGSolver) WithMatrix(a *CSR, opt CGOptions) (*BatchCGSolver, error) {
+	if a.rows != s.n {
+		panic(fmt.Sprintf("sparse: WithMatrix order %d, want %d", a.rows, s.n))
+	}
+	return newBatchCGSolver(a, opt, s.t.workers, s.batchWork)
+}
+
+// newBatchCGSolver builds a solver for a over the workspace w, its kernels
+// bounded by workers.
+func newBatchCGSolver(a *CSR, opt CGOptions, workers int, w *batchWork) (*BatchCGSolver, error) {
 	n := a.rows
 	if a.cols != n {
 		panic(fmt.Sprintf("sparse: batch CG needs square matrix, got %dx%d", a.rows, a.cols))
 	}
-	if nrhs < 1 {
-		panic(fmt.Sprintf("sparse: batch CG needs nrhs >= 1, got %d", nrhs))
-	}
-	var ic *IC
-	switch p := opt.Precond.(type) {
-	case nil:
+	ic := opt.Precond
+	if ic == nil {
 		var err error
 		if ic, err = NewIC(a); err != nil {
 			return nil, err
 		}
-	case *IC:
-		ic = p
-	default:
-		return nil, fmt.Errorf("sparse: batch CG needs an *IC preconditioner, got %T", p)
 	}
 	tol := opt.Tol
 	if tol <= 0 {
@@ -94,19 +126,8 @@ func NewBatchCGSolver(a *CSR, nrhs int, opt CGOptions) (*BatchCGSolver, error) {
 	if maxIter <= 0 {
 		maxIter = 10 * n
 	}
-	m := nrhs
-	s := &BatchCGSolver{
-		a: a, ic: ic, tol: tol, maxIter: maxIter, n: n, m: m,
-		sums: make([]float64, numDotBlocks(n)*m),
-		r:    make([]float64, n*m), z: make([]float64, n*m),
-		p: make([]float64, n*m), ap: make([]float64, n*m),
-		bnorm: make([]float64, m), rn2: make([]float64, m),
-		rz: make([]float64, m), pap: make([]float64, m),
-		sc: make([]float64, m), mask: make([]uint64, m),
-		active: make([]bool, m), iters: make([]int, m),
-		vec: simd.AVX2(),
-	}
-	s.t.init(opt.Workers)
+	s := &BatchCGSolver{a: a, ic: ic, tol: tol, maxIter: maxIter, batchWork: w, vec: simd.AVX2()}
+	s.t.init(workers)
 	s.buildStages()
 	return s, nil
 }
@@ -114,9 +135,9 @@ func NewBatchCGSolver(a *CSR, nrhs int, opt CGOptions) (*BatchCGSolver, error) {
 // buildStages prebuilds the interleaved parallel kernels. Partitioning is
 // by row (SpMV, elementwise) or by reduction block (dots): one writer per
 // output element, per-column operation order fixed — bitwise identical
-// across worker counts, like the single-RHS kernels in parallel.go. Each
-// stage runs its AVX2 kernel when vec is set and its Go twin otherwise;
-// both give every column the same bits.
+// across worker counts (parallel.go). Each stage runs its AVX2 kernel when
+// vec is set and its Go twin otherwise; both give every column the same
+// bits.
 func (s *BatchCGSolver) buildStages() {
 	m, n := s.m, s.n
 	rowPtr, colIdx, val := s.a.rowPtr, s.a.colIdx, s.a.val
@@ -317,10 +338,10 @@ func (s *BatchCGSolver) bSub(r, b []float64) {
 // warm starts on entry and the solutions on return. It returns per-column
 // iteration counts (the slice is reused by the next call) and the first
 // error: ErrNoConvergence if any column ran out of iterations, the pᵀAp
-// breakdown error, or Solve's error for a column whose right-hand side or
-// initial residual norm is NaN or infinite, which stops at iteration 0
+// breakdown error, or the not-finite error of a column whose right-hand
+// side or initial residual norm is NaN or infinite, which stops at iteration 0
 // with its warm start untouched. A column that fails is frozen where the
-// equivalent single-RHS Solve would have stopped; the remaining columns
+// equivalent single-RHS solve would have stopped; the remaining columns
 // still finish with the same bits. Allocates nothing.
 func (s *BatchCGSolver) SolveBatch(x, b []float64) ([]int, error) {
 	n, m := s.n, s.m

@@ -50,9 +50,39 @@ func batchFixture(nx, ny, nrhs int, seed int64) (a *CSR, xI, bI []float64, xCols
 	return
 }
 
+// cgWidths are the widths at which the batch solver's single-system
+// behaviours are checked: one column alone, and one AVX2 vector beside a
+// pair and a single column.
+var cgWidths = []int{1, 7}
+
+// solveColumns solves a·x_c = b[c] for every column c in one SolveBatch of
+// width len(b), warm-started from x0[c] (x0 nil: from zero), and returns
+// the solutions and the iteration counts.
+func solveColumns(a *CSR, b, x0 [][]float64, opt CGOptions) ([][]float64, []int, error) {
+	m, n := len(b), a.Rows()
+	s, err := NewBatchCGSolver(a, m, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	xI, bI := make([]float64, n*m), make([]float64, n*m)
+	for c := range b {
+		PackColumn(bI, b[c], c, m)
+		if x0 != nil {
+			PackColumn(xI, x0[c], c, m)
+		}
+	}
+	iters, err := s.SolveBatch(xI, bI)
+	x := make([][]float64, m)
+	for c := range x {
+		x[c] = make([]float64, n)
+		UnpackColumn(x[c], xI, c, m)
+	}
+	return x, iters, err
+}
+
 // mkPre builds the named preconditioner for a: "mic" is modified IC(0),
 // "default" is nil, which both solvers turn into plain IC(0).
-func mkPre(t *testing.T, a *CSR, name string) Preconditioner {
+func mkPre(t *testing.T, a *CSR, name string) *IC {
 	t.Helper()
 	if name == "default" {
 		return nil
@@ -66,8 +96,8 @@ func mkPre(t *testing.T, a *CSR, name string) Preconditioner {
 
 // TestSolveBatchBitwiseMatchesLooped: the core equivalence contract — with
 // modified and plain IC(0), SolveBatch produces bit-for-bit the same
-// solutions and iteration counts as looping CGSolver.Solve column by
-// column, at every width from 1 to 13: widths below four run the kernels'
+// solutions and iteration counts as looping the serial oracle's Solve
+// column by column, at every width from 1 to 13: widths below four run the kernels'
 // pair and single columns alone, wider ones whole vectors beside every
 // tail. Not a tolerance comparison: the operation orders are engineered to
 // coincide.
@@ -89,8 +119,8 @@ func TestSolveBatchBitwiseMatchesLooped(t *testing.T) {
 	}
 }
 
-// requireLooped solves every column c of the per-column systems with a
-// CGSolver (cols nil means all of them) and requires the interleaved batch
+// requireLooped solves every column c of the per-column systems with the
+// oracle CGSolver (cols nil means all of them) and requires the interleaved batch
 // solution xI and its iteration counts to match bitwise.
 func requireLooped(t *testing.T, what string, a *CSR, opt CGOptions, xI []float64, iters []int, xCols, bCols [][]float64, cols []int) {
 	t.Helper()
@@ -100,7 +130,7 @@ func requireLooped(t *testing.T, what string, a *CSR, opt CGOptions, xI []float6
 			cols = append(cols, c)
 		}
 	}
-	ss, err := NewCGSolver(a, opt)
+	ss, err := NewCGSolver(a, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,13 +153,74 @@ func requireLooped(t *testing.T, what string, a *CSR, opt CGOptions, xI []float6
 	}
 }
 
-// TestNewBatchCGSolverRejectsNonIC: the batch sweeps need the IC factor,
-// so any other preconditioner is refused at construction.
-func TestNewBatchCGSolverRejectsNonIC(t *testing.T) {
-	a := gridLaplacianCSR(8, 8, 0.3)
-	if _, err := NewBatchCGSolver(a, 2, CGOptions{Precond: Identity{}}); err == nil {
-		t.Fatal("Identity preconditioner accepted")
+// TestWithMatrixSharesWorkspace: a solver from WithMatrix works in its
+// receiver's workspace, and the two, solving in turn, each match a solver
+// built alone for their matrix bitwise: solutions and iteration counts, at
+// widths 1 and 7. A matrix of another order panics.
+func TestWithMatrixSharesWorkspace(t *testing.T) {
+	for _, m := range cgWidths {
+		a, xA, bA, _, _ := batchFixture(20, 18, m, 80)
+		dc := gridLaplacianCSR(20, 18, 0.05)
+		optA := CGOptions{Tol: 1e-11, Precond: mkPre(t, a, "mic")}
+		optDC := CGOptions{Tol: 1e-12, Precond: mkPre(t, dc, "mic")}
+		s, err := NewBatchCGSolver(a, m, optA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := s.WithMatrix(dc, optDC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &d.r[0] != &s.r[0] || &d.iters[0] != &s.iters[0] {
+			t.Fatalf("width %d: WithMatrix allocated its own workspace", m)
+		}
+		aloneA, err := NewBatchCGSolver(a, m, optA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aloneDC, err := NewBatchCGSolver(dc, m, optDC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 2; round++ {
+			for _, tc := range []struct {
+				name        string
+				shared, ref *BatchCGSolver
+			}{{"receiver", s, aloneA}, {"derived", d, aloneDC}} {
+				got, want := append([]float64(nil), xA...), append([]float64(nil), xA...)
+				itGot, err := tc.shared.SolveBatch(got, bA)
+				if err != nil {
+					t.Fatal(err)
+				}
+				itGot = append([]int(nil), itGot...)
+				itWant, err := tc.ref.SolveBatch(want, bA)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for c := range itWant {
+					if itGot[c] != itWant[c] {
+						t.Fatalf("width %d round %d %s column %d: %d iterations, alone %d", m, round, tc.name, c, itGot[c], itWant[c])
+					}
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("width %d round %d %s: x[%d] = %v, alone %v (not bitwise identical)", m, round, tc.name, i, got[i], want[i])
+					}
+				}
+			}
+		}
 	}
+	a := gridLaplacianCSR(6, 6, 0.3)
+	s, err := NewBatchCGSolver(a, 2, CGOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("WithMatrix accepted a matrix of another order")
+		}
+	}()
+	s.WithMatrix(gridLaplacianCSR(6, 5, 0.3), CGOptions{})
 }
 
 // TestSolveBatchInvariantUnderParallelism: batch solves are bitwise
@@ -138,7 +229,6 @@ func TestNewBatchCGSolverRejectsNonIC(t *testing.T) {
 func TestSolveBatchInvariantUnderParallelism(t *testing.T) {
 	for _, nrhs := range []int{4, 10} {
 		a, x0, bI, _, _ := batchFixture(splitNX, splitNY, nrhs, 21)
-		n := a.Rows()
 		ic := mkPre(t, a, "mic")
 		var ref []float64
 		var refIt []int
@@ -150,9 +240,7 @@ func TestSolveBatchInvariantUnderParallelism(t *testing.T) {
 					t.Fatal(err)
 				}
 				if w == 2 {
-					requireSplit(t, &bs.t, n, rowChunk/nrhs)
-					requireSplit(t, &bs.t, numDotBlocks(n), dotBlockChunk)
-					requireSplit(t, &bs.t, n, bs.batchRowChunk())
+					requireBatchSplit(t, bs)
 				}
 				xI := append([]float64(nil), x0...)
 				iters, err := bs.SolveBatch(xI, bI)
@@ -284,8 +372,9 @@ func TestPackUnpackColumn(t *testing.T) {
 }
 
 // BenchmarkSolveBatch vs BenchmarkSolveLooped: the batched-vs-looped
-// speedup pair — same 8 transient-style warm-started systems stepped
-// through one matrix traversal vs eight.
+// speedup pair — the same 8 systems solved through one width-8 solver, one
+// matrix traversal per iteration for all of them, and column by column
+// through one width-1 solver, one traversal per column.
 const benchBatchNRHS = 8
 
 func benchBatchSystems(b *testing.B) (*CSR, []float64, []float64) {
@@ -329,7 +418,7 @@ func BenchmarkSolveLooped(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ss, err := NewCGSolver(a, CGOptions{Tol: 1e-10, Precond: ic})
+	ss, err := NewBatchCGSolver(a, 1, CGOptions{Tol: 1e-10, Precond: ic})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -343,66 +432,10 @@ func BenchmarkSolveLooped(b *testing.B) {
 			for j := range x {
 				x[j] = 0
 			}
-			if _, err := ss.Solve(x, rhs); err != nil {
+			if _, err := ss.SolveBatch(x, rhs); err != nil {
 				b.Fatal(err)
 			}
 			PackColumn(xI, x, c, benchBatchNRHS)
-		}
-	}
-}
-
-// BenchmarkSolveSingle vs BenchmarkSolveBatchWidth1: one cold-started solve
-// of the same 288×24 mesh system at the DC settle's tolerance, through the
-// single-RHS PCG and through a one-column batch PCG. The pair is why a pdn
-// BatchSimulator of width 1 on the sparse backend steps through CGSolver.
-func benchWidth1System(b *testing.B) (*CSR, Preconditioner, []float64) {
-	a := gridLaplacianCSR(288, 24, 0.05)
-	ic, err := NewICModified(a, 1.0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(51))
-	rhs := make([]float64, a.Rows())
-	for i := range rhs {
-		rhs[i] = rng.NormFloat64()
-	}
-	return a, ic, rhs
-}
-
-func BenchmarkSolveSingle(b *testing.B) {
-	a, ic, rhs := benchWidth1System(b)
-	cg, err := NewCGSolver(a, CGOptions{Tol: 1e-12, Precond: ic})
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]float64, len(rhs))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range x {
-			x[j] = 0
-		}
-		if _, err := cg.Solve(x, rhs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSolveBatchWidth1(b *testing.B) {
-	a, ic, rhs := benchWidth1System(b)
-	bs, err := NewBatchCGSolver(a, 1, CGOptions{Tol: 1e-12, Precond: ic})
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]float64, len(rhs))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range x {
-			x[j] = 0
-		}
-		if _, err := bs.SolveBatch(x, rhs); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -560,16 +593,16 @@ func TestSolveBatchConcurrentBlocksGo(t *testing.T) {
 	}
 }
 
-// TestSparseSolveRejectsNonFiniteInput: a NaN or an infinity in the
-// right-hand side or in the warm start fails at iteration 0 with
-// errNotFinite and leaves the warm start as it was. Unchecked, a NaN
+// TestSparseSolveRejectsNonFiniteInput: in a width-1 solve, a NaN or an
+// infinity in the right-hand side or in the warm start fails at iteration
+// 0 with errNotFinite and leaves the warm start as it was. Unchecked, a NaN
 // spends the whole budget of 10·n iterations and ends in
 // ErrNoConvergence, and a +Inf right-hand side passes the tolerance test
 // at once, returning the warm start as the solution with a nil error.
 func TestSparseSolveRejectsNonFiniteInput(t *testing.T) {
 	a := gridLaplacianCSR(40, 40, 0.3)
 	n := a.Rows()
-	s, err := NewCGSolver(a, CGOptions{})
+	s, err := NewBatchCGSolver(a, 1, CGOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -595,9 +628,9 @@ func TestSparseSolveRejectsNonFiniteInput(t *testing.T) {
 			x[n/2] = tc.v
 		}
 		x0 := append([]float64(nil), x...)
-		it, err := s.Solve(x, b)
-		if !errors.Is(err, errNotFinite) || it != 0 {
-			t.Fatalf("%s: %d iterations, error %v; want 0 and %v", tc.name, it, err, errNotFinite)
+		iters, err := s.SolveBatch(x, b)
+		if !errors.Is(err, errNotFinite) || iters[0] != 0 {
+			t.Fatalf("%s: %d iterations, error %v; want 0 and %v", tc.name, iters[0], err, errNotFinite)
 		}
 		for i := range x {
 			if !same(x[i], x0[i]) {

@@ -169,47 +169,19 @@ func transposeCSR(m *CSR) *CSR {
 	return t
 }
 
-// Apply solves L·Lᵀ·z = r by one forward sweep over rows 0…n−1 and one
-// backward sweep over rows n−1…0, using z as the only workspace. It
-// allocates nothing.
+// applyBatch solves L·Lᵀ·z = r for nrhs interleaved columns (element
+// (i, c) at z[i*nrhs+c]), the preconditioner step of BatchCGSolver: one
+// forward sweep over rows 0…n−1 and one backward sweep over rows n−1…0,
+// using z as the only workspace, each row's substitution running for every
+// column while the factor row is hot. Per column the operations run in
+// exactly the order of the scalar sweeps of the tests' oracle, on the AVX2
+// kernels when vec is set and on their Go twins otherwise. It allocates
+// nothing.
 //
 // The sweeps are sequential. A level schedule could solve independent
 // rows concurrently, but under the RCM ordering pdn uses every level is a
 // contiguous row range, so it visits rows in this same order, and at two
 // cores it measured slower than these plain sweeps (DESIGN.md §15).
-func (m *IC) Apply(z, r []float64) {
-	if len(z) != m.n || len(r) != m.n {
-		panic(fmt.Sprintf("sparse: IC.Apply lengths z=%d r=%d, want %d", len(z), len(r), m.n))
-	}
-	// The factor arrays live in locals, so the store to z cannot force
-	// them to be reloaded.
-	rowPtr, colIdx, val := m.l.rowPtr, m.l.colIdx, m.l.val
-	for i := range z {
-		start, end := rowPtr[i], rowPtr[i+1]-1 // diagonal is last
-		vals := val[start:end]
-		s := r[i]
-		for k, j := range colIdx[start:end] {
-			s -= vals[k] * z[j]
-		}
-		z[i] = s / val[end]
-	}
-	rowPtr, colIdx, val = m.lt.rowPtr, m.lt.colIdx, m.lt.val
-	for i := len(z) - 1; i >= 0; i-- {
-		start, end := rowPtr[i], rowPtr[i+1] // diagonal is first
-		vals := val[start+1 : end]
-		s := z[i]
-		for k, j := range colIdx[start+1 : end] {
-			s -= vals[k] * z[j]
-		}
-		z[i] = s / val[start]
-	}
-}
-
-// applyBatch is Apply for nrhs interleaved columns (element (i, c) at
-// z[i*nrhs+c]), the preconditioner step of BatchCGSolver: each row's
-// substitution runs for every column while the factor row is hot. Per
-// column the operations run in exactly Apply's order, on the AVX2 kernels
-// when vec is set and on their Go twins otherwise.
 func (m *IC) applyBatch(z, r []float64, nrhs int, vec bool) {
 	l, lt := m.l, m.lt
 	if vec {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"voltsense/internal/simd"
 )
 
 // L returns the incomplete Cholesky factor (lower triangular, diagonal
@@ -72,7 +74,8 @@ func residualNorm(a *CSR, x, b []float64) float64 {
 }
 
 // TestICExactOnTridiagonal: IC(0) on a tridiagonal matrix has no dropped
-// fill, so it equals the exact Cholesky factor and Apply inverts A.
+// fill, so it equals the exact Cholesky factor and its sweeps, on the AVX2
+// kernels and on their Go twins, invert A.
 func TestICExactOnTridiagonal(t *testing.T) {
 	a := gridLaplacianCSR(9, 1, 0.5) // 1-D chain → tridiagonal
 	ic, err := NewIC(a)
@@ -84,10 +87,12 @@ func TestICExactOnTridiagonal(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	z := make([]float64, a.Rows())
-	ic.Apply(z, b)
-	if res := residualNorm(a, z, b); res > 1e-10 {
-		t.Fatalf("tridiagonal IC should be exact, residual %g", res)
+	for _, vec := range []bool{false, simd.AVX2()} {
+		z := make([]float64, a.Rows())
+		ic.applyBatch(z, b, 1, vec)
+		if res := residualNorm(a, z, b); res > 1e-10 {
+			t.Fatalf("vec %v: tridiagonal IC should be exact, residual %g", vec, res)
+		}
 	}
 }
 
@@ -120,8 +125,9 @@ func TestICFactorMatchesPattern(t *testing.T) {
 }
 
 // TestICBeatsPlainCG is the satellite property test: on the grid Laplacian,
-// IC(0)-preconditioned CG must take strictly fewer iterations than
-// unpreconditioned CG to the same tolerance.
+// IC(0)-preconditioned CG, the batch solver at width 1, must take strictly
+// fewer iterations than unpreconditioned CG, the oracle with the identity,
+// to the same tolerance.
 func TestICBeatsPlainCG(t *testing.T) {
 	a := gridLaplacianCSR(48, 48, 0.05)
 	rng := rand.New(rand.NewSource(7))
@@ -129,57 +135,65 @@ func TestICBeatsPlainCG(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	_, plainIt, err := SolveCG(a, b, nil, CGOptions{Tol: 1e-10, Precond: Identity{}})
-	if err != nil {
-		t.Fatalf("plain CG: %v", err)
-	}
-	ic, err := NewIC(a)
+	plain, err := NewCGSolver(a, CGOptions{Tol: 1e-10}, Identity{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, icIt, err := SolveCG(a, b, nil, CGOptions{Tol: 1e-10, Precond: ic})
+	plainIt, err := plain.Solve(make([]float64, a.Rows()), b)
+	if err != nil {
+		t.Fatalf("plain CG: %v", err)
+	}
+	x, icIt, err := solveColumns(a, [][]float64{b}, nil, CGOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatalf("IC-PCG: %v", err)
 	}
-	if icIt >= plainIt {
-		t.Fatalf("IC-PCG took %d iterations, plain CG %d — preconditioner not helping", icIt, plainIt)
+	if icIt[0] >= plainIt {
+		t.Fatalf("IC-PCG took %d iterations, plain CG %d — preconditioner not helping", icIt[0], plainIt)
 	}
 	bnorm := norm2(b)
-	if res := residualNorm(a, x, b); res > 1e-9*bnorm {
+	if res := residualNorm(a, x[0], b); res > 1e-9*bnorm {
 		t.Fatalf("IC-PCG residual %g exceeds 1e-9·‖b‖", res)
 	}
-	t.Logf("grid 48×48: plain CG %d iters, IC(0)-PCG %d iters", plainIt, icIt)
+	t.Logf("grid 48×48: plain CG %d iters, IC(0)-PCG %d iters", plainIt, icIt[0])
 }
 
 // TestICConverges512 is the satellite convergence test at 512×512 — a
-// quarter-million unknowns, the scale the sparse transient backend targets.
+// quarter-million unknowns, the scale the sparse transient backend
+// targets — at widths 1 and 7.
 func TestICConverges512(t *testing.T) {
 	if testing.Short() {
 		t.Skip("512×512 solve skipped in -short mode")
 	}
 	a := gridLaplacianCSR(512, 512, 0.01)
 	n := a.Rows()
-	rng := rand.New(rand.NewSource(11))
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.Float64()
-	}
 	ic, err := NewIC(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, it, err := SolveCG(a, b, nil, CGOptions{Tol: 1e-10, Precond: ic})
-	if err != nil {
-		t.Fatalf("512×512 IC-PCG: %v after %d iterations", err, it)
+	rng := rand.New(rand.NewSource(11))
+	for _, m := range cgWidths {
+		b := make([][]float64, m)
+		for c := range b {
+			b[c] = make([]float64, n)
+			for i := range b[c] {
+				b[c][i] = rng.Float64()
+			}
+		}
+		x, iters, err := solveColumns(a, b, nil, CGOptions{Tol: 1e-10, Precond: ic})
+		if err != nil {
+			t.Fatalf("512×512 width %d IC-PCG: %v after %v iterations", m, err, iters)
+		}
+		for c := range b {
+			if res := residualNorm(a, x[c], b[c]); res > 1e-9*norm2(b[c]) {
+				t.Fatalf("512×512 width %d column %d residual %g", m, c, res)
+			}
+		}
+		t.Logf("512×512 (n=%d, nnz=%d) width %d: converged in %v iterations", n, a.NNZ(), m, iters)
 	}
-	if res := residualNorm(a, x, b); res > 1e-9*norm2(b) {
-		t.Fatalf("512×512 residual %g", res)
-	}
-	t.Logf("512×512 (n=%d, nnz=%d): converged in %d iterations", n, a.NNZ(), it)
 }
 
-// TestCGSolverZeroAlloc: the reusable solver must not allocate per Solve —
-// the contract the transient hot loop depends on.
+// TestCGSolverZeroAlloc: at widths 1 and 7 the reusable batch solver must
+// not allocate per solve — the contract the transient hot loop depends on.
 func TestCGSolverZeroAlloc(t *testing.T) {
 	a := gridLaplacianCSR(24, 24, 0.1)
 	n := a.Rows()
@@ -187,51 +201,59 @@ func TestCGSolverZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewCGSolver(a, CGOptions{Tol: 1e-10, Precond: ic})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(3))
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	x := make([]float64, n)
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := s.Solve(x, b); err != nil {
+	for _, m := range cgWidths {
+		s, err := NewBatchCGSolver(a, m, CGOptions{Tol: 1e-10, Precond: ic})
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("CGSolver.Solve allocates %v objects per run, want 0", allocs)
+		b := make([]float64, n*m)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		x := make([]float64, n*m)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := s.SolveBatch(x, b); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("width %d: SolveBatch allocates %v objects per run, want 0", m, allocs)
+		}
 	}
 }
 
-// TestCGSolverWarmStart: solving from the previous solution converges in
-// zero iterations, the property the transient Step leans on.
+// TestCGSolverWarmStart: at widths 1 and 7, solving again from the
+// previous solution converges in zero iterations, the property the
+// transient Step leans on.
 func TestCGSolverWarmStart(t *testing.T) {
 	a := gridLaplacianCSR(16, 16, 0.2)
 	n := a.Rows()
-	s, err := NewCGSolver(a, CGOptions{Tol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(5))
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	x := make([]float64, n)
-	cold, err := s.Solve(x, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := s.Solve(x, b) // x already the solution
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm != 0 {
-		t.Fatalf("warm re-solve took %d iterations, want 0 (cold took %d)", warm, cold)
+	for _, m := range cgWidths {
+		s, err := NewBatchCGSolver(a, m, CGOptions{Tol: 1e-10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := make([]float64, n*m)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		x := make([]float64, n*m)
+		iters, err := s.SolveBatch(x, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold := append([]int(nil), iters...)
+		warm, err := s.SolveBatch(x, b) // x already the solution
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range warm {
+			if warm[c] != 0 {
+				t.Fatalf("width %d column %d: warm re-solve took %d iterations, want 0 (cold took %d)", m, c, warm[c], cold[c])
+			}
+		}
 	}
 }
 

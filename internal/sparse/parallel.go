@@ -8,8 +8,8 @@ import (
 
 // This file is the parallel execution layer of the sparse engine: a small
 // dispatcher (team) that reuses the mat worker pool with preallocated jobs,
-// and the row-partitioned SpMV / elementwise / reduction kernels the solvers
-// are built from.
+// and the share sizes of the batch solver's row-partitioned SpMV,
+// elementwise and reduction stages (batch.go).
 //
 // Two invariants hold everywhere:
 //
@@ -43,7 +43,7 @@ func numDotBlocks(n int) int { return (n + dotBlock - 1) / dotBlock }
 // team fans one index range out across the mat worker pool. All job storage
 // is preallocated: a dispatch costs channel sends and a WaitGroup, never an
 // allocation. A team is single-client — one dispatch at a time — matching
-// the solvers that embed it.
+// the solver that embeds it.
 type team struct {
 	workers int
 	wg      sync.WaitGroup
@@ -119,113 +119,4 @@ func (t *team) run(n, minChunk int, fn func(lo, hi int)) {
 	}
 	fn(0, n/p)
 	t.wg.Wait()
-}
-
-// ops bundles the team with every parallel kernel the solvers need. Operands
-// are staged through fields so the stage closures can be built once; all
-// methods are therefore allocation-free after newOps.
-type ops struct {
-	t    team
-	sums []float64 // dot reduction blocks
-
-	a          *CSR // staged matrix (SpMV)
-	x, y, z, w []float64
-	s1         float64
-
-	fnSpMV, fnDot, fnAxpy2, fnXpBY, fnSub func(lo, hi int)
-}
-
-// newOps prepares kernels for vectors of length n with the given worker
-// bound (<= 0: pool default). Each stage loads its staged operands into
-// locals once per share, so its stores cannot force them to be reloaded.
-func newOps(n, workers int) *ops {
-	o := &ops{sums: make([]float64, numDotBlocks(n))}
-	o.t.init(workers)
-	o.fnSpMV = func(lo, hi int) { o.a.mulVecRange(o.y, o.x, lo, hi) }
-	o.fnDot = func(lo, hi int) {
-		x, y, sums := o.x, o.y, o.sums
-		for b := lo; b < hi; b++ {
-			start := b * dotBlock
-			end := min(start+dotBlock, len(x))
-			yb := y[start:end]
-			s := 0.0
-			for i, xv := range x[start:end] {
-				s += xv * yb[i]
-			}
-			sums[b] = s
-		}
-	}
-	o.fnAxpy2 = func(lo, hi int) {
-		a := o.s1
-		x, z, y, w := o.x[lo:hi], o.z[lo:hi], o.y[lo:hi], o.w[lo:hi]
-		for i := range x {
-			x[i] += a * z[i]
-			y[i] -= a * w[i]
-		}
-	}
-	o.fnXpBY = func(lo, hi int) {
-		b := o.s1
-		x, y := o.x[lo:hi], o.y[lo:hi]
-		for i, yv := range y {
-			x[i] = yv + b*x[i]
-		}
-	}
-	o.fnSub = func(lo, hi int) {
-		x, y := o.x[lo:hi], o.y[lo:hi]
-		for i, yv := range y {
-			x[i] = yv - x[i]
-		}
-	}
-	return o
-}
-
-// mulVecRange computes y[lo:hi] of y = c·x — the per-share body of the
-// parallel SpMV.
-func (c *CSR) mulVecRange(y, x []float64, lo, hi int) {
-	rowPtr, colIdx, val := c.rowPtr, c.colIdx, c.val
-	for i := lo; i < hi; i++ {
-		start, end := rowPtr[i], rowPtr[i+1]
-		vals := val[start:end]
-		s := 0.0
-		for k, j := range colIdx[start:end] {
-			s += vals[k] * x[j]
-		}
-		y[i] = s
-	}
-}
-
-// mulVec computes y = a·x with row-partitioned shares.
-func (o *ops) mulVec(a *CSR, y, x []float64) {
-	o.a, o.y, o.x = a, y, x
-	o.t.run(a.rows, rowChunk, o.fnSpMV)
-}
-
-// dot returns x·y via the fixed-block deterministic reduction.
-func (o *ops) dot(x, y []float64) float64 {
-	o.x, o.y = x, y
-	nb := numDotBlocks(len(x))
-	o.t.run(nb, dotBlockChunk, o.fnDot)
-	total := 0.0
-	for _, s := range o.sums[:nb] {
-		total += s
-	}
-	return total
-}
-
-// axpy2 performs the fused CG update x += a·p, r -= a·ap.
-func (o *ops) axpy2(a float64, x, p, r, ap []float64) {
-	o.s1, o.x, o.z, o.y, o.w = a, x, p, r, ap
-	o.t.run(len(x), vecChunk, o.fnAxpy2)
-}
-
-// xpby performs p = z + b·p.
-func (o *ops) xpby(p, z []float64, b float64) {
-	o.s1, o.x, o.y = b, p, z
-	o.t.run(len(p), vecChunk, o.fnXpBY)
-}
-
-// sub performs r = b - r (after an SpMV left the product in r).
-func (o *ops) sub(r, b []float64) {
-	o.x, o.y = r, b
-	o.t.run(len(r), vecChunk, o.fnSub)
 }

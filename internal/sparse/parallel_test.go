@@ -131,121 +131,163 @@ func requireSplit(t *testing.T, tm *team, items, minChunk int) {
 	}
 }
 
-// requireOpsSplit fails unless SpMV, dot and the vector kernels of o split
-// n-vectors.
-func requireOpsSplit(t *testing.T, o *ops, n int) {
+// requireBatchSplit fails unless the SpMV, the dots and the vector updates
+// of bs run as at least two shares.
+func requireBatchSplit(t *testing.T, bs *BatchCGSolver) {
 	t.Helper()
-	requireSplit(t, &o.t, n, rowChunk)
-	requireSplit(t, &o.t, numDotBlocks(n), dotBlockChunk)
-	requireSplit(t, &o.t, n, vecChunk)
+	requireSplit(t, &bs.t, bs.n, max(rowChunk/bs.m, 1))
+	requireSplit(t, &bs.t, numDotBlocks(bs.n), dotBlockChunk)
+	requireSplit(t, &bs.t, bs.n, bs.batchRowChunk())
 }
 
-// TestSpMVDeterministicAcrossWorkerCounts: the parallel SpMV is bitwise
-// identical to the serial MulVecTo at every worker count, at GOMAXPROCS 1
-// and 2.
+// interleavedColumns returns m random n-vectors and their interleaved n×m
+// buffer.
+func interleavedColumns(rng *rand.Rand, n, m int) ([][]float64, []float64) {
+	cols := make([][]float64, m)
+	inter := make([]float64, n*m)
+	for c := range cols {
+		cols[c] = make([]float64, n)
+		for i := range cols[c] {
+			cols[c][i] = rng.NormFloat64()
+		}
+		PackColumn(inter, cols[c], c, m)
+	}
+	return cols, inter
+}
+
+// TestSpMVDeterministicAcrossWorkerCounts: at widths 1 and 7 the batch
+// solver's parallel SpMV gives every column the bits of the serial
+// MulVecTo at every worker count, at GOMAXPROCS 1 and 2.
 func TestSpMVDeterministicAcrossWorkerCounts(t *testing.T) {
 	a := gridLaplacianCSR(splitNX, splitNY, 0.3)
 	n := a.Rows()
-	rng := rand.New(rand.NewSource(7))
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
+	ic, err := NewIC(a)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := make([]float64, n)
-	a.MulVecTo(want, x)
-	requireOpsSplit(t, newOps(n, 2), n)
-	atProcs(func() {
-		for _, w := range workerCounts() {
-			o := newOps(n, w)
-			got := make([]float64, n)
-			o.mulVec(a, got, x)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("procs=%d workers=%d: y[%d] = %v, want %v (not bitwise identical)",
-						runtime.GOMAXPROCS(0), w, i, got[i], want[i])
+	rng := rand.New(rand.NewSource(7))
+	for _, m := range cgWidths {
+		cols, x := interleavedColumns(rng, n, m)
+		want := make([]float64, n*m)
+		col := make([]float64, n)
+		for c := range cols {
+			a.MulVecTo(col, cols[c])
+			PackColumn(want, col, c, m)
+		}
+		atProcs(func() {
+			for _, w := range workerCounts() {
+				bs, err := NewBatchCGSolver(a, m, CGOptions{Precond: ic, Workers: w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w == 2 {
+					requireBatchSplit(t, bs)
+				}
+				got := make([]float64, n*m)
+				bs.bMulVec(got, x)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("width %d procs=%d workers=%d: y[%d] = %v, want %v (not bitwise identical)",
+							m, runtime.GOMAXPROCS(0), w, i, got[i], want[i])
+					}
 				}
 			}
-		}
-	})
+		})
+	}
 }
 
-// TestDotDeterministicAcrossWorkerCounts: the blocked reduction returns the
-// same bits at every worker count (and for the serial path).
+// diagCSR returns the n×n identity as a CSR matrix.
+func diagCSR(n int) *CSR {
+	rowPtr, colIdx, val := make([]int, n+1), make([]int, n), make([]float64, n)
+	for i := range colIdx {
+		rowPtr[i+1], colIdx[i], val[i] = i+1, i, 1
+	}
+	return NewCSR(n, n, rowPtr, colIdx, val)
+}
+
+// TestDotDeterministicAcrossWorkerCounts: at widths 1 and 7 the blocked
+// reduction gives every column the oracle's serial blocked dot product at
+// every worker count.
 func TestDotDeterministicAcrossWorkerCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{1, dotBlock - 1, dotBlock, 3*dotBlock + 17, 50000} {
-		x := make([]float64, n)
-		y := make([]float64, n)
-		for i := range x {
-			x[i], y[i] = rng.NormFloat64(), rng.NormFloat64()
-		}
-		var want float64
-		for wi, w := range workerCounts() {
-			o := newOps(n, w)
-			got := o.dot(x, y)
-			if wi == 0 {
-				want = got
-				continue
-			}
-			if got != want {
-				t.Fatalf("n=%d workers=%d: dot = %v, want %v (not bitwise identical)", n, w, got, want)
+		a := diagCSR(n)
+		for _, m := range cgWidths {
+			xs, x := interleavedColumns(rng, n, m)
+			ys, y := interleavedColumns(rng, n, m)
+			got := make([]float64, m)
+			for _, w := range workerCounts() {
+				bs, err := NewBatchCGSolver(a, m, CGOptions{Workers: w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				bs.bDot(x, y, got)
+				for c := range got {
+					if want := blockedDot(xs[c], ys[c]); got[c] != want {
+						t.Fatalf("n=%d width %d workers=%d column %d: dot = %v, want %v (not bitwise identical)", n, m, w, c, got[c], want)
+					}
+				}
 			}
 		}
 	}
 }
 
-// TestCGInvariantUnderParallelism: full PCG solves return bitwise-
-// identical solutions and iteration counts at every worker count, at
-// GOMAXPROCS 1 and 2.
+// TestCGInvariantUnderParallelism: at widths 1 and 7, full PCG solves
+// return bitwise-identical solutions and iteration counts at every worker
+// count, at GOMAXPROCS 1 and 2.
 func TestCGInvariantUnderParallelism(t *testing.T) {
 	a := gridLaplacianCSR(splitNX, splitNY, 0.2)
 	n := a.Rows()
 	rng := rand.New(rand.NewSource(3))
-	b := make([]float64, n)
-	x0 := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-		x0[i] = 0.1 * rng.NormFloat64() // nontrivial warm start
-	}
 	ic, err := NewICModified(a, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var refX []float64
-	refIt := -1
-	atProcs(func() {
-		procs := runtime.GOMAXPROCS(0)
-		for _, w := range workerCounts() {
-			s, err := NewCGSolver(a, CGOptions{Tol: 1e-11, Precond: ic, Workers: w})
-			if err != nil {
-				t.Fatalf("procs=%d workers=%d: %v", procs, w, err)
-			}
-			if w == 2 {
-				requireOpsSplit(t, s.o, n)
-			}
-			x := append([]float64(nil), x0...)
-			it, err := s.Solve(x, b)
-			if err != nil {
-				t.Fatalf("procs=%d workers=%d: %v", procs, w, err)
-			}
-			if refX == nil {
-				refX, refIt = x, it
-				continue
-			}
-			if it != refIt {
-				t.Fatalf("procs=%d workers=%d: %d iterations, want %d", procs, w, it, refIt)
-			}
-			for i := range x {
-				if x[i] != refX[i] {
-					t.Fatalf("procs=%d workers=%d: x[%d] = %v, want %v (not bitwise identical)", procs, w, i, x[i], refX[i])
+	for _, m := range cgWidths {
+		_, b := interleavedColumns(rng, n, m)
+		_, x0 := interleavedColumns(rng, n, m)
+		for i := range x0 {
+			x0[i] *= 0.1 // nontrivial warm start
+		}
+		var refX []float64
+		var refIt []int
+		atProcs(func() {
+			procs := runtime.GOMAXPROCS(0)
+			for _, w := range workerCounts() {
+				s, err := NewBatchCGSolver(a, m, CGOptions{Tol: 1e-11, Precond: ic, Workers: w})
+				if err != nil {
+					t.Fatalf("width %d procs=%d workers=%d: %v", m, procs, w, err)
+				}
+				if w == 2 {
+					requireBatchSplit(t, s)
+				}
+				x := append([]float64(nil), x0...)
+				iters, err := s.SolveBatch(x, b)
+				if err != nil {
+					t.Fatalf("width %d procs=%d workers=%d: %v", m, procs, w, err)
+				}
+				if refX == nil {
+					refX, refIt = x, append([]int(nil), iters...)
+					continue
+				}
+				for c := range refIt {
+					if iters[c] != refIt[c] {
+						t.Fatalf("width %d procs=%d workers=%d column %d: %d iterations, want %d", m, procs, w, c, iters[c], refIt[c])
+					}
+				}
+				for i := range x {
+					if x[i] != refX[i] {
+						t.Fatalf("width %d procs=%d workers=%d: x[%d] = %v, want %v (not bitwise identical)", m, procs, w, i, x[i], refX[i])
+					}
 				}
 			}
-		}
-	})
+		})
+	}
 }
 
-// TestCGSolverZeroAllocParallel: the parallel solve path, with every
-// kernel split across two shares, allocates nothing in steady state.
+// TestCGSolverZeroAllocParallel: at widths 1 and 7 the parallel solve
+// path, with every kernel split across two shares, allocates nothing in
+// steady state.
 func TestCGSolverZeroAllocParallel(t *testing.T) {
 	a := gridLaplacianCSR(splitNX, splitNY, 0.3)
 	n := a.Rows()
@@ -253,67 +295,30 @@ func TestCGSolverZeroAllocParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewCGSolver(a, CGOptions{Tol: 1e-10, Precond: ic, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireOpsSplit(t, s.o, n)
-	b := make([]float64, n)
-	x := make([]float64, n)
-	for i := range b {
-		b[i] = 1
-	}
-	if _, err := s.Solve(x, b); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := s.Solve(x, b); err != nil {
+	for _, m := range cgWidths {
+		s, err := NewBatchCGSolver(a, m, CGOptions{Tol: 1e-10, Precond: ic, Workers: 2})
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Solve allocates %v per run, want 0", allocs)
-	}
-}
-
-func BenchmarkSpMVSerial(b *testing.B) { benchSpMV(b, 1) }
-
-func BenchmarkSpMVParallel(b *testing.B) { benchSpMV(b, 0) }
-
-func benchSpMV(b *testing.B, workers int) {
-	a := gridLaplacianCSR(512, 512, 0.3)
-	n := a.Rows()
-	o := newOps(n, workers)
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = float64(i%17) * 0.25
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o.mulVec(a, y, x)
-	}
-}
-
-// BenchmarkICApplySerial times one forward and one backward IC sweep on a
-// 512×512 mesh. The name predates the removal of its parallel partner and
-// is kept so the cross-PR trajectory stays continuous.
-func BenchmarkICApplySerial(b *testing.B) {
-	a := gridLaplacianCSR(512, 512, 0.3)
-	n := a.Rows()
-	ic, err := NewICModified(a, 1.0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := make([]float64, n)
-	z := make([]float64, n)
-	for i := range r {
-		r[i] = float64(i%13) * 0.5
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ic.Apply(z, r)
+		requireBatchSplit(t, s)
+		b := make([]float64, n*m)
+		x := make([]float64, n*m)
+		for i := range b {
+			b[i] = 1
+		}
+		if _, err := s.SolveBatch(x, b); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			for i := range x {
+				x[i] = 0 // a cold start, so every stage runs
+			}
+			if _, err := s.SolveBatch(x, b); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("width %d: SolveBatch allocates %v per run, want 0", m, allocs)
+		}
 	}
 }

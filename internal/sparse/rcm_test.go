@@ -100,7 +100,7 @@ func TestPermutedSolveMatchesOriginal(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	x, _, err := SolveCG(a, b, nil, CGOptions{Tol: 1e-12})
+	x, _, err := solveColumns(a, [][]float64{b}, nil, CGOptions{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,13 +114,13 @@ func TestPermutedSolveMatchesOriginal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	px, _, err := SolveCG(pa, pb, nil, CGOptions{Tol: 1e-12, Precond: ic})
+	px, _, err := solveColumns(pa, [][]float64{pb}, nil, CGOptions{Tol: 1e-12, Precond: ic})
 	if err != nil {
 		t.Fatal(err)
 	}
 	maxDiff := 0.0
 	for newI, oldI := range perm {
-		if d := math.Abs(px[newI] - x[oldI]); d > maxDiff {
+		if d := math.Abs(px[0][newI] - x[0][oldI]); d > maxDiff {
 			maxDiff = d
 		}
 	}

@@ -1,10 +1,12 @@
 package sparse
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -222,7 +224,8 @@ func TestCSRAtAndMulVec(t *testing.T) {
 	}
 }
 
-// Property: CG solves random grid Laplacian systems to tight tolerance.
+// Property: at widths 1 and 7 the batch PCG solves random grid Laplacian
+// systems to tight tolerance.
 func TestCGGridSystems(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -230,18 +233,26 @@ func TestCGGridSystems(t *testing.T) {
 		h := 2 + rng.Intn(8)
 		a := gridLaplacian(w, h, 0.5)
 		n := w * h
-		xStar := make([]float64, n)
-		for i := range xStar {
-			xStar[i] = rng.NormFloat64()
-		}
-		b := a.MulVec(xStar)
-		x, _, err := SolveCG(a, b, nil, CGOptions{Tol: 1e-12})
-		if err != nil {
-			return false
-		}
-		for i := range x {
-			if math.Abs(x[i]-xStar[i]) > 1e-6 {
+		for _, m := range cgWidths {
+			xStar := make([][]float64, m)
+			b := make([][]float64, m)
+			for c := range xStar {
+				xStar[c] = make([]float64, n)
+				for i := range xStar[c] {
+					xStar[c][i] = rng.NormFloat64()
+				}
+				b[c] = a.MulVec(xStar[c])
+			}
+			x, _, err := solveColumns(a, b, nil, CGOptions{Tol: 1e-12})
+			if err != nil {
 				return false
+			}
+			for c := range x {
+				for i := range x[c] {
+					if math.Abs(x[c][i]-xStar[c][i]) > 1e-6 {
+						return false
+					}
+				}
 			}
 		}
 		return true
@@ -251,57 +262,110 @@ func TestCGGridSystems(t *testing.T) {
 	}
 }
 
+// TestCGWarmStartConverges: at widths 1 and 7, every column warm-started
+// from its cold solution converges in fewer iterations than it took cold.
 func TestCGWarmStartConverges(t *testing.T) {
 	a := gridLaplacian(10, 10, 1)
-	b := make([]float64, 100)
-	for i := range b {
-		b[i] = float64(i % 5)
-	}
-	xCold, itCold, err := SolveCG(a, b, nil, CGOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm start from the solution: should converge (almost) immediately.
-	_, itWarm, err := SolveCG(a, b, xCold, CGOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if itWarm >= itCold {
-		t.Errorf("warm start took %d iters, cold took %d", itWarm, itCold)
-	}
-}
-
-func TestCGZeroRHS(t *testing.T) {
-	a := gridLaplacian(4, 4, 1)
-	x, it, err := SolveCG(a, make([]float64, 16), nil, CGOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if it != 0 {
-		t.Errorf("zero rhs took %d iterations", it)
-	}
-	for _, v := range x {
-		if v != 0 {
-			t.Fatal("zero rhs must give zero solution")
+	for _, m := range cgWidths {
+		b := make([][]float64, m)
+		for c := range b {
+			b[c] = make([]float64, 100)
+			for i := range b[c] {
+				b[c][i] = float64(i%5 + c)
+			}
+		}
+		xCold, itCold, err := solveColumns(a, b, nil, CGOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, itWarm, err := solveColumns(a, b, xCold, CGOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range b {
+			if itWarm[c] >= itCold[c] {
+				t.Errorf("width %d column %d: warm start took %d iters, cold took %d", m, c, itWarm[c], itCold[c])
+			}
 		}
 	}
 }
 
+// TestCGZeroRHS: at widths 1 and 7, a zero right-hand side takes no
+// iteration and returns a zero solution whatever the warm start.
+func TestCGZeroRHS(t *testing.T) {
+	a := gridLaplacian(4, 4, 1)
+	for _, m := range cgWidths {
+		b, x0 := make([][]float64, m), make([][]float64, m)
+		for c := range b {
+			b[c], x0[c] = make([]float64, 16), make([]float64, 16)
+			for i := range x0[c] {
+				x0[c][i] = float64(c + 1)
+			}
+		}
+		x, iters, err := solveColumns(a, b, x0, CGOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range x {
+			if iters[c] != 0 {
+				t.Errorf("width %d column %d: zero rhs took %d iterations", m, c, iters[c])
+			}
+			for _, v := range x[c] {
+				if v != 0 {
+					t.Fatalf("width %d column %d: zero rhs must give zero solution", m, c)
+				}
+			}
+		}
+	}
+}
+
+// TestCGRejectsNonSPDDiag: at widths 1 and 7, a matrix with a negative
+// diagonal fails plain IC(0) at construction, and given another matrix's
+// factor the solve stops on pᵀAp <= 0.
 func TestCGRejectsNonSPDDiag(t *testing.T) {
 	tr := NewTriplet(2, 2)
 	tr.Add(0, 0, -1)
 	tr.Add(1, 1, 1)
-	if _, _, err := SolveCG(tr.ToCSR(), []float64{1, 1}, nil, CGOptions{}); err == nil {
-		t.Fatal("expected error for negative diagonal")
+	a := tr.ToCSR()
+	id := NewTriplet(2, 2)
+	id.Add(0, 0, 1)
+	id.Add(1, 1, 1)
+	ic, err := NewIC(id.ToCSR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range cgWidths {
+		if _, err := NewBatchCGSolver(a, m, CGOptions{}); err == nil {
+			t.Fatalf("width %d: expected error for negative diagonal", m)
+		}
+		b := make([][]float64, m)
+		for c := range b {
+			b[c] = []float64{2, 1}
+		}
+		if _, _, err := solveColumns(a, b, nil, CGOptions{Precond: ic}); err == nil || !strings.Contains(err.Error(), "not SPD") {
+			t.Fatalf("width %d: error %v, want pᵀAp <= 0", m, err)
+		}
 	}
 }
 
+// TestCGIterationBudget: at widths 1 and 7, a solve cut off by MaxIter
+// reports ErrNoConvergence with every column at the cap.
 func TestCGIterationBudget(t *testing.T) {
 	a := gridLaplacian(12, 12, 0.001) // poorly conditioned
-	b := make([]float64, 144)
-	b[0] = 1
-	_, _, err := SolveCG(a, b, nil, CGOptions{Tol: 1e-14, MaxIter: 2})
-	if err == nil {
-		t.Fatal("expected ErrNoConvergence with MaxIter=2")
+	for _, m := range cgWidths {
+		b := make([][]float64, m)
+		for c := range b {
+			b[c] = make([]float64, 144)
+			b[c][3*c] = 1
+		}
+		_, iters, err := solveColumns(a, b, nil, CGOptions{Tol: 1e-14, MaxIter: 2})
+		if !errors.Is(err, ErrNoConvergence) {
+			t.Fatalf("width %d: error %v, want ErrNoConvergence with MaxIter=2", m, err)
+		}
+		for c, it := range iters {
+			if it != 2 {
+				t.Fatalf("width %d column %d: %d iterations, want the cap of 2", m, c, it)
+			}
+		}
 	}
 }
